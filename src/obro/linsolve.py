@@ -10,10 +10,15 @@ too large for the bundled code.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import itertools
+import os
+import sys
+import tempfile
 import warnings
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +35,7 @@ __all__ = [
     "default_solver",
     "solve_lp",
     "solve_milp",
+    "stdout_captured",
     "write_lp_text",
 ]
 
@@ -531,6 +537,43 @@ class BranchBoundSolver(Solver):
         return incumbent
 
 
+@contextmanager
+def stdout_captured():
+    """Point fd 1 at a temporary file for the block; on exit the yielded
+    dict's ``"lines"`` counts the lines written there, which never reach
+    the real stdout.  fd 1 is process-wide: keep other threads quiet."""
+    count = {"lines": 0}
+    with tempfile.TemporaryFile() as sink:
+        sys.stdout.flush()
+        saved = os.dup(1)
+        try:
+            os.dup2(sink.fileno(), 1)
+            yield count
+        finally:
+            sys.stdout.flush()
+            _fflush(None)  # C stdio holds native output until flushed
+            os.dup2(saved, 1)
+            os.close(saved)
+            sink.seek(0)
+            count["lines"] = len(sink.read().splitlines())
+
+
+_fflush = ctypes.CDLL(None).fflush
+_fflush.argtypes, _fflush.restype = [ctypes.c_void_p], ctypes.c_int
+
+
+def _call_highs(solve, *args, **kwargs):
+    """Run a scipy HiGHS entry point with fd 1 captured, since HiGHS can
+    print from native code; returns the result, its status and the base
+    stats, which count the captured lines as ``stdout_lines``."""
+    with stdout_captured() as chatter:
+        res = solve(*args, **kwargs)
+    status = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}.get(
+        res.status, "iteration-limit"
+    )
+    return res, status, {"backend": "highs", "stdout_lines": chatter["lines"]}
+
+
 class HighsSolver(Solver):
     """scipy/HiGHS backend for instances beyond the bundled code."""
 
@@ -570,7 +613,8 @@ class HighsSolver(Solver):
         maximize = lp.sense == "max"
         c = -lp.c if maximize else lp.c
         (a_ub, ub_meta, b_ub), (a_eq, eq_meta, b_eq) = self._split(lp)
-        res = linprog(
+        res, status, stats = _call_highs(
+            linprog,
             c,
             A_ub=a_ub,
             b_ub=b_ub if a_ub is not None else None,
@@ -579,11 +623,8 @@ class HighsSolver(Solver):
             bounds=np.column_stack([lp.lower, lp.upper]),
             method="highs",
         )
-        status = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}.get(
-            res.status, "iteration-limit"
-        )
         if status != "optimal":
-            return SolveOutcome(status, stats={"backend": "highs"})
+            return SolveOutcome(status, stats=stats)
         dual = np.zeros(len(lp.rows))
         dual_obj = 0.0
         for (i, sign), marg, rhs in zip(
@@ -605,11 +646,7 @@ class HighsSolver(Solver):
         objective = -res.fun if maximize else res.fun
         if maximize:
             dual, dual_obj = -dual, -dual_obj
-        stats = {
-            "backend": "highs",
-            "pivots": int(res.nit),
-            "primal_violation": primal_violation(lp, res.x),
-        }
+        stats.update(pivots=int(res.nit), primal_violation=primal_violation(lp, res.x))
         return SolveOutcome("optimal", float(objective), res.x, dual, dual_obj, stats)
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
@@ -626,28 +663,25 @@ class HighsSolver(Solver):
             constraints.append(LinearConstraint(a_eq, b_eq, b_eq))
         integrality = np.zeros(lp.n_vars)
         integrality[list(mip.binaries)] = 1
-        res = milp(
+        res, status, stats = _call_highs(
+            milp,
             c,
             constraints=constraints,
             integrality=integrality,
             bounds=Bounds(lp.lower, lp.upper),
             options={"mip_rel_gap": 0.0},
         )
-        status = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}.get(
-            res.status, "iteration-limit"
-        )
         if status != "optimal":
-            return SolveOutcome(status, stats={"backend": "highs"})
+            return SolveOutcome(status, stats=stats)
         x = res.x.copy()
         for j in mip.binaries:
             if min(x[j], 1.0 - x[j]) <= self.int_tol:
                 x[j] = round(x[j])
         objective = -res.fun if maximize else res.fun
-        stats = {
-            "backend": "highs",
-            "nodes": int(getattr(res, "mip_node_count", 0) or 0),
-            "primal_violation": primal_violation(lp, x),
-        }
+        stats.update(
+            nodes=int(getattr(res, "mip_node_count", 0) or 0),
+            primal_violation=primal_violation(lp, x),
+        )
         return SolveOutcome("optimal", float(objective), x, stats=stats)
 
 

@@ -1,9 +1,12 @@
 """Decision update over accumulated scenarios: the outer MILP.
 
 The epigraph variable dominates one cut per stored scenario.  Every
-evaluation coordinate gets its own interpolation block: segment-activation
-binaries plus interpolation weights, linked so at most two adjacent
-weights are nonzero.  All cuts share the weights, since every scenario is
+evaluation coordinate gets its own incremental block (Vielma, Ahmed &
+Nemhauser, Oper. Res. 58(2), 2010): segment fractions z filled left to
+right, kept in order by binaries y with z[k+1] <= y[k] <= z[k].  The
+coordinate is the first sample point plus the filled segment widths; a
+cut interpolates a scenario as its first value plus the filled
+increments.  All cuts share the fractions, since every scenario is
 sampled on the same partition.
 """
 
@@ -32,45 +35,38 @@ class MasterError(RuntimeError):
 @dataclass(frozen=True)
 class MasterLayout:
     """Column map of the master MILP: decision vector, epigraph variable,
-    then per evaluation coordinate a weight block and a binary block."""
+    then per evaluation coordinate a block of segment fractions ``z`` and a
+    block of ordering binaries ``y``."""
 
     n_x: int
     eta: int
-    alpha_slices: tuple  # (term, eval) -> slice, flattened in term order
-    beta_slices: tuple
+    z_slices: tuple  # (term, eval) -> slice, flattened in term order
+    y_slices: tuple
     eval_keys: tuple  # (term index, eval position, eval var index)
     n_total: int
-
-    def alpha(self, term: int, pos: int) -> slice:
-        return self.alpha_slices[self._flat(term, pos)]
-
-    def beta(self, term: int, pos: int) -> slice:
-        return self.beta_slices[self._flat(term, pos)]
-
-    def _flat(self, term: int, pos: int) -> int:
-        for k, (ti, pi, _) in enumerate(self.eval_keys):
-            if ti == term and pi == pos:
-                return k
-        raise KeyError((term, pos))
 
 
 def master_layout(prob: ObroProblem) -> MasterLayout:
     n_x = prob.n_vars
     base = n_x + 1
-    alphas, betas, keys = [], [], []
+    zs, ys, keys = [], [], []
     for ti, term in enumerate(prob.terms):
-        n = term.spec.partition.n_points
+        ns = term.spec.partition.n_segments
         for pi, e in enumerate(term.eval_indices):
-            alphas.append(slice(base, base + n))
-            base += n
-            betas.append(slice(base, base + n - 1))
-            base += n - 1
+            zs.append(slice(base, base + ns))
+            ys.append(slice(base + ns, base + 2 * ns - 1))
+            base += 2 * ns - 1
             keys.append((ti, pi, e))
-    return MasterLayout(n_x, n_x, tuple(alphas), tuple(betas), tuple(keys), base)
+    return MasterLayout(n_x, n_x, tuple(zs), tuple(ys), tuple(keys), base)
 
 
-def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
-    """Assemble the scenario-cut MILP over the stored worst cases."""
+def build_master(
+    prob: ObroProblem, scenarios: list, lay: MasterLayout | None = None
+) -> MixedIntegerProgram:
+    """Assemble the scenario-cut MILP over the stored worst cases.
+
+    ``lay``, when given, must be ``master_layout(prob)``.
+    """
     issues = validate(prob)
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
@@ -81,7 +77,8 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
         if bad:
             raise ValueError(f"scenario {li} invalid: " + "; ".join(bad))
 
-    lay = master_layout(prob)
+    if lay is None:
+        lay = master_layout(prob)
     n = lay.n_total
     c = np.zeros(n)
     c[lay.eta] = 1.0
@@ -89,6 +86,8 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
     upper = np.full(n, np.inf)
     lower[: lay.n_x] = prob.lower
     upper[: lay.n_x] = prob.upper
+    lower[lay.n_x + 1 :] = 0.0
+    upper[lay.n_x + 1 :] = 1.0
     names = [prob.var_name(j) for j in range(lay.n_x)] + ["eta"]
     binaries = []
 
@@ -97,45 +96,33 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
         for i, r in enumerate(prob.rows)
     ]
 
-    for k, (ti, pi, e) in enumerate(lay.eval_keys):
+    for (ti, _, e), z, y in zip(lay.eval_keys, lay.z_slices, lay.y_slices):
         term = prob.terms[ti]
-        part = term.spec.partition
-        np_, ns = part.n_points, part.n_segments
-        a, b = lay.alpha_slices[k], lay.beta_slices[k]
+        points = term.spec.partition.points
         tag = f"{term.name}@{prob.var_name(e)}"
-        names.extend(f"{tag}.alpha[{p}]" for p in range(np_))
-        names.extend(f"{tag}.beta[{p}]" for p in range(ns))
-        lower[a], upper[a] = 0.0, 1.0
-        lower[b], upper[b] = 0.0, 1.0
-        binaries.extend(range(b.start, b.stop))
-
-        rows.append(
-            Row({b.start + p: 1.0 for p in range(ns)}, "=", 1.0, f"{tag}.one_segment")
-        )
-        rows.append(
-            Row({a.start + p: 1.0 for p in range(np_)}, "=", 1.0, f"{tag}.weights")
-        )
-        for p in range(np_):
-            link = {a.start + p: 1.0}
-            if p > 0:
-                link[b.start + p - 1] = -1.0
-            if p < ns:
-                link[b.start + p] = -1.0
-            rows.append(Row(link, "<=", 0.0, f"{tag}.adjacent[{p}]"))
-        link = {a.start + p: float(part.points[p]) for p in range(np_)}
+        names.extend(f"{tag}.z[{k}]" for k in range(z.stop - z.start))
+        names.extend(f"{tag}.y[{k}]" for k in range(y.stop - y.start))
+        binaries.extend(range(y.start, y.stop))
+        for k in range(y.stop - y.start):
+            rows.append(
+                Row({z.start + k + 1: 1.0, y.start + k: -1.0}, "<=", 0.0, f"{tag}.next[{k}]")
+            )
+            rows.append(
+                Row({y.start + k: 1.0, z.start + k: -1.0}, "<=", 0.0, f"{tag}.full[{k}]")
+            )
+        link = {z.start + k: float(h) for k, h in enumerate(np.diff(points))}
         link[e] = -1.0
-        rows.append(Row(link, "=", 0.0, f"{tag}.coordinate"))
+        rows.append(Row(link, "=", -float(points[0]), f"{tag}.coordinate"))
 
     for li, scen in enumerate(scenarios):
         coeffs = {j: float(v) for j, v in enumerate(prob.c) if v != 0.0}
         coeffs[lay.eta] = coeffs.get(lay.eta, 0.0) - 1.0
-        rhs = 0.0
-        for k, (ti, pi, e) in enumerate(lay.eval_keys):
-            a = lay.alpha_slices[k]
+        rhs = prob.epsilon * sum(scen.deviations)
+        for (ti, _, _), z in zip(lay.eval_keys, lay.z_slices):
             values = scen.functions[ti].values
-            for p in range(values.size):
-                coeffs[a.start + p] = coeffs.get(a.start + p, 0.0) + float(values[p])
-        rhs += prob.epsilon * sum(scen.deviations)
+            rhs -= float(values[0])
+            for k, d in enumerate(np.diff(values)):
+                coeffs[z.start + k] = coeffs.get(z.start + k, 0.0) + float(d)
         rows.append(Row(coeffs, "<=", rhs, f"cut[{li}]"))
 
     lp = LinearProgram("min", c, rows, lower, upper, names)
@@ -146,13 +133,12 @@ def solve_master(
     prob: ObroProblem, scenarios: list, solver: Solver | None = None
 ) -> tuple[np.ndarray, float]:
     """Solve the scenario-cut MILP; returns the decision and its bound."""
-    mip = build_master(prob, scenarios)
-    out = solve_milp(mip, solver)
+    lay = master_layout(prob)
+    out = solve_milp(build_master(prob, scenarios, lay), solver)
     if out.status == "infeasible":
         raise MasterError("decision polyhedron is empty")
     if out.status != "optimal":
         raise MasterError(f"master MILP ended {out.status}")
-    lay = master_layout(prob)
     x = out.x[: lay.n_x].copy()
     eta = float(out.x[lay.eta])
     return x, eta

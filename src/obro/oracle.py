@@ -3,9 +3,10 @@ partition-refinement consistency study.
 
 These are the trust anchors: the adversary oracle enumerates sample-value
 grids directly against the neighborhood definition, and the master oracle
-enumerates segment activation patterns, leaving only a tiny LP per
-pattern.  Both are deterministic (first best in lexicographic order wins)
-and guarded by explicit work budgets.
+enumerates segment activation patterns, pinned by variable bounds alone,
+leaving only a tiny LP per pattern and no MILP solve.  Both are
+deterministic (first best in lexicographic order wins) and guarded by
+explicit work budgets.
 """
 
 from __future__ import annotations
@@ -16,15 +17,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from obro.engine import run
-from obro.linsolve import SimplexSolver, Solver
-from obro.master import build_master, master_layout
+from obro.linsolve import LinearProgram, SimplexSolver, Solver
+from obro.master import MasterLayout, build_master, master_layout
 from obro.model import ObroProblem, validate
-from obro.pwl import SampledFunction, interp_coefficients
+from obro.pwl import SampledFunction, interp_coefficients, trapezoid_weights
 
 __all__ = [
     "GridBudgetError",
     "brute_force_subproblem",
     "enumerate_master",
+    "pin_segments",
     "RefinementTable",
     "refinement_study",
 ]
@@ -80,7 +82,7 @@ def brute_force_subproblem(
             offsets = np.linspace(-spec.delta_max, spec.delta_max, levels)
         else:
             offsets = np.zeros(1)
-        weights = _trapezoid_weights(part.points)
+        weights = trapezoid_weights(part.points)
         ratio_cap = spec.lip_ratio * np.abs(np.diff(spec.reference.values))
 
         best_val, best_off = -np.inf, None
@@ -115,30 +117,21 @@ def brute_force_subproblem(
     return total, best_functions
 
 
-def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
-    dx = np.diff(points)
-    w = np.zeros(points.size)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
-
-
 def enumerate_master(
     prob: ObroProblem, scenarios: list, lp_solver: Solver | None = None
 ) -> tuple[float, np.ndarray]:
     """Solve the master exactly by trying every segment activation pattern.
 
     For each assignment of one segment per evaluation coordinate the
-    binaries are fixed and the remaining LP solved; the best pattern wins
-    (first one on ties, in lexicographic pattern order).
+    coordinates are pinned (``pin_segments``) and the remaining LP solved;
+    the best pattern wins (first one on ties, in lexicographic pattern
+    order).
     """
     lp_solver = lp_solver or SimplexSolver()
-    mip = build_master(prob, scenarios)
     lay = master_layout(prob)
+    mip = build_master(prob, scenarios, lay)
 
-    seg_counts = [
-        prob.terms[ti].spec.partition.n_segments for ti, _, _ in lay.eval_keys
-    ]
+    seg_counts = [z.stop - z.start for z in lay.z_slices]
     n_patterns = int(np.prod(seg_counts)) if seg_counts else 1
     if n_patterns > PATTERN_BUDGET:
         raise GridBudgetError(
@@ -147,14 +140,7 @@ def enumerate_master(
 
     best = None
     for pattern in itertools.product(*(range(s) for s in seg_counts)):
-        lo = mip.lp.lower.copy()
-        up = mip.lp.upper.copy()
-        for bslice, choice in zip(lay.beta_slices, pattern):
-            lo[bslice] = 0.0
-            up[bslice] = 0.0
-            lo[bslice.start + choice] = 1.0
-            up[bslice.start + choice] = 1.0
-        out = lp_solver.solve_lp(replace(mip.lp, lower=lo, upper=up))
+        out = lp_solver.solve_lp(pin_segments(mip.lp, lay, pattern))
         if out.status != "optimal":
             continue
         if best is None or out.objective < best[0] - 1e-12:
@@ -162,6 +148,20 @@ def enumerate_master(
     if best is None:
         raise RuntimeError("every segment pattern infeasible")
     return best[0], best[1]
+
+
+def pin_segments(lp: LinearProgram, lay: MasterLayout, pattern) -> LinearProgram:
+    """The master LP with evaluation coordinate ``i`` pinned to segment
+    ``pattern[i]``: earlier fractions full, later ones empty, binaries to
+    match, and only the segment's own fraction free."""
+    lo = lp.lower.copy()
+    up = lp.upper.copy()
+    for z, y, s in zip(lay.z_slices, lay.y_slices, pattern):
+        lo[z.start : z.start + s] = up[z.start : z.start + s] = 1.0
+        lo[z.start + s + 1 : z.stop] = up[z.start + s + 1 : z.stop] = 0.0
+        lo[y.start : y.start + s] = up[y.start : y.start + s] = 1.0
+        lo[y.start + s : y.stop] = up[y.start + s : y.stop] = 0.0
+    return replace(lp, lower=lo, upper=up)
 
 
 @dataclass(frozen=True)

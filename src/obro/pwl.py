@@ -26,6 +26,7 @@ __all__ = [
     "interpolate",
     "sup_distance",
     "trapezoid_deviation",
+    "trapezoid_weights",
     "check_neighborhood",
     "sample_reference",
 ]
@@ -215,6 +216,16 @@ def trapezoid_deviation(f: SampledFunction, ref: SampledFunction) -> float:
     s = np.abs(f.values - ref.values)
     dx = np.diff(f.partition.points)
     return float(np.sum(0.5 * (s[1:] + s[:-1]) * dx))
+
+
+def trapezoid_weights(points: np.ndarray) -> np.ndarray:
+    """Per-sample weights of the trapezoidal rule on ``points``: the
+    quadrature of samples ``s`` is ``s @ trapezoid_weights(points)``."""
+    dx = np.diff(points)
+    w = np.zeros(points.size)
+    w[:-1] += 0.5 * dx
+    w[1:] += 0.5 * dx
+    return w
 
 
 @dataclass(frozen=True)

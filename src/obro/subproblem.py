@@ -13,7 +13,12 @@ import numpy as np
 
 from obro.linsolve import LinearProgram, Row, Solver, solve_lp
 from obro.model import ObroProblem, Scenario, scenario_issues, validate
-from obro.pwl import SampledFunction, interp_coefficients, trapezoid_deviation
+from obro.pwl import (
+    SampledFunction,
+    interp_coefficients,
+    trapezoid_deviation,
+    trapezoid_weights,
+)
 
 __all__ = ["build_subproblem", "solve_subproblem"]
 
@@ -88,7 +93,7 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
             rows.append(
                 Row({f0 + p: -1.0, s0 + p: -1.0}, "<=", -ref[p], f"{term.name}.abs-[{p}]")
             )
-        weights = _trapezoid_weights(part.points)
+        weights = trapezoid_weights(part.points)
         coeffs = {s0 + p: -w for p, w in enumerate(weights)}
         coeffs[d0] = 1.0
         rows.append(Row(coeffs, "=", 0.0, f"{term.name}.quadrature"))
@@ -100,14 +105,6 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
             c[f0 + p + 1] += a_hi
 
     return LinearProgram("max", c, rows, lower, upper, names)
-
-
-def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
-    dx = np.diff(points)
-    w = np.zeros(points.size)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
 
 
 def solve_subproblem(

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +14,7 @@ from obro.linsolve import (
     MixedIntegerProgram,
     Row,
     SimplexSolver,
+    stdout_captured,
     write_lp_text,
 )
 
@@ -296,3 +300,32 @@ def test_lp_text_dump_layout():
     assert "cap: +1 a +1 b <= 1" in text
     assert "bounds" in lines
     assert lines[-1].strip() == "b"
+
+
+def test_stdout_capture_counts_and_hides_fd1(capfd):
+    with stdout_captured() as chatter:
+        os.write(1, b"native chatter\nsecond line\n")
+    assert chatter["lines"] == 2
+    os.write(1, b"after\n")
+    assert capfd.readouterr().out == "after\n"
+    assert HighsSolver().solve_lp(lp_max_x()).stats["stdout_lines"] == 0
+
+
+def test_stdout_capture_flushes_c_stdio():
+    # a fresh interpreter whose C stdout writes to a pipe is fully buffered,
+    # so text put there inside the block stays in the buffer unless flushed
+    code = (
+        "import ctypes\n"
+        "from obro.linsolve import stdout_captured\n"
+        "puts = ctypes.CDLL(None).puts\n"
+        "puts.argtypes, puts.restype = [ctypes.c_char_p], ctypes.c_int\n"
+        "with stdout_captured() as chatter:\n"
+        "    puts(b'buffered by C stdio')\n"
+        "print(chatter['lines'])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60
+    )
+    assert out.stdout == b"1\n"

@@ -98,32 +98,35 @@ class TestLbMonotonicity:
         assert eta2 >= eta1 - 1e-9
 
 
-class TestSos2Structure:
+class TestIncrementalStructure:
     def test_layout_blocks(self):
-        prob = make_problem([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
-        lay = master_layout(prob)
-        assert lay.n_x == 1 and lay.eta == 1
-        assert lay.alpha(0, 0) == slice(2, 5)
-        assert lay.beta(0, 0) == slice(5, 7)
-        assert lay.n_total == 7
+        for n in (2, 3, 5):
+            prob = make_problem(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n))
+            lay = master_layout(prob)
+            assert lay.n_x == 1 and lay.eta == 1
+            assert lay.z_slices == (slice(2, n + 1),)
+            assert lay.y_slices == (slice(n + 1, 2 * n - 1),)
+            assert lay.n_total == 2 * n - 1
+            mip = build_master(prob, [reference_scenario(prob)])
+            assert mip.binaries == tuple(range(n + 1, 2 * n - 1))  # none when n == 2
 
     @pytest.mark.parametrize("solver", [BranchBoundSolver(), HighsSolver()], ids=["bnb", "highs"])
-    def test_sos2_integrity_at_optimum(self, solver):
-        prob = make_problem([0.0, 0.4, 1.0], [1.0, 0.3, 0.8])
-        scens = [reference_scenario(prob), scenario_from_values(prob, [0.9, 0.5, 1.1])]
-        mip = build_master(prob, scens)
+    def test_fill_order_at_optimum(self, solver):
+        # identity reference against its mirror image: the cuts eta >= x and
+        # eta >= 1 - x - eps * 0.5 cross at x = 0.475, inside segment 1
+        points = np.array([0.0, 0.25, 0.5, 1.0])
+        prob = make_problem(points, points, delta=1.0, lip=3.0)
+        scens = [reference_scenario(prob), scenario_from_values(prob, 1.0 - points)]
         from obro.linsolve import solve_milp
 
-        out = solve_milp(mip, solver)
+        out = solve_milp(build_master(prob, scens), solver)
         lay = master_layout(prob)
-        beta = out.x[lay.beta(0, 0)]
-        alpha = out.x[lay.alpha(0, 0)]
-        assert np.sum(np.round(beta)) == 1
-        seg = int(np.argmax(beta))
-        mask = np.zeros(alpha.size, dtype=bool)
-        mask[seg : seg + 2] = True
-        assert np.all(alpha[~mask] <= 1e-6)
-        assert np.sum(alpha) == pytest.approx(1.0, abs=1e-6)
+        z = out.x[lay.z_slices[0]]
+        y = out.x[lay.y_slices[0]]
+        assert out.x[0] == pytest.approx(0.475, abs=1e-9)
+        np.testing.assert_allclose(z, [1.0, 0.9, 0.0], atol=1e-9)
+        np.testing.assert_array_equal(y, [1.0, 0.0])
+        assert points[0] + np.diff(points) @ z == pytest.approx(out.x[0], abs=1e-12)
 
     def test_polyhedron_rows_respected(self):
         from obro.linsolve import Row

@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from obro.linsolve import Row
-from obro.master import solve_master
+from obro.linsolve import Row, SimplexSolver
+from obro.master import build_master, master_layout, solve_master
 from obro.model import ObroProblem, Scenario, UncertainTerm, reference_scenario
 from obro.oracle import (
     GridBudgetError,
     brute_force_subproblem,
     enumerate_master,
+    pin_segments,
     refinement_study,
 )
 from obro.pwl import (
@@ -120,6 +123,34 @@ class TestEnumerateMaster:
         v_enum, _ = enumerate_master(prob, scens)
         _, eta = solve_master(prob, scens)
         assert v_enum == pytest.approx(eta, abs=1e-6)
+
+    @pytest.mark.parametrize("points", [[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0]])
+    def test_pinned_pattern_spans_its_segment(self, points):
+        prob = one_term(points, points, delta=0.5)
+        lay = master_layout(prob)
+        lp = build_master(prob, [reference_scenario(prob)], lay).lp
+        for s in range(len(points) - 1):
+            pinned = pin_segments(lp, lay, (s,))
+            ends = []
+            for sign in (1.0, -1.0):
+                c = np.zeros(lp.n_vars)
+                c[0] = sign
+                out = SimplexSolver().solve_lp(replace(pinned, c=c))
+                assert out.status == "optimal"
+                ends.append(out.x[0])
+            assert ends == [points[s], points[s + 1]]
+
+    def test_tie_on_interior_breakpoint(self):
+        # the optimum x = 0.5 ends segment 0 and starts segment 1: both
+        # patterns reach it, and the first one wins
+        prob = one_term([0.0, 0.5, 1.0], [1.0, 0.2, 0.9], delta=0.5)
+        scens = [reference_scenario(prob)]
+        v_enum, x_enum = enumerate_master(prob, scens)
+        x_m, eta = solve_master(prob, scens)
+        assert v_enum == pytest.approx(0.2, abs=1e-12)
+        assert v_enum == pytest.approx(eta, abs=1e-9)
+        assert x_enum[0] == pytest.approx(0.5, abs=1e-12)
+        assert x_enum[0] == pytest.approx(x_m[0], abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_instances_match_branch_and_bound(self, seed):
