@@ -135,7 +135,7 @@ class SolveOutcome:
     objective at optimality up to round-off.
     """
 
-    status: str  # optimal | infeasible | unbounded | iteration-limit
+    status: str  # optimal | infeasible | unbounded | iteration-limit | inconclusive
     objective: float | None = None
     x: np.ndarray | None = None
     dual: np.ndarray | None = None
@@ -148,7 +148,9 @@ class SolveOutcome:
 
 
 def primal_violation(lp: LinearProgram, x: np.ndarray) -> float:
-    """Worst constraint or bound violation of x (0 when feasible)."""
+    """Worst constraint or bound violation of x (0 when feasible).  Reads
+    only ``lower``, ``upper`` and ``rows``, so a problem with a decision
+    polyhedron (``model.ObroProblem``) works too."""
     worst = max(np.max(lp.lower - x, initial=0.0), np.max(x - lp.upper, initial=0.0))
     for r in lp.rows:
         lhs = sum(v * x[j] for j, v in r.coeffs.items())
@@ -562,16 +564,23 @@ _fflush = ctypes.CDLL(None).fflush
 _fflush.argtypes, _fflush.restype = [ctypes.c_void_p], ctypes.c_int
 
 
+# scipy status 4 is "other": HiGHS proved neither optimality nor a limit
+# (unbounded-or-infeasible, or a solver error); the message says which
+_HIGHS_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}
+
+
 def _call_highs(solve, *args, **kwargs):
     """Run a scipy HiGHS entry point with fd 1 captured, since HiGHS can
     print from native code; returns the result, its status and the base
-    stats, which count the captured lines as ``stdout_lines``."""
+    stats, which count the captured lines as ``stdout_lines`` and carry
+    scipy's ``message``."""
     with stdout_captured() as chatter:
         res = solve(*args, **kwargs)
-    status = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}.get(
-        res.status, "iteration-limit"
-    )
-    return res, status, {"backend": "highs", "stdout_lines": chatter["lines"]}
+    status = _HIGHS_STATUS.get(res.status, "inconclusive")
+    stats = {
+        "backend": "highs", "stdout_lines": chatter["lines"], "message": res.message
+    }
+    return res, status, stats
 
 
 class HighsSolver(Solver):
@@ -669,7 +678,9 @@ class HighsSolver(Solver):
             constraints=constraints,
             integrality=integrality,
             bounds=Bounds(lp.lower, lp.upper),
-            options={"mip_rel_gap": 0.0},
+            # presolve's reduced-cost fixing restarts the root search
+            # many times on the scenario-cut masters (see README)
+            options={"mip_rel_gap": 0.0, "presolve": False},
         )
         if status != "optimal":
             return SolveOutcome(status, stats=stats)

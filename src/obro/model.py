@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from obro.linsolve import primal_violation
 from obro.pwl import (
     NeighborhoodSpec,
     check_neighborhood,
@@ -173,7 +174,7 @@ def evaluate_v(
     coordinate, minus epsilon times the stored total deviations.
     """
     x = np.asarray(x, dtype=float)
-    viol = _polyhedron_violation(prob, x)
+    viol = primal_violation(prob, x)
     if viol > feas_tol:
         raise ValueError(f"decision vector infeasible by {viol:.3e}")
     total = float(prob.c @ x)
@@ -182,18 +183,3 @@ def evaluate_v(
             total += interpolate(f, x[e])
         total -= prob.epsilon * dev
     return total
-
-
-def _polyhedron_violation(prob: ObroProblem, x: np.ndarray) -> float:
-    worst = max(
-        np.max(prob.lower - x, initial=0.0), np.max(x - prob.upper, initial=0.0)
-    )
-    for r in prob.rows:
-        lhs = sum(v * x[j] for j, v in r.coeffs.items())
-        if r.sense == "<=":
-            worst = max(worst, lhs - r.rhs)
-        elif r.sense == ">=":
-            worst = max(worst, r.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - r.rhs))
-    return float(worst)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import OptimizeResult
 
 from obro.linsolve import (
     BranchBoundSolver,
@@ -150,6 +152,30 @@ class TestSolveMilp:
         )
         assert solver.solve_milp(mip).status == "infeasible"
 
+    def test_milp_unbounded(self, solver):
+        # max x0 + x1 with x0 >= 0 free above and binary x1 <= 0.5
+        mip = MixedIntegerProgram(
+            LinearProgram(
+                "max", np.array([1.0, 1.0]), [Row({1: 1.0}, "<=", 0.5)],
+                np.zeros(2), np.array([np.inf, 1.0]),
+            ),
+            (1,),
+        )
+        assert solver.solve_milp(mip).status == "unbounded"
+
+
+def test_highs_other_status_is_not_a_limit(monkeypatch):
+    # scipy status 4 ("unbounded or infeasible", or a solver error) proves
+    # no limit was hit; it keeps its own status and scipy's message
+    msg = "The problem is unbounded or infeasible. (HiGHS Status 9: ...)"
+    monkeypatch.setattr(
+        scipy.optimize, "milp", lambda *a, **k: OptimizeResult(status=4, message=msg)
+    )
+    lp = LinearProgram("max", np.array([1.0]), [], np.zeros(1), np.ones(1))
+    out = HighsSolver().solve_milp(MixedIntegerProgram(lp, (0,)))
+    assert out.status == "inconclusive"
+    assert out.stats["message"] == msg
+
 
 def enumerate_reference(mip):
     """Ground truth by trying every binary assignment."""
@@ -204,7 +230,8 @@ def test_branch_and_bound_matches_enumeration(seed):
         np.testing.assert_array_equal(out.x, again.x)
 
 
-def test_twelve_binaries_match_enumeration():
+@pytest.mark.parametrize("solver", MILP_SOLVERS, ids=["bnb", "highs"])
+def test_twelve_binaries_match_enumeration(solver):
     rng = np.random.default_rng(99)
     n = 13
     binaries = tuple(range(12))
@@ -222,7 +249,7 @@ def test_twelve_binaries_match_enumeration():
         LinearProgram("min", rng.normal(size=n), rows, np.zeros(n), upper), binaries
     )
     reference = enumerate_reference(mip)
-    out = BranchBoundSolver().solve_milp(mip)
+    out = solver.solve_milp(mip)
     assert out.optimal
     assert out.objective == pytest.approx(reference, abs=1e-6)
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from obro.linsolve import Row, SimplexSolver
+from obro.linsolve import HighsSolver, Row, SimplexSolver
 from obro.master import build_master, master_layout, solve_master
 from obro.model import ObroProblem, Scenario, UncertainTerm, reference_scenario
 from obro.oracle import (
@@ -112,8 +112,10 @@ class TestEnumerateMaster:
         v_enum, x_enum = enumerate_master(prob, scens)
         assert x_enum[0] == pytest.approx(0.45, abs=1e-9)
         assert v_enum == pytest.approx(0.45, abs=1e-9)
-        x_m, eta = solve_master(prob, scens)
-        assert v_enum == pytest.approx(eta, abs=1e-6)
+        for solver in (None, HighsSolver()):
+            x_m, eta = solve_master(prob, scens, solver)
+            assert v_enum == pytest.approx(eta, abs=1e-6)
+            assert x_m[0] == pytest.approx(0.45, abs=1e-6)
 
     def test_multi_segment_grid(self):
         prob = one_term([0.0, 0.4, 1.0], [1.0, 0.3, 0.8], delta=0.5, lip=4.0)
@@ -121,8 +123,9 @@ class TestEnumerateMaster:
         scen = Scenario((f,), (trapezoid_deviation(f, prob.terms[0].spec.reference),))
         scens = [reference_scenario(prob), scen]
         v_enum, _ = enumerate_master(prob, scens)
-        _, eta = solve_master(prob, scens)
-        assert v_enum == pytest.approx(eta, abs=1e-6)
+        for solver in (None, HighsSolver()):
+            _, eta = solve_master(prob, scens, solver)
+            assert v_enum == pytest.approx(eta, abs=1e-6)
 
     @pytest.mark.parametrize("points", [[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0]])
     def test_pinned_pattern_spans_its_segment(self, points):
