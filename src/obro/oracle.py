@@ -5,8 +5,13 @@ These are the trust anchors: the adversary oracle enumerates sample-value
 grids directly against the neighborhood definition, and the master oracle
 enumerates segment activation patterns, pinned by variable bounds alone,
 leaving only a tiny LP per pattern and no MILP solve.  Both are
-deterministic (first best in lexicographic order wins) and guarded by
-explicit work budgets.
+deterministic and guarded by explicit work budgets.  Ties go to the
+earliest candidate in lexicographic order: for the grid oracle, the
+earliest grid index among the maximal values as its own floating-point
+arithmetic computes them (a different summation order may split a tie
+in the last bit and pick another maximizer of equal value); for the
+master oracle, a later pattern replaces the best so far only when its
+objective is lower by more than 1e-12.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from obro.engine import run
 from obro.linsolve import LinearProgram, SimplexSolver, Solver
 from obro.master import MasterLayout, build_master, master_layout
 from obro.model import ObroProblem, validate
-from obro.pwl import SampledFunction, interp_coefficients, trapezoid_weights
+from obro.pwl import SampledFunction, sample_coefficients, trapezoid_weights
 
 __all__ = [
     "GridBudgetError",
@@ -51,6 +56,14 @@ def brute_force_subproblem(
     are enumerated independently and their best values summed.  Always a
     lower bound on the LP optimum; within the objective's Lipschitz
     constant times the grid step of it.
+
+    Per term, the offsets of samples 1..n-1 (the tail) are enumerated once
+    with their deviation, ratio rows and objective share; each offset of
+    sample 0 then completes them with a few vector operations, so the full
+    ``levels**n`` grid is never held in memory.  The returned function is
+    the grid point with the largest value as computed here, the earliest
+    in lexicographic grid order (sample 0 slowest) among equal values, so
+    repeated calls return bit-identical results.
     """
     issues = validate(prob)
     if issues:
@@ -72,48 +85,40 @@ def brute_force_subproblem(
         spec = term.spec
         part = spec.partition
         n = part.n_points
-        coeff = np.zeros(n)
-        for e in term.eval_indices:
-            p, a_lo, a_hi = interp_coefficients(part, x[e])
-            coeff[p] += a_lo
-            coeff[p + 1] += a_hi
+        ref = spec.reference.values
+        coeff = sample_coefficients(part, x[list(term.eval_indices)])
 
         if spec.delta_max > 0:
             offsets = np.linspace(-spec.delta_max, spec.delta_max, levels)
         else:
             offsets = np.zeros(1)
         weights = trapezoid_weights(part.points)
-        ratio_cap = spec.lip_ratio * np.abs(np.diff(spec.reference.values))
+        ratio_cap = spec.lip_ratio * np.abs(np.diff(ref)) + CHECK_SLACK
+
+        tail = np.stack(
+            np.meshgrid(*([offsets] * (n - 1)), indexing="ij"), axis=-1
+        ).reshape(-1, n - 1)
+        f_tail = ref[1:] + tail
+        tail_dev = np.abs(tail) @ weights[1:]
+        tail_ok = np.all(np.abs(np.diff(f_tail, axis=1)) <= ratio_cap[1:], axis=1)
+        tail_val = f_tail @ coeff[1:]
 
         best_val, best_off = -np.inf, None
-        tail = (
-            np.stack(
-                np.meshgrid(*([offsets] * (n - 1)), indexing="ij"), axis=-1
-            ).reshape(-1, n - 1)
-            if n > 1
-            else np.zeros((1, 0))
-        )
         for off0 in offsets:
-            block = np.concatenate(
-                [np.full((tail.shape[0], 1), off0), tail], axis=1
-            )
-            f = spec.reference.values[None, :] + block
-            dev = np.abs(block) @ weights
-            ok = dev <= spec.dev_max + CHECK_SLACK
-            ok &= np.all(
-                np.abs(np.diff(f, axis=1)) <= ratio_cap[None, :] + CHECK_SLACK, axis=1
-            )
-            vals = f @ coeff - prob.epsilon * dev
+            f0 = ref[0] + off0
+            dev = abs(off0) * weights[0] + tail_dev
+            ok = tail_ok & (dev <= spec.dev_max + CHECK_SLACK)
+            ok &= np.abs(f_tail[:, 0] - f0) <= ratio_cap[0]
+            vals = f0 * coeff[0] + tail_val - prob.epsilon * dev
             vals[~ok] = -np.inf
             j = int(np.argmax(vals))
             if vals[j] > best_val:  # strict: earliest grid index wins ties
-                best_val, best_off = float(vals[j]), block[j].copy()
+                best_val = float(vals[j])
+                best_off = np.concatenate([[off0], tail[j]])
         if best_off is None:
             raise GridBudgetError("no feasible grid point (should be impossible)")
         total += best_val
-        best_functions.append(
-            SampledFunction(part, spec.reference.values + best_off)
-        )
+        best_functions.append(SampledFunction(part, ref + best_off))
     return total, best_functions
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "MembershipReport",
     "make_partition",
     "interp_coefficients",
+    "sample_coefficients",
     "interpolate",
     "sup_distance",
     "trapezoid_deviation",
@@ -192,6 +193,19 @@ def interp_coefficients(part: Partition, x: float, tol: float = RANGE_SLACK):
     alpha_hi = (x - pts[p]) / width
     alpha_hi = min(max(alpha_hi, 0.0), 1.0)
     return p, 1.0 - alpha_hi, alpha_hi
+
+
+def sample_coefficients(part: Partition, coords) -> np.ndarray:
+    """Per-sample coefficients of a sum of evaluations: for any function
+    ``f`` on ``part``, ``sum(f(x) for x in coords)`` equals
+    ``sample_coefficients(part, coords) @ f.values`` up to rounding.
+    Contributions are accumulated in the order of ``coords``."""
+    coeff = np.zeros(part.n_points)
+    for x in coords:
+        p, a_lo, a_hi = interp_coefficients(part, x)
+        coeff[p] += a_lo
+        coeff[p + 1] += a_hi
+    return coeff
 
 
 def interpolate(f: SampledFunction, x: float, tol: float = RANGE_SLACK) -> float:

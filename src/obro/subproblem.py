@@ -15,7 +15,7 @@ from obro.linsolve import LinearProgram, Row, Solver, solve_lp
 from obro.model import ObroProblem, Scenario, scenario_issues, validate
 from obro.pwl import (
     SampledFunction,
-    interp_coefficients,
+    sample_coefficients,
     trapezoid_deviation,
     trapezoid_weights,
 )
@@ -99,10 +99,7 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
         rows.append(Row(coeffs, "=", 0.0, f"{term.name}.quadrature"))
 
         c[d0] = -prob.epsilon
-        for e in term.eval_indices:
-            p, a_lo, a_hi = interp_coefficients(part, x_k[e])
-            c[f0 + p] += a_lo
-            c[f0 + p + 1] += a_hi
+        c[f0 : f0 + n] = sample_coefficients(part, x_k[list(term.eval_indices)])
 
     return LinearProgram("max", c, rows, lower, upper, names)
 

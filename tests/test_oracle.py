@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +6,15 @@ import pytest
 
 from obro.linsolve import HighsSolver, Row, SimplexSolver
 from obro.master import build_master, master_layout, solve_master
-from obro.model import ObroProblem, Scenario, UncertainTerm, reference_scenario
+from obro.model import (
+    ObroProblem,
+    Scenario,
+    UncertainTerm,
+    evaluate_v,
+    reference_scenario,
+)
 from obro.oracle import (
+    CHECK_SLACK,
     GridBudgetError,
     brute_force_subproblem,
     enumerate_master,
@@ -17,8 +25,10 @@ from obro.pwl import (
     NeighborhoodSpec,
     Partition,
     SampledFunction,
+    check_neighborhood,
     make_partition,
     sample_reference,
+    sup_distance,
     trapezoid_deviation,
 )
 from obro.subproblem import solve_subproblem
@@ -92,6 +102,121 @@ class TestBruteForceSubproblem:
         value, funcs = brute_force_subproblem(prob, np.array([1.0, 1.0]), levels=201)
         assert value == pytest.approx(2 * 1.095, abs=4e-3)
         assert len(funcs) == 2
+
+
+def grid_by_definition(prob, x, levels, ratio=True, budget=True):
+    """The grid oracle's value, enumerated point by point from the
+    neighborhood definition; ``ratio``/``budget`` switch a family off."""
+    total = float(prob.c @ x)
+    for term in prob.terms:
+        spec = term.spec
+        ref = spec.reference
+        grid = (
+            np.linspace(-spec.delta_max, spec.delta_max, levels)
+            if spec.delta_max > 0
+            else [0.0]
+        )
+        cap = spec.lip_ratio * np.abs(np.diff(ref.values)) + CHECK_SLACK
+        best = -np.inf
+        for offs in itertools.product(grid, repeat=ref.values.size):
+            f = SampledFunction(ref.partition, ref.values + np.array(offs))
+            dev = trapezoid_deviation(f, ref)
+            if sup_distance(f, ref) > spec.delta_max + CHECK_SLACK:
+                continue
+            if budget and dev > spec.dev_max + CHECK_SLACK:
+                continue
+            if ratio and np.any(np.abs(np.diff(f.values)) > cap):
+                continue
+            value = sum(f(x[e]) for e in term.eval_indices) - prob.epsilon * dev
+            best = max(best, value)
+        total += best
+    return total
+
+
+def two_terms():
+    p2 = Partition(np.array([0.0, 1.0]))
+    p3 = Partition(np.array([0.0, 0.4, 1.0]))
+    t1 = NeighborhoodSpec(SampledFunction(p2, np.array([0.0, 1.0])), 0.1, 10.0, 2.0)
+    t2 = NeighborhoodSpec(SampledFunction(p3, np.array([0.3, 0.5, 1.2])), 0.08, 0.05, 3.0)
+    return ObroProblem(
+        c=np.array([0.2, -0.4]), rows=[], lower=np.zeros(2), upper=np.ones(2),
+        epsilon=0.1, terms=[UncertainTerm("f1", t1, (0,)), UncertainTerm("f2", t2, (1,))],
+    )
+
+
+def several_evaluations():
+    part = Partition(np.array([0.0, 0.5, 1.0]))
+    spec = NeighborhoodSpec(SampledFunction(part, np.array([0.0, 0.6, 1.1])), 0.1, 0.1, 3.0)
+    return ObroProblem(
+        c=np.array([0.5, -0.2, 0.1]), rows=[], lower=np.zeros(3), upper=np.ones(3),
+        epsilon=0.1, terms=[UncertainTerm("f1", spec, (0, 1, 2))],
+    )
+
+
+# (problem, x, levels, which constraint family binds, if one is meant to)
+DEFINITION_CASES = {
+    "2-point": (one_term([0.0, 1.0], [0.0, 1.0], delta=0.1), [0.7], 9, None),
+    "3-point": (one_term([0.0, 0.4, 1.0], [0.2, 0.6, 1.1], delta=0.08, lip=3.0), [0.55], 9, None),
+    "4-point": (
+        one_term([0.0, 0.3, 0.6, 1.0], [0.1, 0.5, 0.7, 1.2], delta=0.06, lip=3.0),
+        [0.45], 7, None,
+    ),
+    "delta-0": (one_term([0.0, 0.5, 1.0], [0.0, 0.6, 1.1], delta=0.0), [0.3], 9, None),
+    # Raising the middle sample alone by delta breaks the ratio cap 2.5 * 0.1.
+    # The best grid point sits on the cap and passes only through CHECK_SLACK,
+    # because round-off puts its step just above the rounded cap.
+    "ratio-binds": (
+        one_term([0.0, 0.5, 1.0], [0.0, 0.1, 0.2], delta=0.2, lip=2.5), [0.5], 9, "ratio",
+    ),
+    # Raising samples 1 and 2 by delta needs deviation 0.075; the best grid
+    # point spends the budget 0.05 exactly, again up to round-off.
+    "budget-binds": (
+        one_term([0.0, 0.5, 1.0], [0.0, 0.6, 1.1], delta=0.1, lip=3.0, dev=0.05),
+        [0.7], 9, "budget",
+    ),
+    "two-terms": (two_terms(), [0.35, 0.8], 9, None),
+    "several-evaluations": (several_evaluations(), [0.2, 0.5, 0.9], 9, None),
+}
+
+
+class TestGridAgainstDefinition:
+    @pytest.mark.parametrize("case", list(DEFINITION_CASES))
+    def test_matches_enumeration_of_definition(self, case):
+        prob, x, levels, binds = DEFINITION_CASES[case]
+        x = np.array(x)
+        value, funcs = brute_force_subproblem(prob, x, levels=levels)
+        assert value == pytest.approx(grid_by_definition(prob, x, levels), abs=1e-12)
+        if binds is not None:
+            loose = grid_by_definition(prob, x, levels, **{binds: False})
+            assert loose > value + 1e-6
+
+        for term, f in zip(prob.terms, funcs):
+            spec = term.spec
+            grid = np.linspace(-spec.delta_max, spec.delta_max, levels)
+            for p, v in enumerate(f.values):
+                assert np.any(spec.reference.values[p] + grid == v)
+            assert check_neighborhood(f, spec).passed
+        scen = Scenario(
+            tuple(funcs),
+            tuple(trapezoid_deviation(f, t.spec.reference) for f, t in zip(funcs, prob.terms)),
+        )
+        assert evaluate_v(prob, scen, x) == pytest.approx(value, abs=1e-12)
+
+    def test_tie_goes_to_earliest_grid_index(self):
+        # dyadic data, so (0.25, 0.5) and (0.5, 0.25) tie exactly: both
+        # spend the budget 0.375 and have the same value
+        prob = one_term([0.0, 1.0], [0.0, 1.0], delta=0.5, dev=0.375, eps=0.125)
+        value, funcs = brute_force_subproblem(prob, np.array([0.5]), levels=5)
+        assert value == 0.875 - 0.125 * 0.375
+        np.testing.assert_array_equal(funcs[0].values, [0.25, 1.5])
+
+    def test_repeated_calls_bit_identical(self):
+        prob, x, levels, _ = DEFINITION_CASES["two-terms"]
+        v1, f1 = brute_force_subproblem(prob, np.array(x), levels=levels)
+        v2, f2 = brute_force_subproblem(prob, np.array(x), levels=levels)
+        assert v1 == v2
+        for a, b in zip(f1, f2):
+            np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestEnumerateMaster:

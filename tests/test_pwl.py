@@ -12,6 +12,7 @@ from obro.pwl import (
     interp_coefficients,
     interpolate,
     make_partition,
+    sample_coefficients,
     sample_reference,
     sup_distance,
     trapezoid_deviation,
@@ -114,6 +115,14 @@ class TestInterpolation:
         assert a_lo + a_hi == pytest.approx(1.0, abs=1e-12)
         rebuilt = a_lo * part.points[p] + a_hi * part.points[p + 1]
         assert rebuilt == pytest.approx(x, abs=1e-12)
+
+    def test_sample_coefficients_sum_evaluations(self):
+        f = sf([0.0, 0.5, 1.0], [0.0, 1.0, 4.0])
+        coords = [0.75, 0.5, 0.25, 0.75]
+        coeff = sample_coefficients(f.partition, coords)
+        # 0.5 sits on segment 0's right end; 0.75 counts twice
+        np.testing.assert_array_equal(coeff, [0.5, 2.5, 1.0])
+        assert coeff @ f.values == pytest.approx(sum(interpolate(f, x) for x in coords))
 
     def test_exact_at_sample_points(self):
         rng = np.random.default_rng(3)
