@@ -33,7 +33,6 @@ from obro.linsolve import (
     default_solver,
     solve_lp,
     solve_milp,
-    write_lp_text,
 )
 from obro.model import (
     UncertainTerm,

@@ -26,7 +26,12 @@ from obro.configio import (
 from obro.engine import run, verify_saddle
 from obro.linsolve import HighsSolver, default_solver
 from obro.model import validate
-from obro.oracle import GridBudgetError, brute_force_subproblem, enumerate_master
+from obro.oracle import (
+    GridBudgetError,
+    brute_force_subproblem,
+    enumerate_master,
+    levels_within_budget,
+)
 
 log = logging.getLogger("obro.cli")
 
@@ -187,6 +192,7 @@ def cmd_verify(args) -> int:
         for issue in issues:
             print(f"error: {issue}", file=sys.stderr)
         return EXIT_ERROR
+    levels = args.levels if args.levels is not None else levels_within_budget(prob)
 
     try:
         result = run(
@@ -196,7 +202,7 @@ def cmd_verify(args) -> int:
             solver=default_solver(),
         )
         report = verify_saddle(prob, result, tol=1e-4)
-        oracle_value, _ = brute_force_subproblem(prob, result.x, levels=args.levels)
+        oracle_value, _ = brute_force_subproblem(prob, result.x, levels=levels)
         enum_value, _ = enumerate_master(prob, result.scenarios)
     except GridBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -206,9 +212,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    step = max(
-        2 * t.spec.delta_max / (args.levels - 1) for t in prob.terms
-    )
+    step = max(2 * t.spec.delta_max / (levels - 1) for t in prob.terms)
     lipschitz = sum(
         len(t.eval_indices) + prob.epsilon * (t.spec.partition.hi - t.spec.partition.lo)
         for t in prob.terms
@@ -267,7 +271,11 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="solve then cross-check against the oracles")
     p_verify.add_argument("config")
-    p_verify.add_argument("--levels", type=int, default=101)
+    p_verify.add_argument(
+        "--levels", type=int, default=None,
+        help="grid oracle levels per sample (default: the most, up to 101, "
+        "that fit the grid budget)",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

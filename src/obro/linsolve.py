@@ -36,15 +36,11 @@ __all__ = [
     "solve_lp",
     "solve_milp",
     "stdout_captured",
-    "write_lp_text",
 ]
 
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
-
-
-class SolverError(RuntimeError):
-    pass
+INT_TOL = 1e-6
 
 
 @dataclass
@@ -62,12 +58,6 @@ class Row:
         self.coeffs = {int(j): float(v) for j, v in self.coeffs.items() if v != 0.0}
         self.rhs = float(self.rhs)
 
-    def dense(self, n: int) -> np.ndarray:
-        a = np.zeros(n)
-        for j, v in self.coeffs.items():
-            a[j] = v
-        return a
-
 
 @dataclass
 class LinearProgram:
@@ -76,7 +66,6 @@ class LinearProgram:
     rows: list
     lower: np.ndarray
     upper: np.ndarray
-    names: list | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -89,7 +78,7 @@ class LinearProgram:
             raise ValueError("bound arrays must match the variable count")
         if np.any(self.lower > self.upper):
             j = int(np.argmax(self.lower > self.upper))
-            raise ValueError(f"variable {self.var_name(j)}: lower bound above upper")
+            raise ValueError(f"variable {j}: lower bound above upper")
         for r in self.rows:
             if r.coeffs and max(r.coeffs) >= n:
                 raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
@@ -97,16 +86,6 @@ class LinearProgram:
     @property
     def n_vars(self) -> int:
         return self.c.size
-
-    def var_name(self, j: int) -> str:
-        return self.names[j] if self.names else f"x{j}"
-
-    def row_matrix(self) -> np.ndarray:
-        a = np.zeros((len(self.rows), self.n_vars))
-        for i, r in enumerate(self.rows):
-            for j, v in r.coeffs.items():
-                a[i, j] = v
-        return a
 
 
 @dataclass
@@ -121,25 +100,16 @@ class MixedIntegerProgram:
             if not 0 <= j < n:
                 raise ValueError(f"binary index {j} out of range")
             if self.lp.lower[j] < -1e-12 or self.lp.upper[j] > 1 + 1e-12:
-                raise ValueError(
-                    f"binary {self.lp.var_name(j)} has bounds outside [0, 1]"
-                )
+                raise ValueError(f"binary {j} has bounds outside [0, 1]")
 
 
 @dataclass
 class SolveOutcome:
-    """Result of one LP or MILP solve.
-
-    ``dual`` (LPs only) holds per-row sensitivities d(objective)/d(rhs);
-    ``dual_objective`` is the matching dual bound, equal to the primal
-    objective at optimality up to round-off.
-    """
+    """Result of one LP or MILP solve."""
 
     status: str  # optimal | infeasible | unbounded | iteration-limit | inconclusive
     objective: float | None = None
     x: np.ndarray | None = None
-    dual: np.ndarray | None = None
-    dual_objective: float | None = None
     stats: dict = field(default_factory=dict)
 
     @property
@@ -188,7 +158,6 @@ class _StandardForm:
     """
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
         n = lp.n_vars
         self.maximize = lp.sense == "max"
         c = -lp.c if self.maximize else lp.c
@@ -223,8 +192,8 @@ class _StandardForm:
         for k, (j, s) in enumerate(self.cols):
             col_of[j].append((k, s))
 
-        rows_t = []  # (dense coeffs over t, rhs, orig row index, sign wrt orig rhs)
-        for ri, r in enumerate(lp.rows):
+        rows_t = []  # (dense coeffs over t, rhs)
+        for r in lp.rows:
             a = np.zeros(self.nt)
             const = 0.0
             for j, v in r.coeffs.items():
@@ -233,13 +202,13 @@ class _StandardForm:
                     a[k] += v * s
             rhs = r.rhs - const
             if r.sense in ("<=", "="):
-                rows_t.append((a, rhs, ri, 1.0))
+                rows_t.append((a, rhs))
             if r.sense in (">=", "="):
-                rows_t.append((-a, -rhs, ri, -1.0))
+                rows_t.append((-a, -rhs))
         for k, ub in bound_rows:
             a = np.zeros(self.nt)
             a[k] = 1.0
-            rows_t.append((a, ub, -1, 0.0))
+            rows_t.append((a, ub))
 
         self.rows_t = rows_t
         self.m = len(rows_t)
@@ -260,12 +229,11 @@ class SimplexSolver(Solver):
     numerical trouble into an explicit iteration-limit status.
     """
 
-    def __init__(self, pivot_limit: int = 10**6, tol: float = PIVOT_TOL):
+    def __init__(self, pivot_limit: int = 10**6):
         self.pivot_limit = pivot_limit
-        self.tol = tol
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
-        return BranchBoundSolver(lp_solver=self).solve_milp(mip)
+        return BranchBoundSolver().solve_milp(mip)
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
         sf = _StandardForm(lp)
@@ -273,35 +241,30 @@ class SimplexSolver(Solver):
         pivots = 0
 
         # tableau: [t vars | slacks | artificials | rhs]
-        art_rows = [i for i, (_, rhs, _, _) in enumerate(sf.rows_t) if rhs < 0]
+        art_rows = [i for i, (_, rhs) in enumerate(sf.rows_t) if rhs < 0]
         na = len(art_rows)
         width = nt + m + na + 1
         T = np.zeros((m, width))
         basis = np.empty(m, dtype=int)
-        art_of_row = {}
-        for i, (a, rhs, _, _) in enumerate(sf.rows_t):
+        for i, (a, rhs) in enumerate(sf.rows_t):
             flip = -1.0 if rhs < 0 else 1.0
             T[i, :nt] = flip * a
             T[i, nt + i] = flip
             T[i, -1] = flip * rhs
             basis[i] = nt + i
         for k, i in enumerate(art_rows):
-            col = nt + m + k
-            T[i, col] = 1.0
-            basis[i] = col
-            art_of_row[i] = col
+            T[i, nt + m + k] = 1.0
+            basis[i] = nt + m + k
 
         def price_out(costs):
             z = np.zeros(width)
             z[: costs.size] = costs
-            obj = 0.0
             for i in range(T.shape[0]):
                 cb = costs[basis[i]] if basis[i] < costs.size else 0.0
                 if cb != 0.0:
                     z -= cb * T[i]
-                    obj += cb * T[i, -1]
             z[-1] = 0.0
-            return z, obj
+            return z
 
         def pivot(z, row, col):
             piv = T[row, col]
@@ -318,17 +281,17 @@ class SimplexSolver(Solver):
             while True:
                 enter = -1
                 for j in allowed:
-                    if z[j] < -self.tol:
+                    if z[j] < -PIVOT_TOL:
                         enter = j
                         break
                 if enter < 0:
-                    return "optimal", z
+                    return "optimal"
                 ratios = np.full(T.shape[0], np.inf)
-                mask = T[:, enter] > self.tol
+                mask = T[:, enter] > PIVOT_TOL
                 ratios[mask] = T[mask, -1] / T[mask, enter]
                 best = np.min(ratios) if ratios.size else np.inf
                 if not np.isfinite(best):
-                    return "unbounded", z
+                    return "unbounded"
                 leave, leave_var = -1, None
                 for i in range(T.shape[0]):
                     if ratios[i] <= best + 1e-9 and (
@@ -338,16 +301,15 @@ class SimplexSolver(Solver):
                 pivot(z, leave, enter)
                 pivots += 1
                 if pivots > self.pivot_limit:
-                    return "iteration-limit", z
+                    return "iteration-limit"
 
         structural = range(nt + m)  # artificials never re-enter
 
-        dropped: set[int] = set()
         if na:
             costs1 = np.zeros(nt + m + na)
             costs1[nt + m :] = 1.0
-            z1, _ = price_out(costs1)
-            status, z1 = run_phase(z1, structural)
+            z1 = price_out(costs1)
+            status = run_phase(z1, structural)
             if status != "optimal":
                 return SolveOutcome("iteration-limit", stats={"pivots": pivots})
             phase1_obj = sum(
@@ -356,28 +318,25 @@ class SimplexSolver(Solver):
             if phase1_obj > FEAS_TOL:
                 return SolveOutcome("infeasible", stats={"pivots": pivots})
             # drive leftover artificials out; drop dependent rows
-            row_ids = list(range(m))
-            drop = []
+            drop = set()
             for i in range(T.shape[0]):
                 if basis[i] >= nt + m:
                     col = next(
-                        (j for j in structural if abs(T[i, j]) > self.tol), None
+                        (j for j in structural if abs(T[i, j]) > PIVOT_TOL), None
                     )
                     if col is None:
-                        drop.append(i)
+                        drop.add(i)
                     else:
                         pivot(z1, i, col)
                         pivots += 1
             if drop:
-                dropped = {row_ids[i] for i in drop}
-                keep = [i for i in range(T.shape[0]) if i not in set(drop)]
+                keep = [i for i in range(T.shape[0]) if i not in drop]
                 T = T[keep]
                 basis = basis[keep]
 
         costs2 = np.zeros(nt + m + na)
         costs2[:nt] = sf.ct
-        z2, _ = price_out(costs2)
-        status, z2 = run_phase(z2, structural)
+        status = run_phase(price_out(costs2), structural)
         if status != "optimal":
             return SolveOutcome(status, stats={"pivots": pivots})
 
@@ -388,32 +347,8 @@ class SimplexSolver(Solver):
         x = sf.to_x(t)
         obj_min = float(sf.ct @ t) + sf.obj_const
         objective = -obj_min if sf.maximize else obj_min
-
-        # duals from the slack reduced costs (the phase-0 row flip cancels
-        # in the pricing algebra); dependent rows dropped in phase 1 keep 0
-        y = np.zeros(m)
-        for irow in range(m):
-            if irow not in dropped:
-                y[irow] = -z2[nt + irow]
-        dual_obj_min = sf.obj_const + float(
-            sum(y[i] * sf.rows_t[i][1] for i in range(m))
-        )
-        dual = np.zeros(len(lp.rows))
-        for irow, (_, _, ri, sign) in enumerate(sf.rows_t):
-            if ri >= 0:
-                dual[ri] += sign * y[irow]
-        if sf.maximize:
-            dual = -dual
-            dual_objective = -dual_obj_min
-        else:
-            dual_objective = dual_obj_min
-
-        stats = {
-            "pivots": pivots,
-            "primal_violation": primal_violation(lp, x),
-            "max_dual_violation": float(max(-np.min(z2[: nt + m]), 0.0)),
-        }
-        return SolveOutcome("optimal", objective, x, dual, dual_objective, stats)
+        stats = {"pivots": pivots, "primal_violation": primal_violation(lp, x)}
+        return SolveOutcome("optimal", objective, x, stats)
 
 
 class BranchBoundSolver(Solver):
@@ -422,30 +357,22 @@ class BranchBoundSolver(Solver):
     Branches on the most-fractional binary (smallest index on ties) by
     fixing it to 0 then 1; nodes are explored in best-relaxation-bound
     order with a monotone counter breaking ties, so runs are repeatable.
+    Every relaxation is solved by the bundled simplex.
     """
 
-    def __init__(
-        self,
-        lp_solver: Solver | None = None,
-        node_limit: int = 10**6,
-        warn_nodes: int = 10**4,
-        int_tol: float = 1e-6,
-    ):
-        self.lp_solver = lp_solver or SimplexSolver()
+    def __init__(self, node_limit: int = 10**6, warn_nodes: int = 10**4):
         self.node_limit = node_limit
         self.warn_nodes = warn_nodes
-        self.int_tol = int_tol
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
-        return self.lp_solver.solve_lp(lp)
+        return SimplexSolver().solve_lp(lp)
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
         lp = mip.lp
-        minimize = lp.sense == "min"
-        score = (lambda v: v) if minimize else (lambda v: -v)
+        simplex = SimplexSolver()
+        score = (lambda v: v) if lp.sense == "min" else (lambda v: -v)
         nodes = 0
         warned = False
-        popped_bounds = []
         incumbent = None
         inc_score = np.inf
         heap = []
@@ -466,7 +393,7 @@ class BranchBoundSolver(Solver):
                     f"branch-and-bound past {self.warn_nodes} nodes", stacklevel=3
                 )
                 warned = True
-            out = self.lp_solver.solve_lp(node_lp(fixings))
+            out = simplex.solve_lp(node_lp(fixings))
             if out.status == "infeasible":
                 return None
             if out.status != "optimal":
@@ -477,7 +404,7 @@ class BranchBoundSolver(Solver):
             frac = [
                 j
                 for j in mip.binaries
-                if min(out.x[j], 1.0 - out.x[j]) > self.int_tol
+                if min(out.x[j], 1.0 - out.x[j]) > INT_TOL
             ]
             if not frac:
                 x = out.x.copy()
@@ -501,8 +428,7 @@ class BranchBoundSolver(Solver):
             bound, _, fixings, relax = heapq.heappop(heap)
             if bound >= inc_score - 1e-9:
                 break
-            popped_bounds.append(bound if minimize else -bound)
-            j_star, best_frac = -1, self.int_tol
+            j_star, best_frac = -1, INT_TOL
             for j in mip.binaries:
                 if j in fixings:
                     continue
@@ -523,18 +449,12 @@ class BranchBoundSolver(Solver):
                     return SolveOutcome("iteration-limit", stats={"nodes": nodes})
             if nodes > self.node_limit:
                 out = incumbent or SolveOutcome("iteration-limit")
-                return replace(
-                    out,
-                    status="iteration-limit",
-                    stats={"nodes": nodes, "popped_bounds": popped_bounds},
-                )
+                return replace(out, status="iteration-limit", stats={"nodes": nodes})
 
         if incumbent is None:
             return SolveOutcome("infeasible", stats={"nodes": nodes})
         incumbent.stats.update(
-            nodes=nodes,
-            popped_bounds=popped_bounds,
-            primal_violation=primal_violation(lp, incumbent.x),
+            nodes=nodes, primal_violation=primal_violation(lp, incumbent.x)
         )
         return incumbent
 
@@ -586,33 +506,29 @@ def _call_highs(solve, *args, **kwargs):
 class HighsSolver(Solver):
     """scipy/HiGHS backend for instances beyond the bundled code."""
 
-    def __init__(self, int_tol: float = 1e-6):
-        self.int_tol = int_tol
-
     def _split(self, lp: LinearProgram):
+        """``((A_ub, b_ub), (A_eq, b_eq))`` in CSR form, ``>=`` rows negated;
+        a matrix is None when it has no rows."""
         from scipy.sparse import csr_matrix
 
-        n = lp.n_vars
         data = {"<=": ([], [], [], []), "=": ([], [], [], [])}
-        for i, r in enumerate(lp.rows):
+        for r in lp.rows:
             kind = "=" if r.sense == "=" else "<="
             sign = -1.0 if r.sense == ">=" else 1.0
-            rows, cols, vals, meta = data[kind]
-            k = len(meta)
+            rows, cols, vals, rhs = data[kind]
+            k = len(rhs)
             for j, v in r.coeffs.items():
                 rows.append(k)
                 cols.append(j)
                 vals.append(sign * v)
-            meta.append((i, sign, sign * r.rhs))
+            rhs.append(sign * r.rhs)
 
         def matrix(kind):
-            rows, cols, vals, meta = data[kind]
-            if not meta:
-                return None, [], np.zeros(0)
-            a = csr_matrix(
-                (vals, (rows, cols)), shape=(len(meta), n)
-            )
-            return a, [(i, s) for i, s, _ in meta], np.array([b for _, _, b in meta])
+            rows, cols, vals, rhs = data[kind]
+            if not rhs:
+                return None, np.zeros(0)
+            a = csr_matrix((vals, (rows, cols)), shape=(len(rhs), lp.n_vars))
+            return a, np.array(rhs)
 
         return matrix("<="), matrix("=")
 
@@ -621,7 +537,7 @@ class HighsSolver(Solver):
 
         maximize = lp.sense == "max"
         c = -lp.c if maximize else lp.c
-        (a_ub, ub_meta, b_ub), (a_eq, eq_meta, b_eq) = self._split(lp)
+        (a_ub, b_ub), (a_eq, b_eq) = self._split(lp)
         res, status, stats = _call_highs(
             linprog,
             c,
@@ -634,29 +550,9 @@ class HighsSolver(Solver):
         )
         if status != "optimal":
             return SolveOutcome(status, stats=stats)
-        dual = np.zeros(len(lp.rows))
-        dual_obj = 0.0
-        for (i, sign), marg, rhs in zip(
-            ub_meta, res.ineqlin.marginals, b_ub, strict=True
-        ):
-            dual[i] += sign * marg
-            dual_obj += marg * rhs
-        for (i, sign), marg, rhs in zip(
-            eq_meta, res.eqlin.marginals, b_eq, strict=True
-        ):
-            dual[i] += sign * marg
-            dual_obj += marg * rhs
-        lo_fin = np.isfinite(lp.lower)
-        up_fin = np.isfinite(lp.upper)
-        dual_obj += float(
-            res.lower.marginals[lo_fin] @ lp.lower[lo_fin]
-            + res.upper.marginals[up_fin] @ lp.upper[up_fin]
-        )
         objective = -res.fun if maximize else res.fun
-        if maximize:
-            dual, dual_obj = -dual, -dual_obj
         stats.update(pivots=int(res.nit), primal_violation=primal_violation(lp, res.x))
-        return SolveOutcome("optimal", float(objective), res.x, dual, dual_obj, stats)
+        return SolveOutcome("optimal", float(objective), res.x, stats=stats)
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
         from scipy.optimize import Bounds, LinearConstraint, milp
@@ -664,7 +560,7 @@ class HighsSolver(Solver):
         lp = mip.lp
         maximize = lp.sense == "max"
         c = -lp.c if maximize else lp.c
-        (a_ub, _, b_ub), (a_eq, _, b_eq) = self._split(lp)
+        (a_ub, b_ub), (a_eq, b_eq) = self._split(lp)
         constraints = []
         if a_ub is not None:
             constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
@@ -686,7 +582,7 @@ class HighsSolver(Solver):
             return SolveOutcome(status, stats=stats)
         x = res.x.copy()
         for j in mip.binaries:
-            if min(x[j], 1.0 - x[j]) <= self.int_tol:
+            if min(x[j], 1.0 - x[j]) <= INT_TOL:
                 x[j] = round(x[j])
         objective = -res.fun if maximize else res.fun
         stats.update(
@@ -697,7 +593,7 @@ class HighsSolver(Solver):
 
 
 def default_solver() -> Solver:
-    return BranchBoundSolver(lp_solver=SimplexSolver())
+    return BranchBoundSolver()
 
 
 def solve_lp(lp: LinearProgram, solver: Solver | None = None) -> SolveOutcome:
@@ -706,30 +602,3 @@ def solve_lp(lp: LinearProgram, solver: Solver | None = None) -> SolveOutcome:
 
 def solve_milp(mip: MixedIntegerProgram, solver: Solver | None = None) -> SolveOutcome:
     return (solver or default_solver()).solve_milp(mip)
-
-
-def write_lp_text(prog) -> str:
-    """Render a program in the fixed debug layout: objective, rows, bounds,
-    binaries.  Floats carry 12 significant digits; variables appear by name.
-    """
-    if isinstance(prog, MixedIntegerProgram):
-        lp, binaries = prog.lp, prog.binaries
-    else:
-        lp, binaries = prog, ()
-
-    def term(j, v):
-        return f"{v:+.12g} {lp.var_name(j)}"
-
-    lines = [f"{lp.sense}: " + " ".join(term(j, v) for j, v in enumerate(lp.c) if v)]
-    lines.append("subject to")
-    for i, r in enumerate(lp.rows):
-        label = r.name or f"r{i}"
-        body = " ".join(term(j, r.coeffs[j]) for j in sorted(r.coeffs))
-        lines.append(f"  {label}: {body} {r.sense} {r.rhs:.12g}")
-    lines.append("bounds")
-    for j in range(lp.n_vars):
-        lines.append(f"  {lp.lower[j]:.12g} <= {lp.var_name(j)} <= {lp.upper[j]:.12g}")
-    if binaries:
-        lines.append("binaries")
-        lines.append("  " + " ".join(lp.var_name(j) for j in binaries))
-    return "\n".join(lines) + "\n"

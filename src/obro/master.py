@@ -88,7 +88,6 @@ def build_master(
     upper[: lay.n_x] = prob.upper
     lower[lay.n_x + 1 :] = 0.0
     upper[lay.n_x + 1 :] = 1.0
-    names = [prob.var_name(j) for j in range(lay.n_x)] + ["eta"]
     binaries = []
 
     rows = [
@@ -100,8 +99,6 @@ def build_master(
         term = prob.terms[ti]
         points = term.spec.partition.points
         tag = f"{term.name}@{prob.var_name(e)}"
-        names.extend(f"{tag}.z[{k}]" for k in range(z.stop - z.start))
-        names.extend(f"{tag}.y[{k}]" for k in range(y.stop - y.start))
         binaries.extend(range(y.start, y.stop))
         for k in range(y.stop - y.start):
             rows.append(
@@ -125,7 +122,7 @@ def build_master(
                 coeffs[z.start + k] = coeffs.get(z.start + k, 0.0) + float(d)
         rows.append(Row(coeffs, "<=", rhs, f"cut[{li}]"))
 
-    lp = LinearProgram("min", c, rows, lower, upper, names)
+    lp = LinearProgram("min", c, rows, lower, upper)
     return MixedIntegerProgram(lp, tuple(binaries))
 
 

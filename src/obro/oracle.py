@@ -31,12 +31,15 @@ __all__ = [
     "GridBudgetError",
     "brute_force_subproblem",
     "enumerate_master",
+    "grid_work",
+    "levels_within_budget",
     "pin_segments",
     "RefinementTable",
     "refinement_study",
 ]
 
 GRID_BUDGET = 10**7
+MAX_LEVELS = 101
 PATTERN_BUDGET = 10**6
 CHECK_SLACK = 1e-12
 
@@ -45,8 +48,27 @@ class GridBudgetError(RuntimeError):
     pass
 
 
+def grid_work(prob: ObroProblem, levels: int) -> int:
+    """Grid points ``brute_force_subproblem`` searches at ``levels``; a
+    term with no sup radius has a single point per sample."""
+    return sum(
+        (levels if t.spec.delta_max > 0 else 1) ** t.spec.partition.n_points
+        for t in prob.terms
+    )
+
+
+def levels_within_budget(prob: ObroProblem) -> int:
+    """The largest odd level count up to ``MAX_LEVELS`` whose grid fits
+    ``GRID_BUDGET``; 3 when none does, which the search then rejects.
+    Odd counts keep the reference value itself on the grid."""
+    for levels in range(MAX_LEVELS, 3, -2):
+        if grid_work(prob, levels) <= GRID_BUDGET:
+            return levels
+    return 3
+
+
 def brute_force_subproblem(
-    prob: ObroProblem, x: np.ndarray, levels: int = 101
+    prob: ObroProblem, x: np.ndarray, levels: int = MAX_LEVELS
 ) -> tuple[float, list]:
     """Grid search over the adversary's sample values, term by term.
 
@@ -72,10 +94,7 @@ def brute_force_subproblem(
         raise ValueError("levels must be at least 3")
     x = np.asarray(x, dtype=float)
 
-    work = sum(
-        (levels if t.spec.delta_max > 0 else 1) ** t.spec.partition.n_points
-        for t in prob.terms
-    )
+    work = grid_work(prob, levels)
     if work > GRID_BUDGET:
         raise GridBudgetError(f"grid budget exceeded: {work:.3g} > {GRID_BUDGET:.0e}")
 
@@ -122,17 +141,15 @@ def brute_force_subproblem(
     return total, best_functions
 
 
-def enumerate_master(
-    prob: ObroProblem, scenarios: list, lp_solver: Solver | None = None
-) -> tuple[float, np.ndarray]:
+def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndarray]:
     """Solve the master exactly by trying every segment activation pattern.
 
     For each assignment of one segment per evaluation coordinate the
-    coordinates are pinned (``pin_segments``) and the remaining LP solved;
-    the best pattern wins (first one on ties, in lexicographic pattern
-    order).
+    coordinates are pinned (``pin_segments``) and the remaining LP solved
+    by the bundled simplex; the best pattern wins (first one on ties, in
+    lexicographic pattern order).
     """
-    lp_solver = lp_solver or SimplexSolver()
+    simplex = SimplexSolver()
     lay = master_layout(prob)
     mip = build_master(prob, scenarios, lay)
 
@@ -145,7 +162,7 @@ def enumerate_master(
 
     best = None
     for pattern in itertools.product(*(range(s) for s in seg_counts)):
-        out = lp_solver.solve_lp(pin_segments(mip.lp, lay, pattern))
+        out = simplex.solve_lp(pin_segments(mip.lp, lay, pattern))
         if out.status != "optimal":
             continue
         if best is None or out.objective < best[0] - 1e-12:

@@ -56,16 +56,12 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
     lower = np.full(n_cols, -np.inf)
     upper = np.full(n_cols, np.inf)
     rows = []
-    names = []
 
-    for ti, (term, (f0, s0, d0)) in enumerate(zip(prob.terms, offsets)):
+    for term, (f0, s0, d0) in zip(prob.terms, offsets):
         spec = term.spec
         part = spec.partition
         ref = spec.reference.values
         n = part.n_points
-        names.extend(f"{term.name}.f[{p}]" for p in range(n))
-        names.extend(f"{term.name}.s[{p}]" for p in range(n))
-        names.append(f"{term.name}.dev")
 
         lower[s0 : s0 + n] = 0.0  # slacks are nonnegative
         lower[d0] = 0.0
@@ -101,7 +97,7 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
         c[d0] = -prob.epsilon
         c[f0 : f0 + n] = sample_coefficients(part, x_k[list(term.eval_indices)])
 
-    return LinearProgram("max", c, rows, lower, upper, names)
+    return LinearProgram("max", c, rows, lower, upper)
 
 
 def solve_subproblem(

@@ -215,6 +215,14 @@ class TestCmdVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_default_levels_follow_grid_budget(self, capsys):
+        # the 4-sample term needs 101**4 points at 101 levels, over the
+        # budget; the default drops to the largest odd count that fits
+        code = main(["verify", str(CONFIGS / "two_pocket.json")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_truncated_run_fails_fixed_point(self, capsys):
         code = main(["verify", str(CONFIGS / "two_pocket_truncated.json")])
         out = capsys.readouterr().out
