@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "Row",
     "LinearProgram",
+    "SparseRows",
     "MixedIntegerProgram",
     "SolveOutcome",
     "Solver",
@@ -59,13 +60,86 @@ class Row:
         self.rhs = float(self.rhs)
 
 
+class SparseRows:
+    """CSR form of a rows list over ``n_vars`` columns, as HiGHS takes it.
+
+    Creating one checks the rows' column indices; the matrices are
+    converted on first use and kept.  ``<=`` rows and negated ``>=`` rows
+    form ``A_ub``, ``=`` rows form ``A_eq``.  Linear programs that hold
+    the same rows list share one instance (``LinearProgram.sparse``).
+    """
+
+    def __init__(self, rows, n_vars: int):
+        for r in rows:
+            if r.coeffs and max(r.coeffs) >= n_vars:
+                raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
+        self.rows = rows
+        self.n_vars = n_vars
+        self._split = None
+
+    def split(self):
+        """``((A_ub, b_ub), (A_eq, b_eq))``; a matrix is None when it has
+        no rows."""
+        if self._split is None:
+            self._split = self._convert()
+        return self._split
+
+    def _convert(self):
+        from scipy.sparse import csr_matrix
+
+        rows = self.rows
+        m = len(rows)
+        counts = np.fromiter((len(r.coeffs) for r in rows), np.intp, m)
+        nnz = int(counts.sum())
+        cols = np.fromiter(itertools.chain.from_iterable(r.coeffs for r in rows), np.intp, nnz)
+        vals = np.fromiter(
+            itertools.chain.from_iterable(r.coeffs.values() for r in rows), float, nnz
+        )
+        rhs = np.fromiter((r.rhs for r in rows), float, m)
+        senses = np.array([r.sense for r in rows], dtype=object)
+        sign = np.where(senses == ">=", -1.0, 1.0)
+        data = vals * np.repeat(sign, counts)
+        rhs = sign * rhs
+
+        def matrix(mask):
+            if not mask.any():
+                return None, np.zeros(0)
+            indptr = np.concatenate(([0], np.cumsum(counts[mask])))
+            keep = np.repeat(mask, counts)
+            a = csr_matrix((data[keep], cols[keep], indptr), shape=(len(indptr) - 1, self.n_vars))
+            a.sort_indices()  # columns ascending within each row, as COO conversion gives
+            return a, rhs[mask]
+
+        is_eq = senses == "="
+        return matrix(~is_eq), matrix(is_eq)
+
+    def violation(self, x: np.ndarray) -> float:
+        """Worst row violation of x (0 when none), one mat-vec per matrix."""
+        (a_ub, b_ub), (a_eq, b_eq) = self.split()
+        worst = 0.0
+        if a_ub is not None:
+            worst = max(worst, np.max(a_ub @ x - b_ub))
+        if a_eq is not None:
+            worst = max(worst, np.max(np.abs(a_eq @ x - b_eq)))
+        return float(worst)
+
+
 @dataclass
 class LinearProgram:
+    """``sense`` c.x subject to ``rows`` and the bounds.
+
+    ``sparse`` carries the CSR form of ``rows``; pass it along to share
+    the conversion between programs built on one rows list.  It is used
+    only while its rows are this program's ``rows`` by identity and its
+    column count matches, and replaced otherwise.
+    """
+
     sense: str  # "min" or "max"
     c: np.ndarray
     rows: list
     lower: np.ndarray
     upper: np.ndarray
+    sparse: SparseRows | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -79,13 +153,18 @@ class LinearProgram:
         if np.any(self.lower > self.upper):
             j = int(np.argmax(self.lower > self.upper))
             raise ValueError(f"variable {j}: lower bound above upper")
-        for r in self.rows:
-            if r.coeffs and max(r.coeffs) >= n:
-                raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
+        self.sparse_rows()  # checks the row indices once per rows list
 
     @property
     def n_vars(self) -> int:
         return self.c.size
+
+    def sparse_rows(self) -> SparseRows:
+        """The CSR form of ``rows``, created on first use for these rows."""
+        sp = self.sparse
+        if sp is None or sp.rows is not self.rows or sp.n_vars != self.n_vars:
+            sp = self.sparse = SparseRows(self.rows, self.n_vars)
+        return sp
 
 
 @dataclass
@@ -503,41 +582,22 @@ def _call_highs(solve, *args, **kwargs):
     return res, status, stats
 
 
+def _violation(lp: LinearProgram, sp: SparseRows, x: np.ndarray) -> float:
+    """``primal_violation(lp, x)`` read from the CSR form of the rows."""
+    bounds = max(np.max(lp.lower - x, initial=0.0), np.max(x - lp.upper, initial=0.0))
+    return max(float(bounds), sp.violation(x))
+
+
 class HighsSolver(Solver):
     """scipy/HiGHS backend for instances beyond the bundled code."""
-
-    def _split(self, lp: LinearProgram):
-        """``((A_ub, b_ub), (A_eq, b_eq))`` in CSR form, ``>=`` rows negated;
-        a matrix is None when it has no rows."""
-        from scipy.sparse import csr_matrix
-
-        data = {"<=": ([], [], [], []), "=": ([], [], [], [])}
-        for r in lp.rows:
-            kind = "=" if r.sense == "=" else "<="
-            sign = -1.0 if r.sense == ">=" else 1.0
-            rows, cols, vals, rhs = data[kind]
-            k = len(rhs)
-            for j, v in r.coeffs.items():
-                rows.append(k)
-                cols.append(j)
-                vals.append(sign * v)
-            rhs.append(sign * r.rhs)
-
-        def matrix(kind):
-            rows, cols, vals, rhs = data[kind]
-            if not rhs:
-                return None, np.zeros(0)
-            a = csr_matrix((vals, (rows, cols)), shape=(len(rhs), lp.n_vars))
-            return a, np.array(rhs)
-
-        return matrix("<="), matrix("=")
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
         from scipy.optimize import linprog
 
         maximize = lp.sense == "max"
         c = -lp.c if maximize else lp.c
-        (a_ub, b_ub), (a_eq, b_eq) = self._split(lp)
+        sp = lp.sparse_rows()
+        (a_ub, b_ub), (a_eq, b_eq) = sp.split()
         res, status, stats = _call_highs(
             linprog,
             c,
@@ -551,7 +611,7 @@ class HighsSolver(Solver):
         if status != "optimal":
             return SolveOutcome(status, stats=stats)
         objective = -res.fun if maximize else res.fun
-        stats.update(pivots=int(res.nit), primal_violation=primal_violation(lp, res.x))
+        stats.update(pivots=int(res.nit), primal_violation=_violation(lp, sp, res.x))
         return SolveOutcome("optimal", float(objective), res.x, stats=stats)
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
@@ -560,7 +620,8 @@ class HighsSolver(Solver):
         lp = mip.lp
         maximize = lp.sense == "max"
         c = -lp.c if maximize else lp.c
-        (a_ub, b_ub), (a_eq, b_eq) = self._split(lp)
+        sp = lp.sparse_rows()
+        (a_ub, b_ub), (a_eq, b_eq) = sp.split()
         constraints = []
         if a_ub is not None:
             constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
@@ -587,7 +648,7 @@ class HighsSolver(Solver):
         objective = -res.fun if maximize else res.fun
         stats.update(
             nodes=int(getattr(res, "mip_node_count", 0) or 0),
-            primal_violation=primal_violation(lp, x),
+            primal_violation=_violation(lp, sp, x),
         )
         return SolveOutcome("optimal", float(objective), x, stats=stats)
 

@@ -9,7 +9,7 @@ the interpolated function values, and a deviation penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +53,9 @@ class ObroProblem:
 
     The decision vector may carry auxiliary coordinates beyond the
     evaluation variables; ``rows`` is the polyhedron A x <= b, on top of
-    the per-variable box bounds.
+    the per-variable box bounds.  ``adversary`` holds the adversary LP's
+    decision-independent part once `subproblem.build_subproblem` has
+    built it; reassigning a field makes the next build start afresh.
     """
 
     c: np.ndarray
@@ -63,6 +65,7 @@ class ObroProblem:
     epsilon: float
     terms: list
     names: list | None = None
+    adversary: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)

@@ -9,9 +9,11 @@ and the term's total deviation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from obro.linsolve import LinearProgram, Row, Solver, solve_lp
+from obro.linsolve import LinearProgram, Row, Solver, SparseRows, solve_lp
 from obro.model import ObroProblem, Scenario, scenario_issues, validate
 from obro.pwl import (
     SampledFunction,
@@ -29,32 +31,46 @@ class SubproblemError(RuntimeError):
     sup-radius rows box every value)."""
 
 
-def _term_layout(prob: ObroProblem):
-    """Column offsets per term: values block, slack block, deviation var."""
+@dataclass(frozen=True)
+class AdversaryBlock:
+    """The part of the adversary LP that no decision changes: column
+    offsets per term (values block, slack block, deviation variable), the
+    rows, the bounds, the deviation penalty in the cost, and the rows' CSR
+    form for HiGHS.  ``key`` holds the problem fields it was built from."""
+
+    key: tuple
+    offsets: tuple
+    c: np.ndarray
+    rows: tuple
+    lower: np.ndarray
+    upper: np.ndarray
+    sparse: SparseRows
+
+
+def _fields(prob: ObroProblem) -> tuple:
+    return (prob.c, prob.rows, prob.lower, prob.upper, prob.epsilon, prob.terms)
+
+
+def _adversary_block(prob: ObroProblem) -> AdversaryBlock:
+    """The problem's block, built and validated on first use and kept on
+    the problem while its fields are, by identity, those it was built from."""
+    key = _fields(prob)
+    block = prob.adversary
+    if block is not None and all(a is b for a, b in zip(block.key, key)):
+        return block
+    issues = validate(prob)
+    if issues:
+        raise ValueError("invalid problem: " + "; ".join(issues))
+
     offsets = []
     base = 0
     for term in prob.terms:
         n = term.spec.partition.n_points
         offsets.append((base, base + n, base + 2 * n))
         base += 2 * n + 1
-    return offsets, base
-
-
-def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
-    """Assemble the adversary LP at decision ``x_k``.
-
-    The certain cost c.x_k is a constant and stays out of the LP; callers
-    re-add it when reporting values.
-    """
-    issues = validate(prob)
-    if issues:
-        raise ValueError("invalid problem: " + "; ".join(issues))
-    x_k = np.asarray(x_k, dtype=float)
-
-    offsets, n_cols = _term_layout(prob)
-    c = np.zeros(n_cols)
-    lower = np.full(n_cols, -np.inf)
-    upper = np.full(n_cols, np.inf)
+    c = np.zeros(base)
+    lower = np.full(base, -np.inf)
+    upper = np.full(base, np.inf)
     rows = []
 
     for term, (f0, s0, d0) in zip(prob.terms, offsets):
@@ -65,6 +81,7 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
 
         lower[s0 : s0 + n] = 0.0  # slacks are nonnegative
         lower[d0] = 0.0
+        c[d0] = -prob.epsilon
 
         for p in range(n):
             rows.append(
@@ -94,10 +111,31 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
         coeffs[d0] = 1.0
         rows.append(Row(coeffs, "=", 0.0, f"{term.name}.quadrature"))
 
-        c[d0] = -prob.epsilon
-        c[f0 : f0 + n] = sample_coefficients(part, x_k[list(term.eval_indices)])
+    for a in (c, lower, upper):
+        a.flags.writeable = False  # shared by every LP built from the block
+    rows = tuple(rows)
+    block = AdversaryBlock(key, tuple(offsets), c, rows, lower, upper, SparseRows(rows, base))
+    prob.adversary = block
+    return block
 
-    return LinearProgram("max", c, rows, lower, upper)
+
+def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
+    """Assemble the adversary LP at decision ``x_k``.
+
+    Only the cost depends on ``x_k``: the rows, bounds and their sparse
+    form come from the problem's block, built once.  The certain cost
+    c.x_k is a constant and stays out of the LP; callers re-add it when
+    reporting values.
+    """
+    block = _adversary_block(prob)
+    x_k = np.asarray(x_k, dtype=float)
+    c = block.c.copy()
+    for term, (f0, _, _) in zip(prob.terms, block.offsets):
+        part = term.spec.partition
+        c[f0 : f0 + part.n_points] = sample_coefficients(
+            part, x_k[list(term.eval_indices)]
+        )
+    return LinearProgram("max", c, block.rows, block.lower, block.upper, block.sparse)
 
 
 def solve_subproblem(
@@ -114,7 +152,7 @@ def solve_subproblem(
     if out.status != "optimal":
         raise SubproblemError(f"adversary LP ended {out.status}")
 
-    offsets, _ = _term_layout(prob)
+    offsets = _adversary_block(prob).offsets
     functions = []
     deviations = []
     for term, (f0, s0, d0) in zip(prob.terms, offsets):

@@ -16,6 +16,8 @@ from obro.linsolve import (
     MixedIntegerProgram,
     Row,
     SimplexSolver,
+    SparseRows,
+    primal_violation,
     stdout_captured,
 )
 
@@ -309,6 +311,108 @@ def test_program_validation():
         MixedIntegerProgram(
             LinearProgram("min", np.array([1.0]), [], np.zeros(1), np.full(1, 2.0)), (0,)
         )
+
+
+def per_row_split(lp):
+    """Reference CSR construction, one coefficient at a time through COO:
+    ``((A_ub, b_ub), (A_eq, b_eq))`` with ``>=`` rows negated."""
+    from scipy.sparse import csr_matrix
+
+    data = {"<=": ([], [], [], []), "=": ([], [], [], [])}
+    for r in lp.rows:
+        rows, cols, vals, rhs = data["=" if r.sense == "=" else "<="]
+        sign = -1.0 if r.sense == ">=" else 1.0
+        for j, v in r.coeffs.items():
+            rows.append(len(rhs))
+            cols.append(j)
+            vals.append(sign * v)
+        rhs.append(sign * r.rhs)
+
+    def matrix(kind):
+        rows, cols, vals, rhs = data[kind]
+        if not rhs:
+            return None, np.zeros(0)
+        return csr_matrix((vals, (rows, cols)), shape=(len(rhs), lp.n_vars)), np.array(rhs)
+
+    return matrix("<="), matrix("=")
+
+
+def assert_same_split(got, want):
+    for (a, b), (ra, rb) in zip(got, want):
+        assert b.dtype == rb.dtype and b.tobytes() == rb.tobytes()
+        if ra is None:
+            assert a is None
+            continue
+        assert a.shape == ra.shape
+        for attr in ("indptr", "indices", "data"):
+            x, y = getattr(a, attr), getattr(ra, attr)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
+
+
+MIXED_ROWS = [
+    Row({2: 1.0, 0: -2.0}, "<=", 3.0),
+    Row({1: 1.5, 3: 1.0}, ">=", -1.0),
+    Row({0: 1.0, 1: 1.0, 2: 1.0}, "=", 2.0),
+    Row({3: -1.0, 1: 0.5}, ">=", 0.0),
+    Row({2: 2.0, 3: 1.0}, "=", 1.0),
+    Row({}, "<=", 4.0),
+]
+
+
+class TestSparseRows:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            MIXED_ROWS,
+            [r for r in MIXED_ROWS if r.sense != "="],
+            [r for r in MIXED_ROWS if r.sense == "="],
+            [],
+        ],
+        ids=["mixed", "no-equality", "equality-only", "no-rows"],
+    )
+    def test_matches_per_row_construction(self, rows):
+        # column 4 appears in no row
+        lp = LinearProgram("min", np.ones(5), rows, np.zeros(5), np.full(5, 10.0))
+        assert_same_split(SparseRows(rows, 5).split(), per_row_split(lp))
+        assert_same_split(lp.sparse_rows().split(), per_row_split(lp))
+
+    def test_violation_matches_row_loop(self):
+        rng = np.random.default_rng(3)
+        lp = LinearProgram("min", np.ones(5), MIXED_ROWS, np.full(5, -1.0), np.ones(5))
+        for _ in range(20):
+            x = rng.uniform(-2.0, 2.0, 5)
+            bounds = max(np.max(lp.lower - x), np.max(x - lp.upper), 0.0)
+            want = primal_violation(lp, x)
+            assert max(bounds, lp.sparse_rows().violation(x)) == pytest.approx(want, abs=1e-12)
+
+    def test_shared_by_programs_on_one_rows_list(self):
+        lp = LinearProgram("min", np.ones(5), MIXED_ROWS, np.zeros(5), np.ones(5))
+        other = replace(lp, c=np.arange(5.0))
+        assert other.sparse_rows() is lp.sparse_rows()
+
+    def test_replaced_rows_never_reuse_the_old_form(self):
+        lp = LinearProgram(
+            "max", np.array([1.0, 1.0]), [Row({0: 1.0, 1: 1.0}, "<=", 1.0)],
+            np.zeros(2), np.full(2, 5.0),
+        )
+        assert HighsSolver().solve_lp(lp).objective == pytest.approx(1.0)
+        old = lp.sparse_rows()
+        # same row count and shape, different coefficients and bound
+        moved = replace(lp, rows=[Row({0: 1.0, 1: 2.0}, "<=", 4.0)])
+        assert moved.sparse is not old and moved.sparse.rows is moved.rows
+        out = HighsSolver().solve_lp(moved)
+        assert out.objective == pytest.approx(4.0)
+        assert_same_split(moved.sparse_rows().split(), per_row_split(moved))
+
+    def test_form_of_other_rows_or_columns_is_replaced(self):
+        rows = [Row({0: 1.0}, "<=", 1.0)]
+        sp = SparseRows(rows, 1)
+        equal_rows = LinearProgram(
+            "min", np.ones(1), [Row({0: 1.0}, "<=", 1.0)], np.zeros(1), np.ones(1), sp
+        )
+        assert equal_rows.sparse is not sp and equal_rows.sparse.rows is equal_rows.rows
+        wider = LinearProgram("min", np.ones(3), rows, np.zeros(3), np.ones(3), sp)
+        assert wider.sparse is not sp and wider.sparse_rows().split()[0][0].shape == (1, 3)
 
 
 def test_stdout_capture_counts_and_hides_fd1(capfd):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obro.linsolve import BranchBoundSolver, HighsSolver
+from obro.linsolve import BranchBoundSolver, HighsSolver, primal_violation
 from obro.master import build_master, master_layout, solve_master
 from obro.model import (
     ObroProblem,
@@ -11,6 +11,7 @@ from obro.model import (
     reference_scenario,
 )
 from obro.pwl import NeighborhoodSpec, Partition, SampledFunction, trapezoid_deviation
+from obro.subproblem import solve_subproblem
 
 
 def make_problem(points, ref_values, delta=1.0, dev=10.0, lip=3.0, epsilon=0.1, c=None):
@@ -158,3 +159,16 @@ class TestErrors:
         prob.rows = [Row({0: 1.0}, "<=", -0.5)]
         with pytest.raises(MasterError, match="empty"):
             solve_master(prob, [reference_scenario(prob)])
+
+
+def test_highs_violation_is_the_row_loop():
+    prob = make_problem([0.0, 1 / 3, 2 / 3, 1.0], [0.4, 0.0, 0.05, 0.5], delta=0.2)
+    scenarios = [reference_scenario(prob)]
+    for x in (np.array([0.1]), np.array([0.6])):
+        scenarios.append(solve_subproblem(prob, x)[0])
+    mip = build_master(prob, scenarios)
+    out = HighsSolver().solve_milp(mip)
+    assert out.optimal
+    assert out.stats["primal_violation"] == pytest.approx(
+        primal_violation(mip.lp, out.x), abs=1e-12
+    )

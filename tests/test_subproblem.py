@@ -1,7 +1,11 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from obro.linsolve import HighsSolver, SimplexSolver
+from obro import bess, configio, subproblem
+from obro.linsolve import HighsSolver, SimplexSolver, SparseRows, primal_violation
 from obro.model import ObroProblem, UncertainTerm, evaluate_v, reference_scenario
 from obro.pwl import (
     NeighborhoodSpec,
@@ -10,6 +14,8 @@ from obro.pwl import (
     check_neighborhood,
 )
 from obro.subproblem import build_subproblem, solve_subproblem
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def identity_problem(delta=0.1, lip=2.0, dev=10.0, epsilon=0.1, points=(0.0, 1.0)):
@@ -170,3 +176,95 @@ def test_random_instances_match_grid_search(seed):
     lipschitz = 1 + prob.epsilon * (part.hi - part.lo)
     assert approx <= value + 1e-9
     assert value <= approx + lipschitz * step + 1e-9
+
+
+def config_problem(name):
+    cfg = configio.load_config(CONFIGS / f"{name}.json")
+    if name == "bess_8node":
+        feeder, inputs, schemes, _ = configio.bess_case_from_config(cfg)
+        inputs.scheme = schemes["benchmark"]
+        return bess.assemble_bess_problem(feeder, inputs)
+    return configio.problem_from_config(cfg)[0]
+
+
+def csr_bytes(split):
+    return [
+        (None if a is None else (a.shape, a.indptr.tobytes(), a.indices.tobytes(),
+                                 a.data.tobytes()), b.tobytes())
+        for a, b in split
+    ]
+
+
+class TestAdversaryBlock:
+    """The rows, bounds and sparse form are built once per problem; each
+    build only computes the cost at its decision."""
+
+    @pytest.mark.parametrize("name", ["bess_8node", "two_term_coupled"])
+    def test_cached_lp_equals_fresh_build(self, name):
+        prob = config_problem(name)
+        span = prob.upper - prob.lower  # infinite off the evaluation coordinates
+        inside = np.where(np.isfinite(span), prob.lower + 0.3 * span, 0.0)
+        for x in (prob.lower, prob.upper, inside):
+            cached = build_subproblem(prob, x)
+            fresh = build_subproblem(replace(prob), x)  # a new object holds no block
+            assert cached.rows is prob.adversary.rows
+            assert fresh.rows is not cached.rows
+            assert cached.c.tobytes() == fresh.c.tobytes()
+            assert cached.lower.tobytes() == fresh.lower.tobytes()
+            assert cached.upper.tobytes() == fresh.upper.tobytes()
+            assert list(cached.rows) == list(fresh.rows)
+            # the HiGHS matrices of the shared form and of a new conversion
+            rebuilt = SparseRows(list(fresh.rows), fresh.n_vars).split()
+            assert csr_bytes(cached.sparse_rows().split()) == csr_bytes(rebuilt)
+
+    def test_second_build_constructs_no_row(self, monkeypatch):
+        made = []
+        row = subproblem.Row
+
+        def counting_row(*args, **kwargs):
+            made.append(args)
+            return row(*args, **kwargs)
+
+        monkeypatch.setattr(subproblem, "Row", counting_row)
+        prob = identity_problem(points=(0.0, 0.5, 1.0))
+        first = build_subproblem(prob, np.array([0.2]))
+        assert len(made) == len(first.rows) > 0
+        second = build_subproblem(prob, np.array([0.9]))
+        assert len(made) == len(first.rows)
+        assert second.rows is first.rows and second.sparse is first.sparse
+
+    def test_reassigned_terms_build_a_validated_block(self, monkeypatch):
+        calls = []
+        validate = subproblem.validate
+
+        def counting_validate(prob):
+            calls.append(prob)
+            return validate(prob)
+
+        monkeypatch.setattr(subproblem, "validate", counting_validate)
+        prob = identity_problem(delta=0.1)
+        build_subproblem(prob, np.array([0.5]))
+        build_subproblem(prob, np.array([0.7]))
+        assert len(calls) == 1
+        spec = prob.terms[0].spec
+        prob.terms = [
+            UncertainTerm("f1", NeighborhoodSpec(spec.reference, 0.0, spec.dev_max,
+                                                 spec.lip_ratio), (0,))
+        ]
+        lp = build_subproblem(prob, np.array([0.5]))
+        assert len(calls) == 2
+        sup = [r.rhs for r in lp.rows if ".sup+" in r.name]
+        np.testing.assert_array_equal(sup, spec.reference.values)
+        # an invalid reassignment is caught by the new validation
+        prob.terms = [UncertainTerm("f1", spec, (3,))]
+        with pytest.raises(ValueError, match="out of range"):
+            build_subproblem(prob, np.array([0.5]))
+
+    def test_highs_violation_is_the_row_loop(self):
+        prob = config_problem("bess_8node")
+        lp = build_subproblem(prob, 0.5 * (prob.lower + prob.upper))
+        out = HighsSolver().solve_lp(lp)
+        assert out.optimal
+        assert out.stats["primal_violation"] == pytest.approx(
+            primal_violation(lp, out.x), abs=1e-12
+        )
