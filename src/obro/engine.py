@@ -44,8 +44,14 @@ class IterationRecord:
 
 @dataclass
 class EngineResult:
+    """``x`` is the certified incumbent: the evaluated decision whose
+    adversary value is ``ub``.  ``x_master`` is the last master iterate,
+    which the adversary has not evaluated unless the run ended at a
+    fixed point."""
+
     status: str  # converged | max-iterations | error
     x: np.ndarray
+    x_master: np.ndarray
     scenarios: list
     history: list = field(default_factory=list)
     message: str = ""
@@ -94,6 +100,7 @@ def run(
 
     scenarios = [reference_scenario(prob)]
     ub = np.inf
+    x_best = None
 
     try:
         x, lb = solve_master(prob, scenarios, solver)
@@ -109,7 +116,8 @@ def run(
             scen, value = solve_subproblem(prob, x, solver)
         except Exception as exc:
             raise type(exc)(f"iteration {k}, subproblem: {exc}") from exc
-        ub = min(ub, value)
+        if value < ub:
+            ub, x_best = value, x
 
         dup = min((_scenario_distance(scen, s) for s in scenarios), default=np.inf)
         if dup <= DUPLICATE_TOL:
@@ -142,17 +150,17 @@ def run(
             message = f"gap {ub - lb:.3g} within tolerance"
             break
 
-    return EngineResult(status, x, scenarios, history, message)
+    return EngineResult(status, x_best.copy(), x.copy(), scenarios, history, message)
 
 
 @dataclass(frozen=True)
 class SaddleReport:
     """Outcome of the three fixed-point/saddle checks.
 
-    inner: re-solving the adversary at the final decision gains nothing
+    inner: re-solving the adversary at the returned decision gains nothing
     beyond the upper bound.  outer: re-solving the master over the final
-    pool reproduces the bound.  fixed_point: the adversary at the final
-    decision regenerates a stored scenario.
+    pool reproduces the bound.  fixed_point: the adversary at the last
+    master iterate regenerates a stored scenario.
     """
 
     inner_ok: bool
@@ -186,15 +194,21 @@ def verify_saddle(
     fixed_point_tol: float = 1e-6,
     solver: Solver | None = None,
 ) -> SaddleReport:
-    """Re-solve both sides at the final iterate and report the three checks.
+    """Re-solve both sides and report the three checks.
 
-    Meaningful for converged results; running it on a truncated result is
-    allowed and expected to fail the fixed-point check.
+    The inner check runs at the returned incumbent ``result.x``.  The
+    fixed-point check runs at the last master iterate ``result.x_master``:
+    the incumbent's own worst case is always in the pool, so only the
+    iterate can show that the pool has stopped growing.  Meaningful for
+    converged results; running it on a truncated result is allowed and
+    expected to fail the fixed-point check.
     """
     scen_star, value_star = solve_subproblem(prob, result.x, solver)
     inner_excess = value_star - result.ub
     _, eta = solve_master(prob, result.scenarios, solver)
     outer_shift = abs(eta - result.lb)
+    if not np.array_equal(result.x_master, result.x):
+        scen_star, _ = solve_subproblem(prob, result.x_master, solver)
     fp_distance = min(_scenario_distance(scen_star, s) for s in result.scenarios)
     return SaddleReport(
         inner_ok=bool(inner_excess <= tol),

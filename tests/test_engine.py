@@ -1,9 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from obro import bess, configio
 from obro.engine import run, verify_saddle
+from obro.linsolve import HighsSolver
 from obro.model import ObroProblem, UncertainTerm
 from obro.pwl import NeighborhoodSpec, Partition, SampledFunction, sup_distance
+from obro.subproblem import solve_subproblem
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def one_term(points, ref_values, delta, lip=2.0, dev=10.0, eps=0.1):
@@ -179,3 +186,34 @@ class TestArguments:
         prob = two_pocket()
         res = run(prob, tol=1e-6, max_iter=50)
         assert all(r.wall_ms >= 0.0 for r in res.history)
+
+
+def reduction_case():
+    """The six-slot feeder slice at step 0.002, solved on HiGHS."""
+    feeder, inputs, schemes, options = configio.bess_case_from_config(
+        configio.load_config(CONFIGS / "bess_reduction.json")
+    )
+    inputs.scheme = schemes["benchmark"]
+    return bess.assemble_bess_problem(feeder, inputs), options, HighsSolver()
+
+
+def truncated_case():
+    prob, options = configio.problem_from_config(
+        configio.load_config(CONFIGS / "two_pocket_truncated.json")
+    )
+    return prob, options, None
+
+
+class TestCertifiedIncumbent:
+    """The returned decision is the one the upper bound certifies, even
+    when the last master iterate was never evaluated."""
+
+    @pytest.mark.parametrize("case", [reduction_case, truncated_case],
+                             ids=["reduction@0.002", "two_pocket_truncated"])
+    def test_adversary_at_x_within_ub(self, case):
+        prob, options, solver = case()
+        res = run(prob, tol=options["tol"], max_iter=options["max_iter"], solver=solver)
+        _, value = solve_subproblem(prob, res.x, solver)
+        assert value <= res.ub + 1e-9
+        assert not np.array_equal(res.x, res.x_master)  # the iterate was not it
+        assert any(r.sub_value == res.ub for r in res.history)
