@@ -113,17 +113,6 @@ class SparseRows:
         is_eq = senses == "="
         return matrix(~is_eq), matrix(is_eq)
 
-    def violation(self, x: np.ndarray) -> float:
-        """Worst row violation of x (0 when none), one mat-vec per matrix."""
-        (a_ub, b_ub), (a_eq, b_eq) = self.split()
-        worst = 0.0
-        if a_ub is not None:
-            worst = max(worst, np.max(a_ub @ x - b_ub))
-        if a_eq is not None:
-            worst = max(worst, np.max(np.abs(a_eq @ x - b_eq)))
-        return float(worst)
-
-
 @dataclass
 class LinearProgram:
     """``sense`` c.x subject to ``rows`` and the bounds.
@@ -582,10 +571,16 @@ def _call_highs(solve, *args, **kwargs):
     return res, status, stats
 
 
-def _violation(lp: LinearProgram, sp: SparseRows, x: np.ndarray) -> float:
-    """``primal_violation(lp, x)`` read from the CSR form of the rows."""
-    bounds = max(np.max(lp.lower - x, initial=0.0), np.max(x - lp.upper, initial=0.0))
-    return max(float(bounds), sp.violation(x))
+def _violation(lp: LinearProgram, x: np.ndarray) -> float:
+    """``primal_violation(lp, x)`` from the CSR form of the rows: one
+    mat-vec per matrix instead of a loop over the rows."""
+    (a_ub, b_ub), (a_eq, b_eq) = lp.sparse_rows().split()
+    worst = max(np.max(lp.lower - x, initial=0.0), np.max(x - lp.upper, initial=0.0))
+    if a_ub is not None:
+        worst = max(worst, np.max(a_ub @ x - b_ub))
+    if a_eq is not None:
+        worst = max(worst, np.max(np.abs(a_eq @ x - b_eq)))
+    return float(worst)
 
 
 class HighsSolver(Solver):
@@ -596,8 +591,7 @@ class HighsSolver(Solver):
 
         maximize = lp.sense == "max"
         c = -lp.c if maximize else lp.c
-        sp = lp.sparse_rows()
-        (a_ub, b_ub), (a_eq, b_eq) = sp.split()
+        (a_ub, b_ub), (a_eq, b_eq) = lp.sparse_rows().split()
         res, status, stats = _call_highs(
             linprog,
             c,
@@ -611,7 +605,7 @@ class HighsSolver(Solver):
         if status != "optimal":
             return SolveOutcome(status, stats=stats)
         objective = -res.fun if maximize else res.fun
-        stats.update(pivots=int(res.nit), primal_violation=_violation(lp, sp, res.x))
+        stats.update(pivots=int(res.nit), primal_violation=_violation(lp, res.x))
         return SolveOutcome("optimal", float(objective), res.x, stats=stats)
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
@@ -620,8 +614,7 @@ class HighsSolver(Solver):
         lp = mip.lp
         maximize = lp.sense == "max"
         c = -lp.c if maximize else lp.c
-        sp = lp.sparse_rows()
-        (a_ub, b_ub), (a_eq, b_eq) = sp.split()
+        (a_ub, b_ub), (a_eq, b_eq) = lp.sparse_rows().split()
         constraints = []
         if a_ub is not None:
             constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
@@ -648,7 +641,7 @@ class HighsSolver(Solver):
         objective = -res.fun if maximize else res.fun
         stats.update(
             nodes=int(getattr(res, "mip_node_count", 0) or 0),
-            primal_violation=_violation(lp, sp, x),
+            primal_violation=_violation(lp, x),
         )
         return SolveOutcome("optimal", float(objective), x, stats=stats)
 

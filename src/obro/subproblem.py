@@ -47,14 +47,10 @@ class AdversaryBlock:
     sparse: SparseRows
 
 
-def _fields(prob: ObroProblem) -> tuple:
-    return (prob.c, prob.rows, prob.lower, prob.upper, prob.epsilon, prob.terms)
-
-
 def _adversary_block(prob: ObroProblem) -> AdversaryBlock:
     """The problem's block, built and validated on first use and kept on
     the problem while its fields are, by identity, those it was built from."""
-    key = _fields(prob)
+    key = (prob.c, prob.rows, prob.lower, prob.upper, prob.epsilon, prob.terms)
     block = prob.adversary
     if block is not None and all(a is b for a, b in zip(block.key, key)):
         return block
