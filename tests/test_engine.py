@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obro import bess, configio
+from obro import bess, configio, engine
 from obro.engine import run, verify_saddle
 from obro.linsolve import HighsSolver
 from obro.model import ObroProblem, UncertainTerm
@@ -217,3 +217,22 @@ class TestCertifiedIncumbent:
         assert value <= res.ub + 1e-9
         assert not np.array_equal(res.x, res.x_master)  # the iterate was not it
         assert any(r.sub_value == res.ub for r in res.history)
+
+
+@pytest.mark.parametrize("max_iter, solves", [(50, 1), (1, 2)], ids=["converged", "truncated"])
+def test_saddle_check_solves_adversary_per_distinct_decision(monkeypatch, max_iter, solves):
+    prob = two_pocket()
+    res = run(prob, tol=1e-6, max_iter=max_iter)
+    assert np.array_equal(res.x, res.x_master) == (solves == 1)
+    seen = []
+    solve = engine.solve_subproblem
+
+    def counting_solve(prob, x, solver=None):
+        seen.append(np.array(x))
+        return solve(prob, x, solver)
+
+    monkeypatch.setattr(engine, "solve_subproblem", counting_solve)
+    verify_saddle(prob, res, tol=1e-4)
+    assert len(seen) == solves
+    np.testing.assert_array_equal(seen[0], res.x)
+    np.testing.assert_array_equal(seen[-1], res.x_master)
