@@ -199,9 +199,11 @@ def verify_saddle(
     The inner check runs at the returned incumbent ``result.x``.  The
     fixed-point check runs at the last master iterate ``result.x_master``:
     the incumbent's own worst case is always in the pool, so only the
-    iterate can show that the pool has stopped growing.  Meaningful for
-    converged results; running it on a truncated result is allowed and
-    expected to fail the fixed-point check.
+    iterate can show that the pool has stopped growing.  That check is
+    conclusive only for runs that end on a repeated scenario: a run that
+    converges on the gap, or is truncated, stops before the adversary
+    has seen the iterate, whose worst case is then usually new, so the
+    check fails there although the bounds hold.
     """
     scen_star, value_star = solve_subproblem(prob, result.x, solver)
     inner_excess = value_star - result.ub

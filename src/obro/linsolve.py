@@ -115,12 +115,14 @@ class SparseRows:
 
 @dataclass
 class LinearProgram:
-    """``sense`` c.x subject to ``rows`` and the bounds.
+    """``sense`` c.x + ``offset`` subject to ``rows`` and the bounds.
 
-    ``sparse`` carries the CSR form of ``rows``; pass it along to share
-    the conversion between programs built on one rows list.  It is used
-    only while its rows are this program's ``rows`` by identity and its
-    column count matches, and replaced otherwise.
+    ``offset`` is a constant that every backend adds to the reported
+    objective; it moves no solution.  ``sparse`` carries the CSR form of
+    ``rows``; pass it along to share the conversion between programs
+    built on one rows list.  It is used only while its rows are this
+    program's ``rows`` by identity and its column count matches, and
+    replaced otherwise.
     """
 
     sense: str  # "min" or "max"
@@ -129,11 +131,13 @@ class LinearProgram:
     lower: np.ndarray
     upper: np.ndarray
     sparse: SparseRows | None = field(default=None, repr=False, compare=False)
+    offset: float = 0.0
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
+        self.offset = float(self.offset)
         n = self.c.size
         if self.sense not in ("min", "max"):
             raise ValueError(f"objective sense must be min or max, got {self.sense!r}")
@@ -253,7 +257,8 @@ class _StandardForm:
         for k, (j, s) in enumerate(self.cols):
             ct[k] += s * c[j]
         self.ct = ct
-        self.obj_const = float(c @ self.shift)
+        offset = -lp.offset if self.maximize else lp.offset
+        self.obj_const = float(c @ self.shift) + offset
 
         # per-variable t-columns for fast row transforms
         col_of = [[] for _ in range(n)]
@@ -604,7 +609,7 @@ class HighsSolver(Solver):
         )
         if status != "optimal":
             return SolveOutcome(status, stats=stats)
-        objective = -res.fun if maximize else res.fun
+        objective = (-res.fun if maximize else res.fun) + lp.offset
         stats.update(pivots=int(res.nit), primal_violation=_violation(lp, res.x))
         return SolveOutcome("optimal", float(objective), res.x, stats=stats)
 
@@ -638,7 +643,7 @@ class HighsSolver(Solver):
         for j in mip.binaries:
             if min(x[j], 1.0 - x[j]) <= INT_TOL:
                 x[j] = round(x[j])
-        objective = -res.fun if maximize else res.fun
+        objective = (-res.fun if maximize else res.fun) + lp.offset
         stats.update(
             nodes=int(getattr(res, "mip_node_count", 0) or 0),
             primal_violation=_violation(lp, x),

@@ -147,7 +147,8 @@ def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndar
     For each assignment of one segment per evaluation coordinate the
     coordinates are pinned (``pin_segments``) and the remaining LP solved
     by the bundled simplex; the best pattern wins (first one on ties, in
-    lexicographic pattern order).
+    lexicographic pattern order).  Pattern objectives carry the master's
+    ``offset``, the anchor's constant, so the value is the master's bound.
     """
     simplex = SimplexSolver()
     lay = master_layout(prob)

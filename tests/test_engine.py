@@ -161,6 +161,18 @@ class TestVerifySaddle:
         assert report.passed, str(report)
         assert report.fixed_point_distance <= 1e-6
 
+    def test_gap_converged_run_fails_fixed_point(self):
+        # reduction@0.002 converges on the gap in one iteration, before
+        # the adversary sees the last master iterate
+        prob, options, solver = reduction_case()
+        res = run(prob, tol=options["tol"], max_iter=options["max_iter"], solver=solver)
+        assert res.converged and len(res.history) == 1
+        assert res.message.startswith("gap")  # not a repeated scenario
+        report = verify_saddle(prob, res, solver=solver)
+        assert report.inner_ok and report.outer_ok
+        assert not report.fixed_point_ok
+        assert report.fixed_point_distance > 1e-2
+
     def test_zero_delta_trivially_passes(self):
         prob = one_term([0.0, 1.0], [0.0, 1.0], delta=0.0)
         res = run(prob, tol=1e-2, max_iter=5)

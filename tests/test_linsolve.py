@@ -168,6 +168,26 @@ class TestSolveMilp:
         assert solver.solve_milp(mip).status == "unbounded"
 
 
+@pytest.mark.parametrize("solver", [SimplexSolver(), BranchBoundSolver(), HighsSolver()],
+                         ids=["simplex", "bnb", "highs"])
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_offset_moves_objective_not_solution(solver, sense):
+    # x0 + 2 x1 over x0 + x1 <= 1.5, x1 binary, bounds [0, 1]
+    plain = LinearProgram(
+        sense, np.array([1.0, 2.0]), [Row({0: 1.0, 1: 1.0}, "<=", 1.5)], np.zeros(2), np.ones(2)
+    )
+    shifted = replace(plain, offset=-0.75)
+    if isinstance(solver, SimplexSolver):
+        a, b = solver.solve_lp(plain), solver.solve_lp(shifted)
+    else:
+        a = solver.solve_milp(MixedIntegerProgram(plain, (1,)))
+        b = solver.solve_milp(MixedIntegerProgram(shifted, (1,)))
+    assert a.optimal and b.optimal
+    np.testing.assert_array_equal(a.x, b.x)
+    assert b.objective == pytest.approx(a.objective - 0.75, abs=1e-12)
+    assert a.objective == pytest.approx(0.0 if sense == "min" else 2.5, abs=1e-12)
+
+
 def test_highs_other_status_is_not_a_limit(monkeypatch):
     # scipy status 4 ("unbounded or infeasible", or a solver error) proves
     # no limit was hit; it keeps its own status and scipy's message

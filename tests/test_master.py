@@ -172,3 +172,124 @@ def test_highs_violation_is_the_row_loop():
     assert out.stats["primal_violation"] == pytest.approx(
         primal_violation(mip.lp, out.x), abs=1e-12
     )
+
+
+def epigraph_master(prob, scenarios):
+    """The master in the epigraph form the anchored one replaced: minimize
+    ``eta`` subject to one dense row ``eta >= cut_s`` per scenario.  The
+    static rows come from ``build_master`` over one scenario, which adds
+    no cut row."""
+    from obro.linsolve import LinearProgram, MixedIntegerProgram, Row
+
+    lay = master_layout(prob)
+    static = build_master(prob, scenarios[:1], lay)
+    c = np.zeros(lay.n_total)
+    c[lay.eta] = 1.0
+    lower = static.lp.lower.copy()
+    lower[lay.eta] = -np.inf
+    rows = list(static.lp.rows)
+    for li, scen in enumerate(scenarios):
+        coeffs = {j: float(v) for j, v in enumerate(prob.c) if v != 0.0}
+        coeffs[lay.eta] = coeffs.get(lay.eta, 0.0) - 1.0
+        rhs = prob.epsilon * sum(scen.deviations)
+        for (ti, _, _), z in zip(lay.eval_keys, lay.z_slices):
+            values = scen.functions[ti].values
+            rhs -= float(values[0])
+            for k, d in enumerate(np.diff(values)):
+                coeffs[z.start + k] = coeffs.get(z.start + k, 0.0) + float(d)
+        rows.append(Row(coeffs, "<=", rhs, f"cut[{li}]"))
+    lp = LinearProgram("min", c, rows, lower, static.lp.upper.copy())
+    return MixedIntegerProgram(lp, static.binaries)
+
+
+def acceptance_family_cases(count=12):
+    """Seeded problems from the acceptance family, each with 2-4 distinct
+    scenarios generated by the adversary at random decisions, so the
+    anchor is a generated worst case, not the reference.  Repeated worst
+    cases are dropped, as the engine's pool never holds one."""
+    from test_acceptance import random_subproblem_instance
+
+    def values(scen):
+        return np.concatenate([f.values for f in scen.functions])
+
+    rng = np.random.default_rng(4242)
+    cases = []
+    while len(cases) < count:
+        prob, _ = random_subproblem_instance(rng)
+        prob.c = rng.uniform(-1.5, 0.0, prob.n_vars)  # a certain cost pulling x off its bound
+        scens = []
+        for _ in range(4):
+            scen = solve_subproblem(prob, rng.uniform(prob.lower, prob.upper))[0]
+            if all(np.max(np.abs(values(scen) - values(s))) > 1e-9 for s in scens):
+                scens.append(scen)
+        if len(scens) >= 2:
+            cases.append((prob, scens))
+    return cases
+
+
+def v_shape_case():
+    return TestVShapedCuts().v_problem()
+
+
+class TestAnchoredMaster:
+    """The master anchored on its first scenario is the epigraph master
+    under ``t = cut_0 + eta``: same optimum, sparser cut rows."""
+
+    CASES = [v_shape_case()] + acceptance_family_cases()
+
+    @pytest.mark.parametrize("solver", [BranchBoundSolver(), HighsSolver()], ids=["bnb", "highs"])
+    @pytest.mark.parametrize(
+        "case", range(len(CASES)), ids=["v-shape"] + [f"family{i}" for i in range(len(CASES) - 1)]
+    )
+    def test_same_optimum_as_epigraph(self, case, solver):
+        from obro.linsolve import solve_milp
+
+        prob, scens = self.CASES[case]
+        reference = solve_milp(epigraph_master(prob, scens), solver)
+        assert reference.optimal
+        x, eta = solve_master(prob, scens, solver)
+        assert eta == pytest.approx(reference.objective, abs=1e-9)
+        assert max(evaluate_v(prob, s, x) for s in scens) == pytest.approx(eta, abs=1e-9)
+
+    def test_cut_rows_are_differences_to_the_anchor(self):
+        prob = make_problem([0.0, 0.5, 1.0], [1.0, 0.2, 0.9], delta=0.5, c=[0.3])
+        anchor = scenario_from_values(prob, [1.2, 0.2, 0.6])
+        other = scenario_from_values(prob, [0.6, 0.2, 0.6])
+        lay = master_layout(prob)
+        static = build_master(prob, [anchor], lay).lp
+        for k in (1, 2, 3):
+            lp = build_master(prob, [anchor, other, anchor][:k], lay).lp
+            cuts = lp.rows[len(static.rows) :]
+            assert len(cuts) == k - 1
+            assert (lp.lower[lay.eta], lp.upper[lay.eta]) == (0.0, np.inf)
+        z = lay.z_slices[0]
+        # c cancels, and so does the second increment, which both share
+        assert cuts[0].coeffs == {lay.eta: -1.0, z.start: (0.2 - 0.6) - (0.2 - 1.2)}
+        # a repeat of the anchor leaves only the excess column
+        assert cuts[1].coeffs == {lay.eta: -1.0}
+        assert cuts[1].rhs == 0.0
+        # the objective is the anchor's cut: c on x, its increments on z
+        assert lp.c[0] == 0.3 and lp.c[lay.eta] == 1.0
+        np.testing.assert_array_equal(lp.c[z], np.diff(anchor.functions[0].values))
+        assert lp.offset == pytest.approx(1.2 - prob.epsilon * anchor.deviations[0], abs=1e-15)
+
+    def test_enumeration_agrees_with_offset(self):
+        from obro.oracle import enumerate_master
+
+        # the anchor's first value and deviation make a nonzero constant
+        prob = make_problem([0.0, 0.4, 1.0], [1.0, 0.3, 0.8], delta=0.5, lip=4.0, c=[0.2])
+        scens = [
+            scenario_from_values(prob, [1.4, 0.5, 0.9]),
+            scenario_from_values(prob, [0.8, 0.7, 1.2]),
+            scenario_from_values(prob, [1.3, 0.2, 0.4]),
+        ]
+        assert build_master(prob, scens).lp.offset != 0.0
+        v_enum, x_enum = enumerate_master(prob, scens)
+        x_m, eta = solve_master(prob, scens)
+        assert v_enum == pytest.approx(eta, abs=1e-9)
+        assert x_enum[0] == pytest.approx(x_m[0], abs=1e-9)
+        worst = max(evaluate_v(prob, s, x_m) for s in scens)
+        assert eta == pytest.approx(worst, abs=1e-9)
+        from obro.linsolve import solve_milp
+
+        assert solve_milp(epigraph_master(prob, scens)).objective == pytest.approx(eta, abs=1e-9)
