@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from obro.linsolve import BranchBoundSolver, HighsSolver, primal_violation
+from obro.linsolve import (
+    BranchBoundSolver,
+    HighsSolver,
+    LinearProgram,
+    MixedIntegerProgram,
+    Row,
+    primal_violation,
+    solve_milp,
+)
 from obro.master import build_master, master_layout, solve_master
 from obro.model import (
     ObroProblem,
@@ -10,6 +18,7 @@ from obro.model import (
     evaluate_v,
     reference_scenario,
 )
+from obro.oracle import enumerate_master
 from obro.pwl import NeighborhoodSpec, Partition, SampledFunction, trapezoid_deviation
 from obro.subproblem import solve_subproblem
 
@@ -179,8 +188,6 @@ def epigraph_master(prob, scenarios):
     ``eta`` subject to one dense row ``eta >= cut_s`` per scenario.  The
     static rows come from ``build_master`` over one scenario, which adds
     no cut row."""
-    from obro.linsolve import LinearProgram, MixedIntegerProgram, Row
-
     lay = master_layout(prob)
     static = build_master(prob, scenarios[:1], lay)
     c = np.zeros(lay.n_total)
@@ -242,8 +249,6 @@ class TestAnchoredMaster:
         "case", range(len(CASES)), ids=["v-shape"] + [f"family{i}" for i in range(len(CASES) - 1)]
     )
     def test_same_optimum_as_epigraph(self, case, solver):
-        from obro.linsolve import solve_milp
-
         prob, scens = self.CASES[case]
         reference = solve_milp(epigraph_master(prob, scens), solver)
         assert reference.optimal
@@ -274,8 +279,6 @@ class TestAnchoredMaster:
         assert lp.offset == pytest.approx(1.2 - prob.epsilon * anchor.deviations[0], abs=1e-15)
 
     def test_enumeration_agrees_with_offset(self):
-        from obro.oracle import enumerate_master
-
         # the anchor's first value and deviation make a nonzero constant
         prob = make_problem([0.0, 0.4, 1.0], [1.0, 0.3, 0.8], delta=0.5, lip=4.0, c=[0.2])
         scens = [
@@ -290,6 +293,4 @@ class TestAnchoredMaster:
         assert x_enum[0] == pytest.approx(x_m[0], abs=1e-9)
         worst = max(evaluate_v(prob, s, x_m) for s in scens)
         assert eta == pytest.approx(worst, abs=1e-9)
-        from obro.linsolve import solve_milp
-
         assert solve_milp(epigraph_master(prob, scens)).objective == pytest.approx(eta, abs=1e-9)
