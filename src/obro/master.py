@@ -1,19 +1,25 @@
 """Decision update over accumulated scenarios: the outer MILP.
 
-The master minimizes the worst of one cut per stored scenario, anchored
-on the first one: its objective is the first scenario's cut plus an
-excess ``eta >= 0``, and every later scenario ``s`` adds the row
-``eta >= cut_s - cut_0``.  This is the epigraph form ``min t, t >=
-cut_s`` under the affine substitution ``t = cut_0 + eta``, so the LP
-relaxation and the optimum are the same; the difference rows are
-sparser, because the certain cost cancels and so does every increment
-two scenarios share.  Every evaluation coordinate gets its own
-incremental block (Vielma, Ahmed & Nemhauser, Oper. Res. 58(2), 2010):
-segment fractions z filled left to right, kept in order by binaries y
-with z[k+1] <= y[k] <= z[k].  The coordinate is the first sample point
-plus the filled segment widths; a cut interpolates a scenario as its
-first value plus the filled increments.  All cuts share the fractions,
-since every scenario is sampled on the same partition.
+The master minimizes, per uncertain term, the worst of that term's
+stored functions, anchored on the first scenario: its objective is the
+first scenario's cut plus one excess ``eta_t >= 0`` per term ``t``, and
+every later scenario ``s`` adds, for each term, the row ``eta_t >=
+cut_{s,t} - cut_{0,t}``, which touches only that term's fractions.  The
+bound is therefore ``c.x + sum_t max_s cut_{s,t}(x)`` over the stored
+pool, the multicut master of Birge & Louveaux (EJOR 34(3), 1988).  It
+assumes the neighborhoods are independent per term, as the adversary LP
+is block-diagonal by term: the neighborhood is the product of the
+per-term ones, so every mix of stored per-term functions is an
+admissible worst case and the bound is a valid lower bound, at least
+the worst whole stored scenario's.  The difference rows are sparse,
+because the certain cost cancels and so does every increment two
+functions share.  Every evaluation coordinate gets its own incremental
+block (Vielma, Ahmed & Nemhauser, Oper. Res. 58(2), 2010): segment
+fractions z filled left to right, kept in order by binaries y with
+z[k+1] <= y[k] <= z[k].  The coordinate is the first sample point plus
+the filled segment widths; a cut interpolates a function as its first
+value plus the filled increments.  All cuts share the fractions, since
+every scenario is sampled on the same partition.
 """
 
 from __future__ import annotations
@@ -40,13 +46,15 @@ class MasterError(RuntimeError):
 
 @dataclass(frozen=True)
 class MasterLayout:
-    """Column map of the master MILP: decision vector, ``eta`` (the
-    excess of the worst cut over the first scenario's cut), then per
-    evaluation coordinate a block of segment fractions ``z`` and a block
-    of ordering binaries ``y``."""
+    """Column map of the master MILP: decision vector, the first term's
+    excess column, then per evaluation coordinate a block of segment
+    fractions ``z`` and a block of ordering binaries ``y``, then the
+    other terms' excess columns.  ``etas`` lists the excess columns in
+    term order (the excess of a term's worst stored function over the
+    first scenario's); a single-term master ends with its last block."""
 
     n_x: int
-    eta: int
+    etas: tuple
     z_slices: tuple  # (term, eval) -> slice, flattened in term order
     y_slices: tuple
     eval_keys: tuple  # (term index, eval position, eval var index)
@@ -64,16 +72,18 @@ def master_layout(prob: ObroProblem) -> MasterLayout:
             ys.append(slice(base + ns, base + 2 * ns - 1))
             base += 2 * ns - 1
             keys.append((ti, pi, e))
-    return MasterLayout(n_x, n_x, tuple(zs), tuple(ys), tuple(keys), base)
+    etas = (n_x, *range(base, base + len(prob.terms) - 1))
+    return MasterLayout(n_x, etas, tuple(zs), tuple(ys), tuple(keys), base + len(etas) - 1)
 
 
 def build_master(
     prob: ObroProblem, scenarios: list, lay: MasterLayout | None = None
 ) -> MixedIntegerProgram:
-    """Assemble the scenario-cut MILP over the stored worst cases,
-    anchored on ``scenarios[0]``: a master over K scenarios has K - 1 cut
-    rows, and its objective carries the anchor's constant as the
-    program's ``offset``.
+    """Assemble the per-term cut MILP over the stored worst cases,
+    anchored on ``scenarios[0]``: a master over K scenarios and T terms
+    has (K - 1)·T cut rows, one per later scenario and term with no
+    de-duplication, and its objective carries the anchor's constant as
+    the program's ``offset``.
 
     ``lay``, when given, must be ``master_layout(prob)``.
     """
@@ -92,13 +102,14 @@ def build_master(
     n = lay.n_total
     c = np.zeros(n)
     c[: lay.n_x] = prob.c
-    c[lay.eta] = 1.0
+    c[list(lay.etas)] = 1.0
     lower = np.full(n, -np.inf)
     upper = np.full(n, np.inf)
     lower[: lay.n_x] = prob.lower
     upper[: lay.n_x] = prob.upper
-    lower[lay.n_x :] = 0.0  # eta >= 0 stands for the first scenario's cut
+    lower[lay.n_x :] = 0.0  # eta_t >= 0 stands for the first scenario's cut
     upper[lay.n_x + 1 :] = 1.0
+    upper[list(lay.etas)] = np.inf
     binaries = []
 
     rows = [
@@ -123,32 +134,38 @@ def build_master(
         rows.append(Row(link, "=", -float(points[0]), f"{tag}.coordinate"))
 
     def cut(scen):
-        # cut_s = c.x + sum(increments . z) - rhs, per evaluation block
+        # cut_{s,t} = sum(increments . z) - rhs[t] over term t's blocks;
+        # total is the whole cut's constant, summed in the same order
         increments = [np.diff(scen.functions[ti].values) for ti, _, _ in lay.eval_keys]
-        rhs = prob.epsilon * sum(scen.deviations)
+        rhs = [prob.epsilon * d for d in scen.deviations]
+        total = prob.epsilon * sum(scen.deviations)
         for ti, _, _ in lay.eval_keys:
-            rhs -= float(scen.functions[ti].values[0])
-        return increments, rhs
+            first = float(scen.functions[ti].values[0])
+            rhs[ti] -= first
+            total -= first
+        return increments, rhs, total
 
-    anchor, anchor_rhs = cut(scenarios[0])
+    anchor, anchor_rhs, anchor_total = cut(scenarios[0])
     for z, d in zip(lay.z_slices, anchor):
         c[z] = d
     for li, scen in enumerate(scenarios[1:], 1):
-        increments, rhs = cut(scen)
-        coeffs = {lay.eta: -1.0}  # Row drops the increments equal to the anchor's
-        for z, d, d0 in zip(lay.z_slices, increments, anchor):
-            coeffs.update(zip(range(z.start, z.stop), (d - d0).tolist()))
-        rows.append(Row(coeffs, "<=", rhs - anchor_rhs, f"cut[{li}]"))
+        increments, rhs, _ = cut(scen)
+        coeffs = [{eta: -1.0} for eta in lay.etas]  # Row drops increments equal to the anchor's
+        for (ti, _, _), z, d, d0 in zip(lay.eval_keys, lay.z_slices, increments, anchor):
+            coeffs[ti].update(zip(range(z.start, z.stop), (d - d0).tolist()))
+        for term, row, r, r0 in zip(prob.terms, coeffs, rhs, anchor_rhs):
+            rows.append(Row(row, "<=", r - r0, f"{term.name}.cut[{li}]"))
 
-    lp = LinearProgram("min", c, rows, lower, upper, offset=-anchor_rhs)
+    lp = LinearProgram("min", c, rows, lower, upper, offset=-anchor_total)
     return MixedIntegerProgram(lp, tuple(binaries))
 
 
 def solve_master(
     prob: ObroProblem, scenarios: list, solver: Solver | None = None
 ) -> tuple[np.ndarray, float]:
-    """Solve the scenario-cut MILP; returns the decision and its bound,
-    the worst cut value at the optimum (the objective, anchor included)."""
+    """Solve the per-term cut MILP; returns the decision and its bound,
+    the sum over terms of the worst stored cut at the optimum (the
+    objective, anchor included)."""
     lay = master_layout(prob)
     out = solve_milp(build_master(prob, scenarios, lay), solver)
     if out.status == "infeasible":

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -113,7 +115,7 @@ class TestIncrementalStructure:
         for n in (2, 3, 5):
             prob = make_problem(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n))
             lay = master_layout(prob)
-            assert lay.n_x == 1 and lay.eta == 1
+            assert lay.n_x == 1 and lay.etas[0] == 1
             assert lay.z_slices == (slice(2, n + 1),)
             assert lay.y_slices == (slice(n + 1, 2 * n - 1),)
             assert lay.n_total == 2 * n - 1
@@ -146,6 +148,73 @@ class TestIncrementalStructure:
         x, eta = solve_master(prob, [reference_scenario(prob)])
         assert x[0] <= 0.25 + 1e-9
         assert eta == pytest.approx(0.75, abs=1e-9)
+
+
+def two_term_problem():
+    p1 = Partition(np.array([0.0, 0.5, 1.0]))
+    p2 = Partition(np.array([0.0, 0.4, 0.7, 1.0]))
+    t1 = NeighborhoodSpec(SampledFunction(p1, np.array([0.0, 0.6, 1.0])), 0.2, 10.0, 3.0)
+    t2 = NeighborhoodSpec(SampledFunction(p2, np.array([0.3, 0.5, 0.9, 1.2])), 0.1, 10.0, 3.0)
+    return ObroProblem(
+        c=np.array([-0.4, -0.2, -0.6]), rows=[],
+        lower=np.zeros(3), upper=np.ones(3), epsilon=0.1,
+        terms=[UncertainTerm("f1", t1, (0, 2)), UncertainTerm("f2", t2, (1,))],
+    )
+
+
+class TestPerTermRows:
+    def scenarios(self, prob):
+        scens = [reference_scenario(prob)]
+        for x in ([0.1, 0.9, 0.2], [0.8, 0.3, 0.6], [0.5, 0.5, 0.9]):
+            scens.append(solve_subproblem(prob, np.array(x))[0])
+        # term f1 of the first scenario with term f2 of the anchor
+        scens.append(Scenario(
+            (scens[1].functions[0], scens[0].functions[1]),
+            (scens[1].deviations[0], scens[0].deviations[1]),
+        ))
+        return scens
+
+    def test_layout_puts_later_excess_columns_last(self):
+        prob = two_term_problem()
+        lay = master_layout(prob)
+        assert lay.etas == (lay.n_x, lay.n_total - 1)
+        # blocks of f1 at x0 and x2, then f2 at x1, right after etas[0]
+        assert [z.start for z in lay.z_slices] == [4, 7, 10]
+        assert lay.y_slices[-1].stop == lay.n_total - 1
+        mip = build_master(prob, [reference_scenario(prob)], lay)
+        assert (mip.lp.lower[list(lay.etas)] == 0.0).all()
+        assert (mip.lp.upper[list(lay.etas)] == np.inf).all()
+        assert (mip.lp.c[list(lay.etas)] == 1.0).all()
+
+    def test_one_row_per_scenario_and_term(self):
+        prob = two_term_problem()
+        lay = master_layout(prob)
+        scens = self.scenarios(prob)
+        static = len(build_master(prob, scens[:1], lay).lp.rows)
+        own = [set(), set()]
+        for (ti, _, _), z in zip(lay.eval_keys, lay.z_slices):
+            own[ti].update(range(z.start, z.stop))
+        for k in range(1, len(scens) + 1):
+            cuts = build_master(prob, scens[:k], lay).lp.rows[static:]
+            assert len(cuts) == 2 * (k - 1)
+            for i, row in enumerate(cuts):
+                ti = i % 2
+                assert row.coeffs[lay.etas[ti]] == -1.0
+                assert set(row.coeffs) <= own[ti] | {lay.etas[ti]}
+        assert all(len(row.coeffs) > 1 for row in cuts[:-1])
+        # the mixed scenario repeats the anchor's f2: that row keeps only eta_1
+        assert cuts[-1].coeffs == {lay.etas[1]: -1.0}
+        assert cuts[-1].rhs == 0.0
+        # and f1 of the first generated scenario: the same row as before
+        assert cuts[-2].coeffs == cuts[0].coeffs and cuts[-2].rhs == cuts[0].rhs
+
+    def test_bound_is_sum_of_per_term_worst_cuts(self):
+        prob = two_term_problem()
+        scens = self.scenarios(prob)
+        x, bound = solve_master(prob, scens)
+        worst = max(evaluate_v(prob, s, x) for s in mixed_scenarios(scens))
+        assert bound == pytest.approx(worst, abs=1e-9)
+        assert bound <= solve_subproblem(prob, x)[1] + 1e-9
 
 
 class TestErrors:
@@ -184,20 +253,21 @@ def test_highs_violation_is_the_row_loop():
 
 
 def epigraph_master(prob, scenarios):
-    """The master in the epigraph form the anchored one replaced: minimize
-    ``eta`` subject to one dense row ``eta >= cut_s`` per scenario.  The
-    static rows come from ``build_master`` over one scenario, which adds
-    no cut row."""
+    """The single-cut master in epigraph form: minimize ``eta`` subject to
+    one dense row ``eta >= cut_s`` per whole scenario.  The static rows
+    come from ``build_master`` over one scenario, which adds no cut row;
+    the other terms' excess columns appear in no row and stay at 0."""
     lay = master_layout(prob)
+    eta = lay.etas[0]
     static = build_master(prob, scenarios[:1], lay)
     c = np.zeros(lay.n_total)
-    c[lay.eta] = 1.0
+    c[eta] = 1.0
     lower = static.lp.lower.copy()
-    lower[lay.eta] = -np.inf
+    lower[eta] = -np.inf
     rows = list(static.lp.rows)
     for li, scen in enumerate(scenarios):
         coeffs = {j: float(v) for j, v in enumerate(prob.c) if v != 0.0}
-        coeffs[lay.eta] = coeffs.get(lay.eta, 0.0) - 1.0
+        coeffs[eta] = coeffs.get(eta, 0.0) - 1.0
         rhs = prob.epsilon * sum(scen.deviations)
         for (ti, _, _), z in zip(lay.eval_keys, lay.z_slices):
             values = scen.functions[ti].values
@@ -207,6 +277,18 @@ def epigraph_master(prob, scenarios):
         rows.append(Row(coeffs, "<=", rhs, f"cut[{li}]"))
     lp = LinearProgram("min", c, rows, lower, static.lp.upper.copy())
     return MixedIntegerProgram(lp, static.binaries)
+
+
+def mixed_scenarios(scenarios):
+    """Every combination of one stored function per term, as whole
+    scenarios: the product of the per-term pools."""
+    return [
+        Scenario(
+            tuple(s.functions[ti] for ti, s in enumerate(combo)),
+            tuple(s.deviations[ti] for ti, s in enumerate(combo)),
+        )
+        for combo in itertools.product(scenarios, repeat=len(scenarios[0].functions))
+    ]
 
 
 def acceptance_family_cases(count=12):
@@ -239,8 +321,10 @@ def v_shape_case():
 
 
 class TestAnchoredMaster:
-    """The master anchored on its first scenario is the epigraph master
-    under ``t = cut_0 + eta``: same optimum, sparser cut rows."""
+    """The per-term master anchored on its first scenario is the epigraph
+    master over every mix of stored per-term functions, under ``t = cut_0
+    + sum_t eta_t``: same optimum, far fewer and sparser cut rows.  Its
+    bound is never below the single-cut master's over whole scenarios."""
 
     CASES = [v_shape_case()] + acceptance_family_cases()
 
@@ -250,11 +334,22 @@ class TestAnchoredMaster:
     )
     def test_same_optimum_as_epigraph(self, case, solver):
         prob, scens = self.CASES[case]
-        reference = solve_milp(epigraph_master(prob, scens), solver)
+        mixes = mixed_scenarios(scens)
+        reference = solve_milp(epigraph_master(prob, mixes), solver)
         assert reference.optimal
         x, eta = solve_master(prob, scens, solver)
         assert eta == pytest.approx(reference.objective, abs=1e-9)
-        assert max(evaluate_v(prob, s, x) for s in scens) == pytest.approx(eta, abs=1e-9)
+        assert max(evaluate_v(prob, s, x) for s in mixes) == pytest.approx(eta, abs=1e-9)
+        single_cut = solve_milp(epigraph_master(prob, scens), solver)
+        assert eta >= single_cut.objective - 1e-9
+
+    def test_per_term_bound_exceeds_single_cut(self):
+        gains = [
+            solve_master(prob, scens)[1] - solve_milp(epigraph_master(prob, scens)).objective
+            for prob, scens in self.CASES
+            if len(prob.terms) == 2
+        ]
+        assert max(gains) > 1e-6
 
     def test_cut_rows_are_differences_to_the_anchor(self):
         prob = make_problem([0.0, 0.5, 1.0], [1.0, 0.2, 0.9], delta=0.5, c=[0.3])
@@ -266,15 +361,15 @@ class TestAnchoredMaster:
             lp = build_master(prob, [anchor, other, anchor][:k], lay).lp
             cuts = lp.rows[len(static.rows) :]
             assert len(cuts) == k - 1
-            assert (lp.lower[lay.eta], lp.upper[lay.eta]) == (0.0, np.inf)
+            assert (lp.lower[lay.etas[0]], lp.upper[lay.etas[0]]) == (0.0, np.inf)
         z = lay.z_slices[0]
         # c cancels, and so does the second increment, which both share
-        assert cuts[0].coeffs == {lay.eta: -1.0, z.start: (0.2 - 0.6) - (0.2 - 1.2)}
+        assert cuts[0].coeffs == {lay.etas[0]: -1.0, z.start: (0.2 - 0.6) - (0.2 - 1.2)}
         # a repeat of the anchor leaves only the excess column
-        assert cuts[1].coeffs == {lay.eta: -1.0}
+        assert cuts[1].coeffs == {lay.etas[0]: -1.0}
         assert cuts[1].rhs == 0.0
         # the objective is the anchor's cut: c on x, its increments on z
-        assert lp.c[0] == 0.3 and lp.c[lay.eta] == 1.0
+        assert lp.c[0] == 0.3 and lp.c[lay.etas[0]] == 1.0
         np.testing.assert_array_equal(lp.c[z], np.diff(anchor.functions[0].values))
         assert lp.offset == pytest.approx(1.2 - prob.epsilon * anchor.deviations[0], abs=1e-15)
 

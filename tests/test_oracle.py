@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from obro.linsolve import HighsSolver, Row, SimplexSolver
+from obro.linsolve import BranchBoundSolver, HighsSolver, Row, SimplexSolver
 from obro.master import build_master, master_layout, solve_master
 from obro.model import (
     ObroProblem,
@@ -293,6 +293,53 @@ class TestEnumerateMaster:
         v_enum, _ = enumerate_master(prob, scens)
         _, eta = solve_master(prob, scens)
         assert v_enum == pytest.approx(eta, abs=1e-6)
+
+
+def two_term_pools(count=8):
+    """Seeded two-term problems from the acceptance family, each pooling
+    the reference and 2-3 distinct worst cases generated at random
+    decisions, as the engine's pool holds no repeat."""
+    from test_acceptance import random_subproblem_instance
+
+    def values(scen):
+        return np.concatenate([f.values for f in scen.functions])
+
+    rng = np.random.default_rng(5151)
+    cases = []
+    while len(cases) < count:
+        prob, _ = random_subproblem_instance(rng)
+        if len(prob.terms) != 2:
+            continue
+        prob.c = rng.uniform(-1.5, 0.0, prob.n_vars)  # a certain cost pulling x off its bound
+        scens = [reference_scenario(prob)]
+        wanted = 1 + int(rng.integers(2, 4))
+        for _ in range(12):
+            scen = solve_subproblem(prob, rng.uniform(prob.lower, prob.upper))[0]
+            if all(np.max(np.abs(values(scen) - values(s))) > 1e-9 for s in scens):
+                scens.append(scen)
+            if len(scens) == wanted:
+                break
+        if len(scens) >= 3:
+            cases.append((prob, scens))
+    return cases
+
+
+class TestTwoTermMaster:
+    """The per-term master against segment enumeration, on pools whose
+    per-term functions can be mixed."""
+
+    CASES = two_term_pools()
+
+    @pytest.mark.parametrize("solver", [BranchBoundSolver(), HighsSolver()], ids=["bnb", "highs"])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_enumeration(self, case, solver):
+        prob, scens = self.CASES[case]
+        v_enum, _ = enumerate_master(prob, scens)
+        x, bound = solve_master(prob, scens, solver)
+        assert bound == pytest.approx(v_enum, abs=1e-9)
+        # a mix of stored per-term functions is admissible, so the bound
+        # cannot exceed the adversary's value at the master's decision
+        assert bound <= solve_subproblem(prob, x)[1] + 1e-9
 
 
 class TestRefinementStudy:
