@@ -1,10 +1,11 @@
 """The alternating loop: generate a worst case, cut, re-decide, repeat.
 
 Upper bounds come from adversary values at the current decision, lower
-bounds from the growing master; the loop stops when they pinch to the
-tolerance, when a generated scenario repeats an earlier one (a fixed
-point, so the pair is already a semi-global saddle point), or at the
-iteration cap.
+bounds from the growing master, which sums each term's worst stored
+function and so is never below the worst whole stored scenario; the
+loop stops when they pinch to the tolerance, when a generated scenario
+repeats an earlier one (a fixed point, so the pair is already a
+semi-global saddle point), or at the iteration cap.
 """
 
 from __future__ import annotations

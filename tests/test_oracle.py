@@ -312,15 +312,14 @@ def two_term_pools(count=8):
             continue
         prob.c = rng.uniform(-1.5, 0.0, prob.n_vars)  # a certain cost pulling x off its bound
         scens = [reference_scenario(prob)]
-        wanted = 1 + int(rng.integers(2, 4))
+        wanted = 3 + len(cases) % 2  # the reference plus 2 or 3 generated
         for _ in range(12):
             scen = solve_subproblem(prob, rng.uniform(prob.lower, prob.upper))[0]
             if all(np.max(np.abs(values(scen) - values(s))) > 1e-9 for s in scens):
                 scens.append(scen)
             if len(scens) == wanted:
+                cases.append((prob, scens))
                 break
-        if len(scens) >= 3:
-            cases.append((prob, scens))
     return cases
 
 
