@@ -75,18 +75,25 @@ def _write_solution(path, prob, x):
     )
 
 
-def cmd_solve(args) -> int:
+def _load_problem(path):
+    """The generic config at ``path`` as (problem, options), or None after
+    printing its config error or every validation issue."""
     try:
-        cfg = load_config(args.config)
-        prob, options = problem_from_config(cfg)
+        prob, options = problem_from_config(load_config(path))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return None
     issues = validate(prob)
-    if issues:
-        for issue in issues:
-            print(f"error: {issue}", file=sys.stderr)
+    for issue in issues:
+        print(f"error: {issue}", file=sys.stderr)
+    return None if issues else (prob, options)
+
+
+def cmd_solve(args) -> int:
+    loaded = _load_problem(args.config)
+    if loaded is None:
         return EXIT_ERROR
+    prob, options = loaded
     tol = args.tol if args.tol is not None else options["tol"]
     max_iter = args.max_iter if args.max_iter is not None else options["max_iter"]
     out_dir = Path(args.out)
@@ -181,17 +188,10 @@ def _write_schedule(path, feeder, inputs, schedule):
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        prob, options = problem_from_config(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    loaded = _load_problem(args.config)
+    if loaded is None:
         return EXIT_ERROR
-    issues = validate(prob)
-    if issues:
-        for issue in issues:
-            print(f"error: {issue}", file=sys.stderr)
-        return EXIT_ERROR
+    prob, options = loaded
     levels = args.levels if args.levels is not None else levels_within_budget(prob)
 
     try:
@@ -219,9 +219,7 @@ def cmd_verify(args) -> int:
     )
     checks = [
         ("engine converged", result.converged, result.gap),
-        ("inner global optimality", report.inner_ok, report.inner_excess),
-        ("outer value stability", report.outer_ok, report.outer_shift),
-        ("fixed point", report.fixed_point_ok, report.fixed_point_distance),
+        *report.rows(),
         (
             "adversary dominates grid oracle",
             oracle_value <= result.ub + 1e-9,

@@ -50,8 +50,20 @@ def load_config(path) -> dict:
         raise ConfigError(f"not valid JSON: {exc}")
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError("expected an object", path)
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError("expected a list", path)
+    return value
+
+
 def _need(cfg: dict, key: str, path: str):
-    if key not in cfg:
+    if key not in _object(cfg, path):
         raise ConfigError("missing required field", f"{path}/{key}")
     return cfg[key]
 
@@ -62,24 +74,51 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _integer(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError("expected an integer", path)
+    return value
+
+
+def _numbers(values, path: str) -> list:
+    return [_number(v, f"{path}/{k}") for k, v in enumerate(_list(values, path))]
+
+
+def _pieces(values, path: str) -> list:
+    """A non-empty list of ``[lo, hi, step]`` triples, as ``make_partition``
+    takes them."""
+    if not _list(values, path):
+        raise ConfigError("expected at least one piece", path)
+    pieces = []
+    for k, piece in enumerate(values):
+        triple = _numbers(piece, f"{path}/{k}")
+        if len(triple) != 3:
+            raise ConfigError("expected [lo, hi, step]", f"{path}/{k}")
+        pieces.append(tuple(triple))
+    return pieces
+
+
 def _partition_from(cfg, path: str) -> Partition:
     if isinstance(cfg, list):
-        return Partition(np.asarray(cfg, dtype=float))
+        points = _numbers(cfg, path)
+        try:
+            return Partition(points)
+        except ValueError as exc:
+            raise ConfigError(str(exc), path)
     if not isinstance(cfg, dict):
         raise ConfigError("expected a point list or a scheme object", path)
     lo = _number(_need(cfg, "lo", path), f"{path}/lo")
     hi = _number(_need(cfg, "hi", path), f"{path}/hi")
+    if "step" in cfg:
+        scheme = _number(cfg["step"], f"{path}/step")
+    elif "pieces" in cfg:
+        scheme = _pieces(cfg["pieces"], f"{path}/pieces")
+    else:
+        raise ConfigError("scheme needs either 'step' or 'pieces'", path)
     try:
-        if "step" in cfg:
-            return make_partition(lo, hi, _number(cfg["step"], f"{path}/step"))
-        if "pieces" in cfg:
-            pieces = [
-                (float(a), float(b), float(h)) for a, b, h in cfg["pieces"]
-            ]
-            return make_partition(lo, hi, pieces)
+        return make_partition(lo, hi, scheme)
     except ValueError as exc:
         raise ConfigError(str(exc), path)
-    raise ConfigError("scheme needs either 'step' or 'pieces'", path)
 
 
 def problem_from_config(cfg: dict) -> tuple:
@@ -109,7 +148,7 @@ def problem_from_config(cfg: dict) -> tuple:
         return out
 
     rows = []
-    for i, row in enumerate(cfg.get("rows", [])):
+    for i, row in enumerate(_list(cfg.get("rows", []), "/rows")):
         path = f"/rows/{i}"
         rows.append(
             Row(
@@ -121,7 +160,7 @@ def problem_from_config(cfg: dict) -> tuple:
         )
 
     c = np.zeros(n)
-    for key, val in cfg.get("cost", {}).items():
+    for key, val in _object(cfg.get("cost", {}), "/cost").items():
         if key not in index:
             raise ConfigError(f"unknown variable {key!r}", "/cost")
         c[index[key]] = _number(val, f"/cost/{key}")
@@ -137,25 +176,24 @@ def problem_from_config(cfg: dict) -> tuple:
     for i, tc in enumerate(terms_cfg):
         path = f"/terms/{i}"
         part = _partition_from(_need(tc, "partition", path), f"{path}/partition")
-        ref_values = np.asarray(_need(tc, "reference_values", path), dtype=float)
-        if ref_values.shape != (part.n_points,):
+        ref_values = _numbers(_need(tc, "reference_values", path), f"{path}/reference_values")
+        if len(ref_values) != part.n_points:
             raise ConfigError(
                 f"need {part.n_points} values for this partition",
                 f"{path}/reference_values",
             )
+        bounds = [
+            _number(_need(tc, key, path), f"{path}/{key}")
+            for key in ("delta_max", "dev_max", "lip_ratio")
+        ]
         try:
-            spec = NeighborhoodSpec(
-                SampledFunction(part, ref_values),
-                _number(_need(tc, "delta_max", path), f"{path}/delta_max"),
-                _number(_need(tc, "dev_max", path), f"{path}/dev_max"),
-                _number(_need(tc, "lip_ratio", path), f"{path}/lip_ratio"),
-            )
+            spec = NeighborhoodSpec(SampledFunction(part, ref_values), *bounds)
         except ValueError as exc:
             raise ConfigError(str(exc), path)
-        evals = _need(tc, "evaluations", path)
+        evals = _list(_need(tc, "evaluations", path), f"{path}/evaluations")
         eval_ix = []
         for k, name in enumerate(evals):
-            if name not in index:
+            if not isinstance(name, str) or name not in index:
                 raise ConfigError(f"unknown variable {name!r}", f"{path}/evaluations/{k}")
             eval_ix.append(index[name])
         terms.append(UncertainTerm(str(tc.get("name", f"f{i}")), spec, tuple(eval_ix)))
@@ -163,7 +201,7 @@ def problem_from_config(cfg: dict) -> tuple:
     prob = ObroProblem(c, rows, np.array(lower), np.array(upper), epsilon, terms, names)
     options = {
         "tol": _number(cfg.get("tol", 1e-2), "/tol"),
-        "max_iter": int(cfg.get("max_iter", 100)),
+        "max_iter": _integer(cfg.get("max_iter", 100), "/max_iter"),
     }
     if options["tol"] <= 0:
         raise ConfigError("tol must be positive", "/tol")
@@ -173,70 +211,65 @@ def problem_from_config(cfg: dict) -> tuple:
 def bess_case_from_config(cfg: dict) -> tuple:
     """Build (feeder, schedule inputs, schemes dict, options) from a config."""
     fcfg = _need(cfg, "feeder", "")
-    lines_cfg = _need(fcfg, "lines", "/feeder")
+    lines_cfg = _list(_need(fcfg, "lines", "/feeder"), "/feeder/lines")
     lines = []
     for i, ln in enumerate(lines_cfg):
         path = f"/feeder/lines/{i}"
         lines.append(
             (
-                _need(ln, "from", path),
-                _need(ln, "to", path),
+                _integer(_need(ln, "from", path), f"{path}/from"),
+                _integer(_need(ln, "to", path), f"{path}/to"),
                 _number(_need(ln, "r", path), f"{path}/r"),
                 _number(_need(ln, "x", path), f"{path}/x"),
             )
         )
+    v_s = _number(fcfg.get("substation_voltage", 1.0), "/feeder/substation_voltage")
+    substation = _integer(fcfg.get("substation", 0), "/feeder/substation")
     try:
-        feeder = build_feeder(
-            lines,
-            v_s=_number(fcfg.get("substation_voltage", 1.0), "/feeder/substation_voltage"),
-            substation=fcfg.get("substation", 0),
-        )
+        feeder = build_feeder(lines, v_s=v_s, substation=substation)
     except ValueError as exc:
         raise ConfigError(str(exc), "/feeder")
 
     hcfg = _need(cfg, "horizon", "")
-    n_slots = int(_need(hcfg, "slots", "/horizon"))
+    n_slots = _integer(_need(hcfg, "slots", "/horizon"), "/horizon/slots")
     dt = _number(_need(hcfg, "dt", "/horizon"), "/horizon/dt")
+
+    profiles = _object(cfg.get("profiles", {}), "/profiles")
 
     def profile_table(key):
         table = {}
-        for node_key, series in cfg.get("profiles", {}).get(key, {}).items():
-            node = int(node_key)
-            arr = np.asarray(series, dtype=float)
-            if arr.shape != (n_slots,):
-                raise ConfigError(
-                    f"need {n_slots} values", f"/profiles/{key}/{node_key}"
-                )
-            table[node] = arr
+        for node_key, series in _object(profiles.get(key, {}), f"/profiles/{key}").items():
+            path = f"/profiles/{key}/{node_key}"
+            try:
+                node = int(node_key)
+            except ValueError:
+                raise ConfigError("node key must be an integer", path)
+            table[node] = _numbers(series, path)
+            if len(table[node]) != n_slots:
+                raise ConfigError(f"need {n_slots} values", path)
         return table
 
-    defaults = cfg.get("neighborhood", {})
+    # a battery's own field wins over the shared neighborhood; Battery's
+    # defaults fill what neither gives
+    shared = _object(cfg.get("neighborhood", {}), "/neighborhood")
     batteries = []
-    for i, bc in enumerate(_need(cfg, "batteries", "")):
+    for i, bc in enumerate(_list(_need(cfg, "batteries", ""), "/batteries")):
         path = f"/batteries/{i}"
-        batteries.append(
-            Battery(
-                node=_need(bc, "node", path),
-                p_min=_number(bc.get("p_min", 0.0), f"{path}/p_min"),
-                p_max=_number(bc.get("p_max", 0.04), f"{path}/p_max"),
-                e_max=_number(bc.get("e_max", 0.2), f"{path}/e_max"),
-                e_0=_number(bc.get("e_0", 0.0), f"{path}/e_0"),
-                delta_max=_number(
-                    bc.get("delta_max", defaults.get("delta_max", 0.05)),
-                    f"{path}/delta_max",
-                ),
-                dev_max=_number(
-                    bc.get("dev_max", defaults.get("dev_max", 1e-3)), f"{path}/dev_max"
-                ),
-                lip_ratio=_number(
-                    bc.get("lip_ratio", defaults.get("lip_ratio", 1.5)),
-                    f"{path}/lip_ratio",
-                ),
-            )
+        node = _integer(_need(bc, "node", path), f"{path}/node")
+        fields = {
+            key: _number(shared[key], f"/neighborhood/{key}")
+            for key in ("delta_max", "dev_max", "lip_ratio")
+            if key in shared
+        }
+        fields.update(
+            (key, _number(bc[key], f"{path}/{key}"))
+            for key in ("p_min", "p_max", "e_max", "e_0", "delta_max", "dev_max", "lip_ratio")
+            if key in bc
         )
+        batteries.append(Battery(node, **fields))
 
-    limits = cfg.get("limits", {})
-    weights = cfg.get("weights", {})
+    limits = _object(cfg.get("limits", {}), "/limits")
+    weights = _object(cfg.get("weights", {}), "/weights")
     epsilon = _number(weights.get("epsilon", 0.1), "/weights/epsilon")
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive", "/weights/epsilon")
@@ -256,23 +289,21 @@ def bess_case_from_config(cfg: dict) -> tuple:
     )
 
     schemes = {}
-    for name, sc in _need(cfg, "schemes", "").items():
+    for name, sc in _object(_need(cfg, "schemes", ""), "/schemes").items():
         path = f"/schemes/{name}"
+        sc = _object(sc, path)
         if "step" in sc:
             schemes[name] = _number(sc["step"], f"{path}/step")
         elif "pieces" in sc:
-            schemes[name] = [(float(a), float(b), float(h)) for a, b, h in sc["pieces"]]
+            schemes[name] = _pieces(sc["pieces"], f"{path}/pieces")
         elif "a" in sc and "b" in sc:
-            schemes[name] = {
-                "a": [float(v) for v in sc["a"]],
-                "b": [float(v) for v in sc["b"]],
-            }
+            schemes[name] = {k: _numbers(sc[k], f"{path}/{k}") for k in ("a", "b")}
         else:
             raise ConfigError("scheme needs 'step', 'pieces', or 'a'/'b' ranges", path)
 
     options = {
         "tol": _number(cfg.get("tol", 1e-2), "/tol"),
-        "max_iter": int(cfg.get("max_iter", 200)),
+        "max_iter": _integer(cfg.get("max_iter", 200), "/max_iter"),
     }
     return feeder, inputs, schemes, options
 

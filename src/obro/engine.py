@@ -27,6 +27,9 @@ __all__ = ["IterationRecord", "EngineResult", "SaddleReport", "run", "verify_sad
 log = logging.getLogger("obro.engine")
 
 DUPLICATE_TOL = 1e-9
+# sup distance within which verify_saddle takes the worst case at the last
+# master iterate as one already stored
+FIXED_POINT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,11 +86,10 @@ def run(
     tol: float = 1e-2,
     max_iter: int = 100,
     solver: Solver | None = None,
-    sink=None,
 ) -> EngineResult:
     """Alternate adversary and decision maker until the bounds pinch.
 
-    ``sink``, when given, receives each IterationRecord as it is produced.
+    Each iteration appends one IterationRecord to the result's history.
     Scenario pools never hold duplicates: a repeated worst case certifies
     a fixed point and ends the run as converged.
     """
@@ -125,30 +127,22 @@ def run(
             # repeated scenario: the master over the unchanged pool would
             # return the same bound, so close the gap at cut tightness
             lb = max(evaluate_v(prob, s, x) for s in scenarios)
-            wall = 1e3 * (time.perf_counter() - start)
-            rec = IterationRecord(k, x.copy(), value, ub, lb, wall)
-            history.append(rec)
-            if sink:
-                sink(rec)
             status = "converged"
             message = f"fixed point: scenario repeated within {DUPLICATE_TOL:g}"
             log.info("k=%d fixed point, gap %.3g", k, ub - lb)
-            break
-
-        scenarios.append(scen)
-        try:
-            x, lb = solve_master(prob, scenarios, solver)
-        except Exception as exc:
-            raise type(exc)(f"iteration {k}, master: {exc}") from exc
+        else:
+            scenarios.append(scen)
+            try:
+                x, lb = solve_master(prob, scenarios, solver)
+            except Exception as exc:
+                raise type(exc)(f"iteration {k}, master: {exc}") from exc
+            log.info("k=%d UB %.6g LB %.6g gap %.3g", k, ub, lb, ub - lb)
+            if ub - lb <= tol:
+                status = "converged"
+                message = f"gap {ub - lb:.3g} within tolerance"
         wall = 1e3 * (time.perf_counter() - start)
-        rec = IterationRecord(k, x.copy(), value, ub, lb, wall)
-        history.append(rec)
-        if sink:
-            sink(rec)
-        log.info("k=%d UB %.6g LB %.6g gap %.3g", k, ub, lb, ub - lb)
-        if ub - lb <= tol:
-            status = "converged"
-            message = f"gap {ub - lb:.3g} within tolerance"
+        history.append(IterationRecord(k, x.copy(), value, ub, lb, wall))
+        if status == "converged":
             break
 
     return EngineResult(status, x_best.copy(), x.copy(), scenarios, history, message)
@@ -192,7 +186,6 @@ def verify_saddle(
     prob: ObroProblem,
     result: EngineResult,
     tol: float = 1e-4,
-    fixed_point_tol: float = 1e-6,
     solver: Solver | None = None,
 ) -> SaddleReport:
     """Re-solve both sides and report the three checks.
@@ -205,6 +198,10 @@ def verify_saddle(
     converges on the gap, or is truncated, stops before the adversary
     has seen the iterate, whose worst case is then usually new, so the
     check fails there although the bounds hold.
+
+    The inner and outer checks pass within ``tol``; the fixed-point check
+    passes when that worst case lies within ``FIXED_POINT_TOL`` (sup
+    distance) of a stored scenario.
     """
     scen_star, value_star = solve_subproblem(prob, result.x, solver)
     inner_excess = value_star - result.ub
@@ -218,6 +215,6 @@ def verify_saddle(
         inner_excess=float(inner_excess),
         outer_ok=bool(outer_shift <= tol),
         outer_shift=float(outer_shift),
-        fixed_point_ok=bool(fp_distance <= fixed_point_tol),
+        fixed_point_ok=bool(fp_distance <= FIXED_POINT_TOL),
         fixed_point_distance=float(fp_distance),
     )

@@ -420,8 +420,7 @@ class SimplexSolver(Solver):
         x = sf.to_x(t)
         obj_min = float(sf.ct @ t) + sf.obj_const
         objective = -obj_min if sf.maximize else obj_min
-        stats = {"pivots": pivots, "primal_violation": primal_violation(lp, x)}
-        return SolveOutcome("optimal", objective, x, stats)
+        return SolveOutcome("optimal", objective, x, {"pivots": pivots})
 
 
 class BranchBoundSolver(Solver):
@@ -501,6 +500,8 @@ class BranchBoundSolver(Solver):
             bound, _, fixings, relax = heapq.heappop(heap)
             if bound >= inc_score - 1e-9:
                 break
+            # a node is pushed only with a fractional binary, and a fixed
+            # binary's value is its bound, so an unfixed one is found here
             j_star, best_frac = -1, INT_TOL
             for j in mip.binaries:
                 if j in fixings:
@@ -508,14 +509,6 @@ class BranchBoundSolver(Solver):
                 d = min(relax.x[j], 1.0 - relax.x[j])
                 if d > best_frac:
                     j_star, best_frac = j, d
-            if j_star < 0:  # integral within tolerance at pop time
-                x = relax.x.copy()
-                for j in mip.binaries:
-                    x[j] = round(x[j])
-                if bound < inc_score - 1e-9:
-                    incumbent = SolveOutcome("optimal", relax.objective, x)
-                    inc_score = bound
-                continue
             for v in (0, 1):
                 bad = consider({**fixings, j_star: v})
                 if bad == "iteration-limit":
@@ -526,9 +519,7 @@ class BranchBoundSolver(Solver):
 
         if incumbent is None:
             return SolveOutcome("infeasible", stats={"nodes": nodes})
-        incumbent.stats.update(
-            nodes=nodes, primal_violation=primal_violation(lp, incumbent.x)
-        )
+        incumbent.stats["nodes"] = nodes
         return incumbent
 
 
@@ -538,19 +529,19 @@ def stdout_captured():
     dict's ``"lines"`` counts the lines written there, which never reach
     the real stdout.  fd 1 is process-wide: keep other threads quiet."""
     count = {"lines": 0}
-    with tempfile.TemporaryFile() as sink:
+    with tempfile.TemporaryFile() as captured:
         sys.stdout.flush()
         saved = os.dup(1)
         try:
-            os.dup2(sink.fileno(), 1)
+            os.dup2(captured.fileno(), 1)
             yield count
         finally:
             sys.stdout.flush()
             _fflush(None)  # C stdio holds native output until flushed
             os.dup2(saved, 1)
             os.close(saved)
-            sink.seek(0)
-            count["lines"] = len(sink.read().splitlines())
+            captured.seek(0)
+            count["lines"] = len(captured.read().splitlines())
 
 
 _fflush = ctypes.CDLL(None).fflush
@@ -570,22 +561,7 @@ def _call_highs(solve, *args, **kwargs):
     with stdout_captured() as chatter:
         res = solve(*args, **kwargs)
     status = _HIGHS_STATUS.get(res.status, "inconclusive")
-    stats = {
-        "backend": "highs", "stdout_lines": chatter["lines"], "message": res.message
-    }
-    return res, status, stats
-
-
-def _violation(lp: LinearProgram, x: np.ndarray) -> float:
-    """``primal_violation(lp, x)`` from the CSR form of the rows: one
-    mat-vec per matrix instead of a loop over the rows."""
-    (a_ub, b_ub), (a_eq, b_eq) = lp.sparse_rows().split()
-    worst = max(np.max(lp.lower - x, initial=0.0), np.max(x - lp.upper, initial=0.0))
-    if a_ub is not None:
-        worst = max(worst, np.max(a_ub @ x - b_ub))
-    if a_eq is not None:
-        worst = max(worst, np.max(np.abs(a_eq @ x - b_eq)))
-    return float(worst)
+    return res, status, {"stdout_lines": chatter["lines"], "message": res.message}
 
 
 class HighsSolver(Solver):
@@ -610,7 +586,7 @@ class HighsSolver(Solver):
         if status != "optimal":
             return SolveOutcome(status, stats=stats)
         objective = (-res.fun if maximize else res.fun) + lp.offset
-        stats.update(pivots=int(res.nit), primal_violation=_violation(lp, res.x))
+        stats["pivots"] = int(res.nit)
         return SolveOutcome("optimal", float(objective), res.x, stats=stats)
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
@@ -644,10 +620,7 @@ class HighsSolver(Solver):
             if min(x[j], 1.0 - x[j]) <= INT_TOL:
                 x[j] = round(x[j])
         objective = (-res.fun if maximize else res.fun) + lp.offset
-        stats.update(
-            nodes=int(getattr(res, "mip_node_count", 0) or 0),
-            primal_violation=_violation(lp, x),
-        )
+        stats["nodes"] = int(getattr(res, "mip_node_count", 0) or 0)
         return SolveOutcome("optimal", float(objective), x, stats=stats)
 
 

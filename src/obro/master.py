@@ -76,16 +76,12 @@ def master_layout(prob: ObroProblem) -> MasterLayout:
     return MasterLayout(n_x, etas, tuple(zs), tuple(ys), tuple(keys), base + len(etas) - 1)
 
 
-def build_master(
-    prob: ObroProblem, scenarios: list, lay: MasterLayout | None = None
-) -> MixedIntegerProgram:
+def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
     """Assemble the per-term cut MILP over the stored worst cases,
     anchored on ``scenarios[0]``: a master over K scenarios and T terms
     has (K - 1)·T cut rows, one per later scenario and term with no
     de-duplication, and its objective carries the anchor's constant as
-    the program's ``offset``.
-
-    ``lay``, when given, must be ``master_layout(prob)``.
+    the program's ``offset``.  Its columns follow ``master_layout(prob)``.
     """
     issues = validate(prob)
     if issues:
@@ -97,8 +93,7 @@ def build_master(
         if bad:
             raise ValueError(f"scenario {li} invalid: " + "; ".join(bad))
 
-    if lay is None:
-        lay = master_layout(prob)
+    lay = master_layout(prob)
     n = lay.n_total
     c = np.zeros(n)
     c[: lay.n_x] = prob.c
@@ -166,11 +161,10 @@ def solve_master(
     """Solve the per-term cut MILP; returns the decision and its bound,
     the sum over terms of the worst stored cut at the optimum (the
     objective, anchor included)."""
-    lay = master_layout(prob)
-    out = solve_milp(build_master(prob, scenarios, lay), solver)
+    out = solve_milp(build_master(prob, scenarios), solver)
     if out.status == "infeasible":
         raise MasterError("decision polyhedron is empty")
     if out.status != "optimal":
         raise MasterError(f"master MILP ended {out.status}")
-    x = out.x[: lay.n_x].copy()
+    x = out.x[: prob.n_vars].copy()
     return x, float(out.objective)

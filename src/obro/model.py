@@ -90,7 +90,6 @@ class Scenario:
 
     functions: tuple
     deviations: tuple
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "functions", tuple(self.functions))
@@ -104,7 +103,6 @@ def reference_scenario(prob: ObroProblem) -> Scenario:
     return Scenario(
         functions=tuple(t.spec.reference for t in prob.terms),
         deviations=(0.0,) * len(prob.terms),
-        label="reference",
     )
 
 
@@ -154,13 +152,14 @@ def validate(prob: ObroProblem) -> list:
     return issues
 
 
-def scenario_issues(prob: ObroProblem, scen: Scenario, tol: float = FEAS_TOL) -> list:
-    """Check a scenario against the problem's neighborhoods."""
+def scenario_issues(prob: ObroProblem, scen: Scenario) -> list:
+    """Check a scenario against the problem's neighborhoods, within
+    ``FEAS_TOL``."""
     issues = []
     if len(scen.functions) != len(prob.terms):
         return [f"scenario has {len(scen.functions)} functions, need {len(prob.terms)}"]
     for ti, (term, f, d) in enumerate(zip(prob.terms, scen.functions, scen.deviations)):
-        report = check_neighborhood(f, term.spec, tol=tol)
+        report = check_neighborhood(f, term.spec, tol=FEAS_TOL)
         if not report.passed:
             issues.append(f"terms[{ti}]: {report}")
         if abs(d - trapezoid_deviation(f, term.spec.reference)) > 1e-9:
@@ -168,17 +167,16 @@ def scenario_issues(prob: ObroProblem, scen: Scenario, tol: float = FEAS_TOL) ->
     return issues
 
 
-def evaluate_v(
-    prob: ObroProblem, scen: Scenario, x: np.ndarray, feas_tol: float = FEAS_TOL
-) -> float:
+def evaluate_v(prob: ObroProblem, scen: Scenario, x: np.ndarray) -> float:
     """Value of the objective functional at (scenario, decision).
 
     c.x plus the scenario functions interpolated at every evaluation
-    coordinate, minus epsilon times the stored total deviations.
+    coordinate, minus epsilon times the stored total deviations.  A
+    decision outside the polyhedron by more than ``FEAS_TOL`` is an error.
     """
     x = np.asarray(x, dtype=float)
     viol = primal_violation(prob, x)
-    if viol > feas_tol:
+    if viol > FEAS_TOL:
         raise ValueError(f"decision vector infeasible by {viol:.3e}")
     total = float(prob.c @ x)
     for term, f, dev in zip(prob.terms, scen.functions, scen.deviations):

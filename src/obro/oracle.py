@@ -152,7 +152,7 @@ def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndar
     """
     simplex = SimplexSolver()
     lay = master_layout(prob)
-    mip = build_master(prob, scenarios, lay)
+    mip = build_master(prob, scenarios)
 
     seg_counts = [z.stop - z.start for z in lay.z_slices]
     n_patterns = int(np.prod(seg_counts)) if seg_counts else 1
@@ -214,7 +214,6 @@ class RefinementTable:
 def refinement_study(
     prob_builder,
     steps,
-    tol_pairs: float = 0.0,
     tol: float = 1e-2,
     max_iter: int = 200,
     solver: Solver | None = None,
@@ -222,9 +221,9 @@ def refinement_study(
     """Run the full loop per partition step and tabulate solution drift.
 
     ``prob_builder`` maps a partition step to a problem; ``steps`` must be
-    strictly decreasing.  A consecutive pair is flagged when its distance
-    grows by more than ``tol_pairs`` over the previous pair's, i.e. when
-    refinement stops looking convergent.  The reported value per step is
+    strictly decreasing.  A consecutive pair is flagged when its x or value
+    distance is larger than the previous pair's, i.e. when refinement
+    stops looking convergent.  The reported value per step is
     the final upper bound (the certified worst-case cost).
     """
     steps = [float(s) for s in steps]
@@ -252,10 +251,7 @@ def refinement_study(
         v_dist.append(abs(cv - pv))
     flags = [False, False]
     for i in range(2, len(steps)):
-        flags.append(
-            x_dist[i] > x_dist[i - 1] + tol_pairs
-            or v_dist[i] > v_dist[i - 1] + tol_pairs
-        )
+        flags.append(x_dist[i] > x_dist[i - 1] or v_dist[i] > v_dist[i - 1])
     return RefinementTable(
         tuple(steps), tuple(values), tuple(x_dist), tuple(v_dist), tuple(flags)
     )

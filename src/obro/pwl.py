@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,17 +174,17 @@ def _even_points(lo: float, hi: float, step: float) -> list[float]:
     return pts
 
 
-def interp_coefficients(part: Partition, x: float, tol: float = RANGE_SLACK):
+def interp_coefficients(part: Partition, x: float):
     """Locate ``x`` in the partition: (segment index, alpha_lo, alpha_hi).
 
     Segment indices are 0-based; ``x == alpha_lo * points[p] + alpha_hi *
     points[p + 1]`` with the coefficients in [0, 1] summing to one.  An ``x``
     equal to an interior sample point resolves to the segment on its left
-    (alpha_hi = 1).  Coordinates within ``tol`` outside the range are
-    clamped; beyond that is an error.
+    (alpha_hi = 1).  Coordinates within ``RANGE_SLACK`` outside the range
+    are clamped; beyond that is an error.
     """
     pts = part.points
-    if x < pts[0] - tol or x > pts[-1] + tol:
+    if x < pts[0] - RANGE_SLACK or x > pts[-1] + RANGE_SLACK:
         raise PartitionError(f"{x} outside partition range [{pts[0]}, {pts[-1]}]")
     x = min(max(float(x), float(pts[0])), float(pts[-1]))
     i = bisect.bisect_left(pts, x)
@@ -208,8 +208,8 @@ def sample_coefficients(part: Partition, coords) -> np.ndarray:
     return coeff
 
 
-def interpolate(f: SampledFunction, x: float, tol: float = RANGE_SLACK) -> float:
-    p, a_lo, a_hi = interp_coefficients(f.partition, x, tol=tol)
+def interpolate(f: SampledFunction, x: float) -> float:
+    p, a_lo, a_hi = interp_coefficients(f.partition, x)
     return a_lo * f.values[p] + a_hi * f.values[p + 1]
 
 
@@ -257,7 +257,6 @@ class MembershipReport:
     dev_violation: float
     ratio_ok: bool
     ratio_violation: float
-    tol: float = field(default=DEFAULT_TOL)
 
     @property
     def passed(self) -> bool:
@@ -299,7 +298,6 @@ def check_neighborhood(
         dev_violation=dev_violation,
         ratio_ok=ratio_violation <= tol,
         ratio_violation=ratio_violation,
-        tol=tol,
     )
 
 

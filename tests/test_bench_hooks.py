@@ -1,5 +1,6 @@
 """The benchmark's tracer patches obro entry points by name; a rename of
-any of them must fail here rather than only in a traced benchmark run."""
+any of them, or a refactor that keeps a name but stops calling it, must
+fail here rather than only in a traced benchmark run."""
 
 from pathlib import Path
 
@@ -34,3 +35,30 @@ def test_tracer_installs_and_restores_every_hook(tracing):
         tracer.uninstall()
     for (owner, attr), original in zip(hooks, originals):
         assert getattr(owner, attr) is original, attr
+
+
+def test_every_hooked_span_is_recorded(tracing):
+    # a hook that resolves but is never called reads 0 in its per-layer
+    # metric; two_pocket's solve and certification reach every layer
+    import workloads
+    from obro import configio, engine
+    from obro.linsolve import default_solver
+
+    prob, options = configio.problem_from_config(
+        configio.load_config(workloads.CONFIGS / "two_pocket.json")
+    )
+    inst = workloads.Instance(
+        "two_pocket", prob, options["tol"], options["max_iter"], default_solver(),
+        workloads.REFERENCE["two_pocket"], oracles=True,
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = engine.run(inst.prob, tol=inst.tol, max_iter=inst.max_iter, solver=inst.solver)
+        outcome = workloads.Outcome()
+        workloads.certify(inst, result, outcome)
+    finally:
+        tracer.uninstall()
+    assert outcome.checks and all(outcome.checks.values())
+    missing = {name for _, _, name in tracing.PATCHES} - {name for name, *_ in tracer.spans}
+    assert not missing, sorted(missing)

@@ -78,6 +78,56 @@ class TestConfigIo:
         assert format_float(1.736) == "1.736"
 
 
+# (command, keys down to the value to replace, bad value, path the error cites)
+MALFORMED = {
+    "max_iter-string": ("solve", ["max_iter"], "ten", "/max_iter"),
+    "max_iter-fraction": ("solve", ["max_iter"], 2.7, "/max_iter"),
+    "max_iter-bool": ("solve", ["max_iter"], True, "/max_iter"),
+    "partition-repeat": ("solve", ["terms", 0, "partition"], [0, 0, 1], "/terms/0/partition"),
+    "reference-string": (
+        "solve", ["terms", 0, "reference_values"], ["a", 1], "/terms/0/reference_values/0"
+    ),
+    "pieces-empty": (
+        "solve", ["terms", 0, "partition"], {"lo": 0.0, "hi": 1.0, "pieces": []},
+        "/terms/0/partition/pieces",
+    ),
+    "variable-number": ("solve", ["variables"], [5], "/variables/0"),
+    "delta_max-string": ("solve", ["terms", 0, "delta_max"], "x", "/terms/0/delta_max"),
+    "cost-list": ("solve", ["cost"], [], "/cost"),
+    "evaluations-number": ("solve", ["terms", 0, "evaluations"], 5, "/terms/0/evaluations"),
+    "slots-string": ("bess", ["horizon", "slots"], "six", "/horizon/slots"),
+    "bess-max_iter-string": ("bess", ["max_iter"], "many", "/max_iter"),
+    "profile-node-key": ("bess", ["profiles", "load_p", "n1"], [0.0] * 6, "/profiles/load_p/n1"),
+    "profile-strings": ("bess", ["profiles", "load_p", "2"], ["low"] * 6, "/profiles/load_p/2/0"),
+    "profiles-list": ("bess", ["profiles"], [], "/profiles"),
+    "piece-pair": (
+        "bess", ["schemes", "hetero", "pieces"], [[0.0, 0.038]], "/schemes/hetero/pieces/0"
+    ),
+    "neighborhood-list": ("bess", ["neighborhood"], [], "/neighborhood"),
+    "lines-number": ("bess", ["feeder", "lines"], 5, "/feeder/lines"),
+    "line-node-list": ("bess", ["feeder", "lines", 0, "from"], [0], "/feeder/lines/0/from"),
+    "battery-node-string": ("bess", ["batteries", 0, "node"], "2", "/batteries/0/node"),
+}
+
+
+@pytest.mark.parametrize("command, keys, value, path", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_value_is_a_config_error(tmp_path, capsys, command, keys, value, path):
+    config = "tiny_identity" if command == "solve" else "bess_reduction"
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    *parents, last = keys
+    owner = cfg
+    for key in parents:
+        owner = owner[key]
+    owner[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    argv = [command, str(bad), "--out", str(tmp_path)]
+    if command == "bess":
+        argv += ["--scheme", "hetero"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 class TestCmdSolve:
     def test_converged_outputs(self, tmp_path):
         code = main(["solve", str(CONFIGS / "tiny_identity.json"), "--out", str(tmp_path)])

@@ -104,13 +104,6 @@ class TestLoopInvariants:
                 checked += 1
         assert checked >= 1  # the instance must actually exercise this
 
-    def test_sink_receives_every_record(self):
-        prob = two_pocket()
-        seen = []
-        res = run(prob, tol=1e-6, max_iter=50, sink=seen.append)
-        assert len(seen) == len(res.history)
-        assert [r.k for r in seen] == list(range(len(seen)))
-
 
 class TestBoundSandwich:
     def test_bounds_certified_by_full_enumeration(self):

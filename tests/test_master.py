@@ -9,7 +9,6 @@ from obro.linsolve import (
     LinearProgram,
     MixedIntegerProgram,
     Row,
-    primal_violation,
     solve_milp,
 )
 from obro.master import build_master, master_layout, solve_master
@@ -181,7 +180,7 @@ class TestPerTermRows:
         # blocks of f1 at x0 and x2, then f2 at x1, right after etas[0]
         assert [z.start for z in lay.z_slices] == [4, 7, 10]
         assert lay.y_slices[-1].stop == lay.n_total - 1
-        mip = build_master(prob, [reference_scenario(prob)], lay)
+        mip = build_master(prob, [reference_scenario(prob)])
         assert (mip.lp.lower[list(lay.etas)] == 0.0).all()
         assert (mip.lp.upper[list(lay.etas)] == np.inf).all()
         assert (mip.lp.c[list(lay.etas)] == 1.0).all()
@@ -190,12 +189,12 @@ class TestPerTermRows:
         prob = two_term_problem()
         lay = master_layout(prob)
         scens = self.scenarios(prob)
-        static = len(build_master(prob, scens[:1], lay).lp.rows)
+        static = len(build_master(prob, scens[:1]).lp.rows)
         own = [set(), set()]
         for (ti, _, _), z in zip(lay.eval_keys, lay.z_slices):
             own[ti].update(range(z.start, z.stop))
         for k in range(1, len(scens) + 1):
-            cuts = build_master(prob, scens[:k], lay).lp.rows[static:]
+            cuts = build_master(prob, scens[:k]).lp.rows[static:]
             assert len(cuts) == 2 * (k - 1)
             for i, row in enumerate(cuts):
                 ti = i % 2
@@ -239,19 +238,6 @@ class TestErrors:
             solve_master(prob, [reference_scenario(prob)])
 
 
-def test_highs_violation_is_the_row_loop():
-    prob = make_problem([0.0, 1 / 3, 2 / 3, 1.0], [0.4, 0.0, 0.05, 0.5], delta=0.2)
-    scenarios = [reference_scenario(prob)]
-    for x in (np.array([0.1]), np.array([0.6])):
-        scenarios.append(solve_subproblem(prob, x)[0])
-    mip = build_master(prob, scenarios)
-    out = HighsSolver().solve_milp(mip)
-    assert out.optimal
-    assert out.stats["primal_violation"] == pytest.approx(
-        primal_violation(mip.lp, out.x), abs=1e-12
-    )
-
-
 def epigraph_master(prob, scenarios):
     """The single-cut master in epigraph form: minimize ``eta`` subject to
     one dense row ``eta >= cut_s`` per whole scenario.  The static rows
@@ -259,7 +245,7 @@ def epigraph_master(prob, scenarios):
     the other terms' excess columns appear in no row and stay at 0."""
     lay = master_layout(prob)
     eta = lay.etas[0]
-    static = build_master(prob, scenarios[:1], lay)
+    static = build_master(prob, scenarios[:1])
     c = np.zeros(lay.n_total)
     c[eta] = 1.0
     lower = static.lp.lower.copy()
@@ -356,9 +342,9 @@ class TestAnchoredMaster:
         anchor = scenario_from_values(prob, [1.2, 0.2, 0.6])
         other = scenario_from_values(prob, [0.6, 0.2, 0.6])
         lay = master_layout(prob)
-        static = build_master(prob, [anchor], lay).lp
+        static = build_master(prob, [anchor]).lp
         for k in (1, 2, 3):
-            lp = build_master(prob, [anchor, other, anchor][:k], lay).lp
+            lp = build_master(prob, [anchor, other, anchor][:k]).lp
             cuts = lp.rows[len(static.rows) :]
             assert len(cuts) == k - 1
             assert (lp.lower[lay.etas[0]], lp.upper[lay.etas[0]]) == (0.0, np.inf)

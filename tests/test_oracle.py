@@ -256,7 +256,7 @@ class TestEnumerateMaster:
     def test_pinned_pattern_spans_its_segment(self, points):
         prob = one_term(points, points, delta=0.5)
         lay = master_layout(prob)
-        lp = build_master(prob, [reference_scenario(prob)], lay).lp
+        lp = build_master(prob, [reference_scenario(prob)]).lp
         for s in range(len(points) - 1):
             pinned = pin_segments(lp, lay, (s,))
             ends = []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from obro import bess, configio, subproblem
-from obro.linsolve import HighsSolver, SimplexSolver, SparseRows, primal_violation
+from obro.linsolve import HighsSolver, SimplexSolver, SparseRows
 from obro.model import ObroProblem, UncertainTerm, evaluate_v, reference_scenario
 from obro.pwl import (
     NeighborhoodSpec,
@@ -259,12 +259,3 @@ class TestAdversaryBlock:
         prob.terms = [UncertainTerm("f1", spec, (3,))]
         with pytest.raises(ValueError, match="out of range"):
             build_subproblem(prob, np.array([0.5]))
-
-    def test_highs_violation_is_the_row_loop(self):
-        prob = config_problem("bess_8node")
-        lp = build_subproblem(prob, 0.5 * (prob.lower + prob.upper))
-        out = HighsSolver().solve_lp(lp)
-        assert out.optimal
-        assert out.stats["primal_violation"] == pytest.approx(
-            primal_violation(lp, out.x), abs=1e-12
-        )
