@@ -58,6 +58,8 @@ class Row:
             raise ValueError(f"bad row sense {self.sense!r}")
         self.coeffs = {int(j): float(v) for j, v in self.coeffs.items() if v != 0.0}
         self.rhs = float(self.rhs)
+        if self.coeffs and min(self.coeffs) < 0:
+            raise ValueError(f"row {self.name!r} references variable {min(self.coeffs)}")
 
 
 class SparseRows:
@@ -67,14 +69,27 @@ class SparseRows:
     converted on first use and kept.  ``<=`` rows and negated ``>=`` rows
     form ``A_ub``, ``=`` rows form ``A_eq``.  Linear programs that hold
     the same rows list share one instance (``LinearProgram.sparse``).
+    With ``base``, the form of a prefix of ``rows`` (the same row
+    objects) over as many columns, only the rows after that prefix are
+    checked and converted, and stacked under ``base``'s matrices.
     """
 
-    def __init__(self, rows, n_vars: int):
-        for r in rows:
+    def __init__(self, rows, n_vars: int, base: SparseRows | None = None):
+        head = 0
+        if base is not None:
+            head = len(base.rows)
+            if (
+                base.n_vars != n_vars
+                or len(rows) < head
+                or any(a is not b for a, b in zip(base.rows, rows))
+            ):
+                raise ValueError("base is not the form of a prefix of these rows")
+        for r in itertools.islice(rows, head, None):
             if r.coeffs and max(r.coeffs) >= n_vars:
                 raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
         self.rows = rows
         self.n_vars = n_vars
+        self.base = base
         self._split = None
 
     def split(self):
@@ -85,9 +100,11 @@ class SparseRows:
         return self._split
 
     def _convert(self):
-        from scipy.sparse import csr_matrix
+        from scipy.sparse import csr_matrix, vstack
 
-        rows = self.rows
+        base = self.base
+        rows = self.rows[len(base.rows) :] if base is not None else self.rows
+        heads = base.split() if base is not None else ((None, np.zeros(0)),) * 2
         m = len(rows)
         counts = np.fromiter((len(r.coeffs) for r in rows), np.intp, m)
         nnz = int(counts.sum())
@@ -101,17 +118,19 @@ class SparseRows:
         data = vals * np.repeat(sign, counts)
         rhs = sign * rhs
 
-        def matrix(mask):
+        def matrix(mask, head):
             if not mask.any():
-                return None, np.zeros(0)
+                return head
             indptr = np.concatenate(([0], np.cumsum(counts[mask])))
             keep = np.repeat(mask, counts)
             a = csr_matrix((data[keep], cols[keep], indptr), shape=(len(indptr) - 1, self.n_vars))
             a.sort_indices()  # columns ascending within each row, as COO conversion gives
-            return a, rhs[mask]
+            if head[0] is None:
+                return a, rhs[mask]
+            return vstack([head[0], a], format="csr"), np.concatenate([head[1], rhs[mask]])
 
         is_eq = senses == "="
-        return matrix(~is_eq), matrix(is_eq)
+        return matrix(~is_eq, heads[0]), matrix(is_eq, heads[1])
 
 @dataclass
 class LinearProgram:

@@ -24,7 +24,8 @@ every scenario is sampled on the same partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,9 +34,10 @@ from obro.linsolve import (
     MixedIntegerProgram,
     Row,
     Solver,
+    SparseRows,
     solve_milp,
 )
-from obro.model import ObroProblem, scenario_issues, validate
+from obro.model import ObroProblem, held_block, scenario_issues, validate
 
 __all__ = ["MasterLayout", "master_layout", "build_master", "solve_master"]
 
@@ -76,22 +78,36 @@ def master_layout(prob: ObroProblem) -> MasterLayout:
     return MasterLayout(n_x, etas, tuple(zs), tuple(ys), tuple(keys), base + len(etas) - 1)
 
 
-def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
-    """Assemble the per-term cut MILP over the stored worst cases,
-    anchored on ``scenarios[0]``: a master over K scenarios and T terms
-    has (K - 1)·T cut rows, one per later scenario and term with no
-    de-duplication, and its objective carries the anchor's constant as
-    the program's ``offset``.  Its columns follow ``master_layout(prob)``.
-    """
+@dataclass(frozen=True)
+class MasterBlock:
+    """The part of the master MILP that no scenario changes: the layout,
+    the cost and bounds without the anchor's increments, the polyhedron
+    rows, incremental-block rows and coordinate links, the sorted
+    binaries and the rows' CSR form for HiGHS.  ``key`` holds the problem
+    fields it was built from.  ``pool`` holds the last build's scenarios,
+    each as ``(scenario, its cut, its cut rows)``; the anchor has no
+    rows."""
+
+    key: tuple
+    layout: MasterLayout
+    c: np.ndarray
+    rows: tuple
+    lower: np.ndarray
+    upper: np.ndarray
+    binaries: tuple
+    sparse: SparseRows
+    pool: list = field(default_factory=list, compare=False, repr=False)
+
+
+def _master_block(prob: ObroProblem) -> MasterBlock:
+    """The problem's block, built and validated on first use and kept on
+    the problem while its fields are, by identity, those it was built from."""
+    block, key = held_block(prob, "master")
+    if block is not None:
+        return block
     issues = validate(prob)
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
-    if not scenarios:
-        raise ValueError("need at least one scenario")
-    for li, scen in enumerate(scenarios):
-        bad = scenario_issues(prob, scen)
-        if bad:
-            raise ValueError(f"scenario {li} invalid: " + "; ".join(bad))
 
     lay = master_layout(prob)
     n = lay.n_total
@@ -128,6 +144,35 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
         link[e] = -1.0
         rows.append(Row(link, "=", -float(points[0]), f"{tag}.coordinate"))
 
+    for a in (c, lower, upper):
+        a.flags.writeable = False  # each build copies what it changes
+    rows = tuple(rows)
+    block = MasterBlock(
+        key, lay, c, rows, lower, upper, tuple(binaries), SparseRows(rows, n)
+    )
+    prob.master = block
+    return block
+
+
+def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
+    """Assemble the per-term cut MILP over the stored worst cases,
+    anchored on ``scenarios[0]``: a master over K scenarios and T terms
+    has (K - 1)·T cut rows, one per later scenario and term with no
+    de-duplication, and its objective carries the anchor's constant as
+    the program's ``offset``.  Its columns follow ``master_layout(prob)``.
+
+    The rows, bounds and binaries that no scenario changes come from the
+    problem's block, built and validated once (``ObroProblem.master``).
+    The block keeps the cut rows of the last pool: the longest prefix of
+    ``scenarios`` identical to it, anchor included, reuses them, and each
+    later scenario is checked once, when it enters, and adds its rows.
+    The program gets its own cost and bound arrays.
+    """
+    if not scenarios:
+        raise ValueError("need at least one scenario")
+    block = _master_block(prob)
+    lay, pool = block.layout, block.pool
+
     def cut(scen):
         # cut_{s,t} = sum(increments . z) - rhs[t] over term t's blocks;
         # total is the whole cut's constant, summed in the same order
@@ -140,19 +185,38 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
             total -= first
         return increments, rhs, total
 
-    anchor, anchor_rhs, anchor_total = cut(scenarios[0])
+    kept = 0
+    while kept < min(len(pool), len(scenarios)) and pool[kept][0] is scenarios[kept]:
+        kept += 1
+    del pool[kept:]
+    for li in range(kept, len(scenarios)):
+        scen = scenarios[li]
+        bad = scenario_issues(prob, scen)
+        if bad:
+            raise ValueError(f"scenario {li} invalid: " + "; ".join(bad))
+        increments, rhs, total = cut(scen)
+        rows = ()
+        if li:
+            anchor, anchor_rhs, _ = pool[0][1]
+            coeffs = [{eta: -1.0} for eta in lay.etas]  # Row drops increments equal to the anchor's
+            for (ti, _, _), z, d, d0 in zip(lay.eval_keys, lay.z_slices, increments, anchor):
+                coeffs[ti].update(zip(range(z.start, z.stop), (d - d0).tolist()))
+            rows = tuple(
+                Row(row, "<=", r - r0, f"{term.name}.cut[{li}]")
+                for term, row, r, r0 in zip(prob.terms, coeffs, rhs, anchor_rhs)
+            )
+        pool.append((scen, (increments, rhs, total), rows))
+
+    anchor, _, anchor_total = pool[0][1]
+    c = block.c.copy()
     for z, d in zip(lay.z_slices, anchor):
         c[z] = d
-    for li, scen in enumerate(scenarios[1:], 1):
-        increments, rhs, _ = cut(scen)
-        coeffs = [{eta: -1.0} for eta in lay.etas]  # Row drops increments equal to the anchor's
-        for (ti, _, _), z, d, d0 in zip(lay.eval_keys, lay.z_slices, increments, anchor):
-            coeffs[ti].update(zip(range(z.start, z.stop), (d - d0).tolist()))
-        for term, row, r, r0 in zip(prob.terms, coeffs, rhs, anchor_rhs):
-            rows.append(Row(row, "<=", r - r0, f"{term.name}.cut[{li}]"))
-
-    lp = LinearProgram("min", c, rows, lower, upper, offset=-anchor_total)
-    return MixedIntegerProgram(lp, tuple(binaries))
+    rows = [*block.rows, *itertools.chain.from_iterable(cuts for _, _, cuts in pool)]
+    sparse = SparseRows(rows, lay.n_total, base=block.sparse)
+    lp = LinearProgram(
+        "min", c, rows, block.lower.copy(), block.upper.copy(), sparse, offset=-anchor_total
+    )
+    return MixedIntegerProgram(lp, block.binaries)
 
 
 def solve_master(

@@ -28,6 +28,7 @@ __all__ = [
     "validate",
     "evaluate_v",
     "reference_scenario",
+    "held_block",
 ]
 
 FEAS_TOL = 1e-7
@@ -55,7 +56,9 @@ class ObroProblem:
     evaluation variables; ``rows`` is the polyhedron A x <= b, on top of
     the per-variable box bounds.  ``adversary`` holds the adversary LP's
     decision-independent part once `subproblem.build_subproblem` has
-    built it; reassigning a field makes the next build start afresh.
+    built it, and ``master`` the master MILP's, with the cut rows of the
+    last scenario pool, once `master.build_master` has; reassigning a
+    field makes the next build start afresh (see `held_block`).
     """
 
     c: np.ndarray
@@ -66,6 +69,7 @@ class ObroProblem:
     terms: list
     names: list | None = None
     adversary: object = field(default=None, init=False, repr=False, compare=False)
+    master: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -104,6 +108,21 @@ def reference_scenario(prob: ObroProblem) -> Scenario:
         functions=tuple(t.spec.reference for t in prob.terms),
         deviations=(0.0,) * len(prob.terms),
     )
+
+
+def held_block(prob: ObroProblem, name: str) -> tuple:
+    """``(block, key)`` for the block held in the problem's field ``name``.
+
+    ``key`` lists the fields every block is built from: ``c``, ``rows``,
+    ``lower``, ``upper``, ``epsilon`` and ``terms``.  ``block`` is the
+    held one while its own ``key`` matches them, each compared by
+    identity, and None otherwise; a new block stores ``key``.
+    """
+    key = (prob.c, prob.rows, prob.lower, prob.upper, prob.epsilon, prob.terms)
+    block = getattr(prob, name)
+    if block is not None and all(a is b for a, b in zip(block.key, key)):
+        return block, key
+    return None, key
 
 
 def validate(prob: ObroProblem) -> list:

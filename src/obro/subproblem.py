@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from obro.linsolve import LinearProgram, Row, Solver, SparseRows, solve_lp
-from obro.model import ObroProblem, Scenario, scenario_issues, validate
+from obro.model import ObroProblem, Scenario, held_block, scenario_issues, validate
 from obro.pwl import (
     SampledFunction,
     sample_coefficients,
@@ -50,9 +50,8 @@ class AdversaryBlock:
 def _adversary_block(prob: ObroProblem) -> AdversaryBlock:
     """The problem's block, built and validated on first use and kept on
     the problem while its fields are, by identity, those it was built from."""
-    key = (prob.c, prob.rows, prob.lower, prob.upper, prob.epsilon, prob.terms)
-    block = prob.adversary
-    if block is not None and all(a is b for a, b in zip(block.key, key)):
+    block, key = held_block(prob, "adversary")
+    if block is not None:
         return block
     issues = validate(prob)
     if issues:
