@@ -147,9 +147,7 @@ def _master_block(prob: ObroProblem) -> MasterBlock:
     for a in (c, lower, upper):
         a.flags.writeable = False  # each build copies what it changes
     rows = tuple(rows)
-    block = MasterBlock(
-        key, lay, c, rows, lower, upper, tuple(binaries), SparseRows(rows, n)
-    )
+    block = MasterBlock(key, lay, c, rows, lower, upper, tuple(binaries), SparseRows(rows, n))
     prob.master = block
     return block
 
@@ -224,7 +222,9 @@ def solve_master(
 ) -> tuple[np.ndarray, float]:
     """Solve the per-term cut MILP; returns the decision and its bound,
     the sum over terms of the worst stored cut at the optimum (the
-    objective, anchor included)."""
+    objective, anchor included).  A pool that extends or repeats the
+    last one built for ``prob`` costs only its new cut rows and the
+    solve (see `build_master`)."""
     out = solve_milp(build_master(prob, scenarios), solver)
     if out.status == "infeasible":
         raise MasterError("decision polyhedron is empty")

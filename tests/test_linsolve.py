@@ -335,6 +335,18 @@ def test_program_validation():
         )
 
 
+@pytest.mark.parametrize("solver", SOLVERS, ids=["simplex", "highs"])
+def test_negative_column_index_is_rejected(solver):
+    # Python would read column -1 as the last variable: the bundled simplex
+    # answered x = [1, 0.5] for this program and HiGHS raised a TypeError
+    with pytest.raises(ValueError, match="row 'neg' references variable -1"):
+        solver.solve_lp(
+            LinearProgram(
+                "max", np.ones(2), [Row({-1: 1.0}, "<=", 0.5, "neg")], np.zeros(2), np.ones(2)
+            )
+        )
+
+
 def per_row_split(lp):
     """Reference CSR construction, one coefficient at a time through COO:
     ``((A_ub, b_ub), (A_eq, b_eq))`` with ``>=`` rows negated."""
@@ -397,6 +409,24 @@ class TestSparseRows:
         lp = LinearProgram("min", np.ones(5), rows, np.zeros(5), np.full(5, 10.0))
         assert_same_split(SparseRows(rows, 5).split(), per_row_split(lp))
         assert_same_split(lp.sparse_rows().split(), per_row_split(lp))
+
+    @pytest.mark.parametrize("head", [0, 2, 3, 5, 6])
+    def test_base_prefix_matches_full_conversion(self, head):
+        # a base of 2 rows has no "=" row, one of 5 leaves only a "<=" tail
+        base = SparseRows(MIXED_ROWS[:head], 5)
+        base.split()
+        stacked = SparseRows(list(MIXED_ROWS), 5, base=base)
+        assert stacked.base is base
+        assert_same_split(stacked.split(), SparseRows(MIXED_ROWS, 5).split())
+
+    def test_base_must_be_the_form_of_a_prefix(self):
+        base = SparseRows(MIXED_ROWS[:2], 5)
+        equal_rows = [Row({2: 1.0, 0: -2.0}, "<=", 3.0), *MIXED_ROWS[1:]]
+        for rows, n in ((equal_rows, 5), (MIXED_ROWS, 6), (MIXED_ROWS[:1], 5)):
+            with pytest.raises(ValueError, match="prefix"):
+                SparseRows(rows, n, base=base)
+        with pytest.raises(ValueError, match="references variable 5"):
+            SparseRows([*MIXED_ROWS[:2], Row({5: 1.0}, "<=", 0.0)], 5, base=base)
 
     def test_shared_by_programs_on_one_rows_list(self):
         lp = LinearProgram("min", np.ones(5), MIXED_ROWS, np.zeros(5), np.ones(5))

@@ -1,14 +1,19 @@
 import itertools
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from obro import configio, master
+from obro.engine import run, verify_saddle
 from obro.linsolve import (
     BranchBoundSolver,
     HighsSolver,
     LinearProgram,
     MixedIntegerProgram,
     Row,
+    SparseRows,
     solve_milp,
 )
 from obro.master import build_master, master_layout, solve_master
@@ -214,6 +219,132 @@ class TestPerTermRows:
         worst = max(evaluate_v(prob, s, x) for s in mixed_scenarios(scens))
         assert bound == pytest.approx(worst, abs=1e-9)
         assert bound <= solve_subproblem(prob, x)[1] + 1e-9
+
+
+def counting(monkeypatch, name):
+    """Record the last argument of every call to ``master.<name>``: the
+    problem validated, or the scenario checked."""
+    calls = []
+    original = getattr(master, name)
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(master, name, counted)
+    return calls
+
+
+def same_objects(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+class TestMasterBlock:
+    """The rows, bounds and binaries that no scenario changes are built and
+    validated once per problem, and each pool scenario's cut rows once
+    per pool; every build still equals a build from nothing."""
+
+    def pool(self):
+        prob = two_term_problem()
+        return prob, TestPerTermRows().scenarios(prob)
+
+    def test_second_build_reuses_block_and_cut_rows(self):
+        prob, scens = self.pool()
+        first = build_master(prob, scens)
+        block = prob.master
+        second = build_master(prob, scens)
+        assert prob.master is block
+        assert first.lp.rows is not second.lp.rows
+        assert same_objects(first.lp.rows, second.lp.rows)
+        assert second.lp.sparse.base is block.sparse
+        fresh = build_master(replace(prob), scens)  # a new object holds no block
+        assert fresh.lp.rows == second.lp.rows and fresh.binaries == second.binaries
+
+    def test_replaced_problem_or_field_rebuilds_the_block(self, monkeypatch):
+        validated = counting(monkeypatch, "validate")
+        prob, scens = self.pool()
+        build_master(prob, scens)
+        block = prob.master
+        copy = replace(prob)
+        assert copy.master is None
+        build_master(copy, scens)
+        assert copy.master is not block and prob.master is block
+        prob.rows = [Row({0: 1.0}, "<=", 0.25, "cap")]
+        mip = build_master(prob, scens)
+        assert prob.master is not block and mip.lp.rows[0].name == "cap"
+        block = prob.master
+        prob.terms = list(prob.terms)
+        build_master(prob, scens)
+        assert prob.master is not block
+        assert len(validated) == 4
+        # an invalid reassignment is caught by the new validation
+        prob.terms = [UncertainTerm("f1", prob.terms[0].spec, (3,)), prob.terms[1]]
+        with pytest.raises(ValueError, match="out of range"):
+            build_master(prob, scens)
+
+    def test_new_anchor_rebuilds_every_cut(self, monkeypatch):
+        checked = counting(monkeypatch, "scenario_issues")
+        prob, scens = self.pool()
+        old = build_master(prob, scens).lp.rows
+        static = len(prob.master.rows)
+        assert len(checked) == len(scens)
+        # a new reference scenario equals the old anchor, as in a new run
+        for pool in ([reference_scenario(prob), *scens[1:]], scens[2:]):
+            checked.clear()
+            rows = build_master(prob, pool).lp.rows
+            assert same_objects(checked, pool)
+            assert not any(r is o for r in rows[static:] for o in old[static:])
+            assert rows == build_master(replace(prob), pool).lp.rows
+
+    def test_invalid_scenario_after_cached_prefix_raises(self):
+        prob = make_problem([0.0, 1.0], [0.0, 1.0], delta=0.1)
+        scens = [reference_scenario(prob), scenario_from_values(prob, [0.1, 0.9])]
+        build_master(prob, scens)
+        bad = scenario_from_values(prob, [5.0, 1.0])
+        with pytest.raises(ValueError, match="scenario 2 invalid"):
+            build_master(prob, [*scens, bad])
+        with pytest.raises(ValueError, match="scenario 2 invalid"):
+            build_master(prob, [*scens, bad])
+        assert len(build_master(prob, scens).lp.rows) == len(prob.master.rows) + 1
+
+    @pytest.mark.parametrize("k", [1, 5], ids=["no-cut", "cuts"])
+    def test_sparse_form_matches_full_conversion(self, k):
+        from test_linsolve import assert_same_split
+
+        prob, scens = self.pool()
+        lp = build_master(prob, scens[:k]).lp
+        assert lp.sparse.base is prob.master.sparse
+        assert len(lp.rows) - len(prob.master.rows) == 2 * (k - 1)
+        full = SparseRows(list(lp.rows), lp.n_vars)
+        assert_same_split(lp.sparse_rows().split(), full.split())
+
+    def test_programs_cannot_change_the_block(self):
+        prob, scens = self.pool()
+        want = build_master(replace(prob), scens).lp
+        lp = build_master(prob, scens).lp
+        for a in (lp.c, lp.lower, lp.upper):
+            a[:] = 0.5
+        again = build_master(prob, scens).lp
+        for got, ref in ((again.c, want.c), (again.lower, want.lower), (again.upper, want.upper)):
+            assert got.tobytes() == ref.tobytes()
+        block = prob.master
+        for a in (block.c, block.lower, block.upper):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_run_checks_each_scenario_and_the_problem_once(self, monkeypatch):
+        checked = counting(monkeypatch, "scenario_issues")
+        validated = counting(monkeypatch, "validate")
+        path = Path(__file__).resolve().parent.parent / "configs" / "two_pocket.json"
+        prob, options = configio.problem_from_config(configio.load_config(path))
+        result = run(prob, tol=options["tol"], max_iter=options["max_iter"])
+        assert len(result.scenarios) > 2
+        assert same_objects(checked, result.scenarios)
+        assert same_objects(validated, [prob])
+        # the saddle check's master re-solve reuses the whole pool
+        assert verify_saddle(prob, result).outer_ok
+        assert same_objects(checked, result.scenarios) and same_objects(validated, [prob])
 
 
 class TestErrors:
