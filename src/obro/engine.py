@@ -53,7 +53,7 @@ class EngineResult:
     which the adversary has not evaluated unless the run ended at a
     fixed point."""
 
-    status: str  # converged | max-iterations | error
+    status: str  # converged | max-iterations
     x: np.ndarray
     x_master: np.ndarray
     scenarios: list

@@ -63,15 +63,14 @@ class Row:
 
 
 class SparseRows:
-    """CSR form of a rows list over ``n_vars`` columns, as HiGHS takes it.
+    """The rows list over ``n_vars`` columns in the form HiGHS takes.
 
-    Creating one checks the rows' column indices; the matrices are
-    converted on first use and kept.  ``<=`` rows and negated ``>=`` rows
-    form ``A_ub``, ``=`` rows form ``A_eq``.  Linear programs that hold
-    the same rows list share one instance (``LinearProgram.sparse``).
-    With ``base``, the form of a prefix of ``rows`` (the same row
-    objects) over as many columns, only the rows after that prefix are
-    checked and converted, and stacked under ``base``'s matrices.
+    Creating one checks the rows' column indices; the form is built on
+    first use and kept.  Linear programs that hold the same rows list
+    share one instance (``LinearProgram.sparse``).  With ``base``, the
+    form of a prefix of ``rows`` (the same row objects) over as many
+    columns, only the rows after that prefix are checked and converted,
+    and stacked under ``base``'s inequality rows and its ``=`` rows.
     """
 
     def __init__(self, rows, n_vars: int, base: SparseRows | None = None):
@@ -90,21 +89,23 @@ class SparseRows:
         self.rows = rows
         self.n_vars = n_vars
         self.base = base
-        self._split = None
+        self._form = None
+        self._n_ineq = 0
 
-    def split(self):
-        """``((A_ub, b_ub), (A_eq, b_eq))``; a matrix is None when it has
-        no rows."""
-        if self._split is None:
-            self._split = self._convert()
-        return self._split
+    def highs(self):
+        """``(A, lower, upper)`` with ``lower <= A @ x <= upper`` for the
+        rows: ``A`` is one CSC matrix, ``<=`` rows and negated ``>=`` rows
+        first, each in list order and with lower bound ``-inf``, then
+        ``=`` rows with equal bounds."""
+        if self._form is None:
+            self._form = self._convert()
+        return self._form
 
     def _convert(self):
-        from scipy.sparse import csr_matrix, vstack
+        from scipy.sparse import csr_matrix
 
         base = self.base
         rows = self.rows[len(base.rows) :] if base is not None else self.rows
-        heads = base.split() if base is not None else ((None, np.zeros(0)),) * 2
         m = len(rows)
         counts = np.fromiter((len(r.coeffs) for r in rows), np.intp, m)
         nnz = int(counts.sum())
@@ -116,28 +117,40 @@ class SparseRows:
         senses = np.array([r.sense for r in rows], dtype=object)
         sign = np.where(senses == ">=", -1.0, 1.0)
         data = vals * np.repeat(sign, counts)
-        rhs = sign * rhs
-
-        def matrix(mask, head):
-            if not mask.any():
-                return head
-            indptr = np.concatenate(([0], np.cumsum(counts[mask])))
-            keep = np.repeat(mask, counts)
-            a = csr_matrix((data[keep], cols[keep], indptr), shape=(len(indptr) - 1, self.n_vars))
-            a.sort_indices()  # columns ascending within each row, as COO conversion gives
-            if head[0] is None:
-                return a, rhs[mask]
-            return vstack([head[0], a], format="csr"), np.concatenate([head[1], rhs[mask]])
-
+        upper = sign * rhs
         is_eq = senses == "="
-        return matrix(~is_eq, heads[0]), matrix(is_eq, heads[1])
+        lower = np.where(is_eq, upper, -np.inf)
+        ineq, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
+        order = [ineq, eq]
+        self._n_ineq = ineq.size
+        if base is not None:
+            # the base's rows come first in the pool, inequality rows leading
+            a, lo, up = base.highs()
+            a = a.tocsr()
+            head, n_ineq = a.shape[0], base._n_ineq
+            counts = np.concatenate([np.diff(a.indptr), counts])
+            cols = np.concatenate([a.indices, cols])
+            data = np.concatenate([a.data, data])
+            lower = np.concatenate([lo, lower])
+            upper = np.concatenate([up, upper])
+            order = [np.arange(n_ineq), ineq + head, np.arange(n_ineq, head), eq + head]
+            self._n_ineq += n_ineq
+        order = np.concatenate(order)
+        # gather each row's entries in the new row order
+        starts = np.cumsum(counts) - counts
+        counts = counts[order]
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        take = np.repeat(starts[order] - indptr[:-1], counts) + np.arange(indptr[-1])
+        a = csr_matrix((data[take], cols[take], indptr), shape=(len(order), self.n_vars))
+        return a.tocsc(), lower[order], upper[order]
+
 
 @dataclass
 class LinearProgram:
     """``sense`` c.x + ``offset`` subject to ``rows`` and the bounds.
 
     ``offset`` is a constant that every backend adds to the reported
-    objective; it moves no solution.  ``sparse`` carries the CSR form of
+    objective; it moves no solution.  ``sparse`` carries the HiGHS form of
     ``rows``; pass it along to share the conversion between programs
     built on one rows list.  It is used only while its rows are this
     program's ``rows`` by identity and its column count matches, and
@@ -172,7 +185,7 @@ class LinearProgram:
         return self.c.size
 
     def sparse_rows(self) -> SparseRows:
-        """The CSR form of ``rows``, created on first use for these rows."""
+        """The sparse form of ``rows``, created on first use for these rows."""
         sp = self.sparse
         if sp is None or sp.rows is not self.rows or sp.n_vars != self.n_vars:
             sp = self.sparse = SparseRows(self.rows, self.n_vars)
@@ -567,80 +580,55 @@ _fflush = ctypes.CDLL(None).fflush
 _fflush.argtypes, _fflush.restype = [ctypes.c_void_p], ctypes.c_int
 
 
-# scipy status 4 is "other": HiGHS proved neither optimality nor a limit
+# scipy `milp`'s status codes; 1 is an iteration, node or time limit, and 4
+# is "other": HiGHS proved neither optimality nor a limit
 # (unbounded-or-infeasible, or a solver error); the message says which
 _HIGHS_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}
 
 
-def _call_highs(solve, *args, **kwargs):
-    """Run a scipy HiGHS entry point with fd 1 captured, since HiGHS can
-    print from native code; returns the result, its status and the base
-    stats, which count the captured lines as ``stdout_lines`` and carry
-    scipy's ``message``."""
-    with stdout_captured() as chatter:
-        res = solve(*args, **kwargs)
-    status = _HIGHS_STATUS.get(res.status, "inconclusive")
-    return res, status, {"stdout_lines": chatter["lines"], "message": res.message}
-
-
 class HighsSolver(Solver):
-    """scipy/HiGHS backend for instances beyond the bundled code."""
+    """scipy/HiGHS backend for instances beyond the bundled code.  LPs and
+    MILPs alike go to `scipy.optimize.milp`; an LP has no integrality."""
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
-        from scipy.optimize import linprog
-
-        maximize = lp.sense == "max"
-        c = -lp.c if maximize else lp.c
-        (a_ub, b_ub), (a_eq, b_eq) = lp.sparse_rows().split()
-        res, status, stats = _call_highs(
-            linprog,
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub if a_ub is not None else None,
-            A_eq=a_eq,
-            b_eq=b_eq if a_eq is not None else None,
-            bounds=np.column_stack([lp.lower, lp.upper]),
-            method="highs",
-        )
-        if status != "optimal":
-            return SolveOutcome(status, stats=stats)
-        objective = (-res.fun if maximize else res.fun) + lp.offset
-        stats["pivots"] = int(res.nit)
-        return SolveOutcome("optimal", float(objective), res.x, stats=stats)
+        return self._milp(lp)[1]
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
+        integrality = np.zeros(mip.lp.n_vars)
+        integrality[list(mip.binaries)] = 1
+        # presolve's reduced-cost fixing restarts the root search many
+        # times on the scenario-cut masters (see README)
+        res, out = self._milp(mip.lp, integrality, {"mip_rel_gap": 0.0, "presolve": False})
+        if out.optimal:
+            for j in mip.binaries:
+                if min(out.x[j], 1.0 - out.x[j]) <= INT_TOL:
+                    out.x[j] = round(out.x[j])
+            out.stats["nodes"] = int(res.mip_node_count or 0)
+        return out
+
+    @staticmethod
+    def _milp(lp: LinearProgram, integrality=None, options=None):
+        """Solve ``lp`` with fd 1 captured, since HiGHS can print from
+        native code; returns scipy's result and the outcome, whose stats
+        count the captured lines as ``stdout_lines`` and carry scipy's
+        ``message``."""
         from scipy.optimize import Bounds, LinearConstraint, milp
 
-        lp = mip.lp
         maximize = lp.sense == "max"
-        c = -lp.c if maximize else lp.c
-        (a_ub, b_ub), (a_eq, b_eq) = lp.sparse_rows().split()
-        constraints = []
-        if a_ub is not None:
-            constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
-        if a_eq is not None:
-            constraints.append(LinearConstraint(a_eq, b_eq, b_eq))
-        integrality = np.zeros(lp.n_vars)
-        integrality[list(mip.binaries)] = 1
-        res, status, stats = _call_highs(
-            milp,
-            c,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=Bounds(lp.lower, lp.upper),
-            # presolve's reduced-cost fixing restarts the root search
-            # many times on the scenario-cut masters (see README)
-            options={"mip_rel_gap": 0.0, "presolve": False},
-        )
+        with stdout_captured() as chatter:
+            res = milp(
+                -lp.c if maximize else lp.c,
+                integrality=integrality,
+                bounds=Bounds(lp.lower, lp.upper),
+                constraints=LinearConstraint(*lp.sparse_rows().highs()),
+                options=options,
+            )
+        status = _HIGHS_STATUS.get(res.status, "inconclusive")
+        stats = {"stdout_lines": chatter["lines"], "message": res.message}
         if status != "optimal":
-            return SolveOutcome(status, stats=stats)
-        x = res.x.copy()
-        for j in mip.binaries:
-            if min(x[j], 1.0 - x[j]) <= INT_TOL:
-                x[j] = round(x[j])
+            return res, SolveOutcome(status, stats=stats)
         objective = (-res.fun if maximize else res.fun) + lp.offset
-        stats["nodes"] = int(getattr(res, "mip_node_count", 0) or 0)
-        return SolveOutcome("optimal", float(objective), x, stats=stats)
+        return res, SolveOutcome("optimal", float(objective), res.x, stats)
 
 
 def default_solver() -> Solver:

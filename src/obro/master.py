@@ -83,7 +83,7 @@ class MasterBlock:
     """The part of the master MILP that no scenario changes: the layout,
     the cost and bounds without the anchor's increments, the polyhedron
     rows, incremental-block rows and coordinate links, the sorted
-    binaries and the rows' CSR form for HiGHS.  ``key`` holds the problem
+    binaries and the rows' sparse form for HiGHS.  ``key`` holds the problem
     fields it was built from.  ``pool`` holds the last build's scenarios,
     each as ``(scenario, its cut, its cut rows)``; the anchor has no
     rows."""

@@ -18,7 +18,6 @@ from obro.pwl import (
     NeighborhoodSpec,
     check_neighborhood,
     interpolate,
-    trapezoid_deviation,
 )
 
 __all__ = [
@@ -181,7 +180,7 @@ def scenario_issues(prob: ObroProblem, scen: Scenario) -> list:
         report = check_neighborhood(f, term.spec, tol=FEAS_TOL)
         if not report.passed:
             issues.append(f"terms[{ti}]: {report}")
-        if abs(d - trapezoid_deviation(f, term.spec.reference)) > 1e-9:
+        if abs(d - report.deviation) > 1e-9:
             issues.append(f"terms[{ti}]: stored deviation disagrees with quadrature")
     return issues
 

@@ -250,13 +250,15 @@ class MembershipReport:
 
     Violation magnitudes are already net of the allowed bound (0 means
     exactly on the boundary); a family passes when its violation does not
-    exceed the check tolerance.
+    exceed the check tolerance.  ``deviation`` is the trapezoidal
+    deviation from the reference that the budget was checked against.
     """
 
     sup_ok: bool
     sup_violation: float
     dev_ok: bool
     dev_violation: float
+    deviation: float
     ratio_ok: bool
     ratio_violation: float
 
@@ -289,7 +291,8 @@ def check_neighborhood(
     _require_same_partition(f, ref)
     diff = np.abs(f.values - ref.values)
     sup_violation = float(max(np.max(diff) - spec.delta_max, 0.0))
-    dev_violation = float(max(trapezoid_deviation(f, ref) - spec.dev_max, 0.0))
+    deviation = trapezoid_deviation(f, ref)
+    dev_violation = float(max(deviation - spec.dev_max, 0.0))
     step_f = np.abs(np.diff(f.values))
     step_ref = np.abs(np.diff(ref.values))
     ratio_violation = float(max(np.max(step_f - spec.lip_ratio * step_ref), 0.0))
@@ -298,6 +301,7 @@ def check_neighborhood(
         sup_violation=sup_violation,
         dev_ok=dev_violation <= tol,
         dev_violation=dev_violation,
+        deviation=deviation,
         ratio_ok=ratio_violation <= tol,
         ratio_violation=ratio_violation,
     )

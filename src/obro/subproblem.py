@@ -35,7 +35,7 @@ class SubproblemError(RuntimeError):
 class AdversaryBlock:
     """The part of the adversary LP that no decision changes: column
     offsets per term (values block, slack block, deviation variable), the
-    rows, the bounds, the deviation penalty in the cost, and the rows' CSR
+    rows, the bounds, the deviation penalty in the cost, and the rows' sparse
     form for HiGHS.  ``key`` holds the problem fields it was built from."""
 
     key: tuple

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from obro import bess, configio, engine
 from obro.engine import run, verify_saddle
@@ -241,3 +242,15 @@ def test_saddle_check_solves_adversary_per_distinct_decision(monkeypatch, max_it
     assert len(seen) == solves
     np.testing.assert_array_equal(seen[0], res.x)
     np.testing.assert_array_equal(seen[-1], res.x_master)
+
+
+def test_highs_run_never_calls_linprog(monkeypatch):
+    # HiGHS solves the adversary LPs through the same scipy entry point
+    # as the master MILPs
+    def no_linprog(*args, **kwargs):
+        raise AssertionError("scipy.optimize.linprog called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", no_linprog)
+    prob = bess.assemble_bess_problem(*bess.synthetic_reduction_case(0.004))
+    res = run(prob, tol=1e-2, max_iter=20, solver=HighsSolver())
+    assert res.converged

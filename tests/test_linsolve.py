@@ -200,6 +200,17 @@ def test_highs_other_status_is_not_a_limit(monkeypatch):
     assert out.stats["message"] == msg
 
 
+def test_highs_stat_keys():
+    # an LP reports the captured output and scipy's message; a MILP adds
+    # its node count
+    lp = LinearProgram(
+        "max", np.ones(2), [Row({0: 1.0, 1: 1.0}, "<=", 1.5)], np.zeros(2), np.ones(2)
+    )
+    assert set(HighsSolver().solve_lp(lp).stats) == {"stdout_lines", "message"}
+    mip = MixedIntegerProgram(lp, (1,))
+    assert set(HighsSolver().solve_milp(mip).stats) == {"stdout_lines", "message", "nodes"}
+
+
 def enumerate_reference(mip):
     """Ground truth by trying every binary assignment."""
     lp = mip.lp
@@ -347,40 +358,35 @@ def test_negative_column_index_is_rejected(solver):
         )
 
 
-def per_row_split(lp):
-    """Reference CSR construction, one coefficient at a time through COO:
-    ``((A_ub, b_ub), (A_eq, b_eq))`` with ``>=`` rows negated."""
-    from scipy.sparse import csr_matrix
+def per_row_form(lp):
+    """Reference HiGHS form, one coefficient at a time through COO:
+    ``(A, lower, upper)`` with ``<=`` and negated ``>=`` rows first, then
+    ``=`` rows."""
+    from scipy.sparse import coo_matrix
 
-    data = {"<=": ([], [], [], []), "=": ([], [], [], [])}
-    for r in lp.rows:
-        rows, cols, vals, rhs = data["=" if r.sense == "=" else "<="]
+    ineq = [r for r in lp.rows if r.sense != "="]
+    eq = [r for r in lp.rows if r.sense == "="]
+    rows, cols, vals, lower, upper = [], [], [], [], []
+    for i, r in enumerate([*ineq, *eq]):
         sign = -1.0 if r.sense == ">=" else 1.0
         for j, v in r.coeffs.items():
-            rows.append(len(rhs))
+            rows.append(i)
             cols.append(j)
             vals.append(sign * v)
-        rhs.append(sign * r.rhs)
-
-    def matrix(kind):
-        rows, cols, vals, rhs = data[kind]
-        if not rhs:
-            return None, np.zeros(0)
-        return csr_matrix((vals, (rows, cols)), shape=(len(rhs), lp.n_vars)), np.array(rhs)
-
-    return matrix("<="), matrix("=")
+        upper.append(sign * r.rhs)
+        lower.append(r.rhs if r.sense == "=" else -np.inf)
+    a = coo_matrix((vals, (rows, cols)), shape=(len(upper), lp.n_vars)).tocsc()
+    return a, np.array(lower, dtype=float), np.array(upper, dtype=float)
 
 
-def assert_same_split(got, want):
-    for (a, b), (ra, rb) in zip(got, want):
+def assert_same_form(got, want):
+    (a, lo, up), (ra, rlo, rup) = got, want
+    assert a.format == "csc" and a.shape == ra.shape
+    for attr in ("indptr", "indices", "data"):
+        x, y = getattr(a, attr), getattr(ra, attr)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
+    for b, rb in ((lo, rlo), (up, rup)):
         assert b.dtype == rb.dtype and b.tobytes() == rb.tobytes()
-        if ra is None:
-            assert a is None
-            continue
-        assert a.shape == ra.shape
-        for attr in ("indptr", "indices", "data"):
-            x, y = getattr(a, attr), getattr(ra, attr)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
 
 
 MIXED_ROWS = [
@@ -407,17 +413,36 @@ class TestSparseRows:
     def test_matches_per_row_construction(self, rows):
         # column 4 appears in no row
         lp = LinearProgram("min", np.ones(5), rows, np.zeros(5), np.full(5, 10.0))
-        assert_same_split(SparseRows(rows, 5).split(), per_row_split(lp))
-        assert_same_split(lp.sparse_rows().split(), per_row_split(lp))
+        sp = SparseRows(rows, 5)
+        assert_same_form(sp.highs(), per_row_form(lp))
+        assert sp.highs() is sp.highs()  # built once
+        assert_same_form(lp.sparse_rows().highs(), per_row_form(lp))
+
+    def test_row_order_and_bounds(self):
+        # inequality rows in list order, ">=" rows negated, then "=" rows
+        a, lower, upper = SparseRows(MIXED_ROWS, 5).highs()
+        np.testing.assert_array_equal(
+            a.toarray(),
+            [
+                [-2.0, 0.0, 1.0, 0.0, 0.0],
+                [0.0, -1.5, 0.0, -1.0, 0.0],
+                [0.0, -0.5, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 0.0],
+                [1.0, 1.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 2.0, 1.0, 0.0],
+            ],
+        )
+        np.testing.assert_array_equal(lower, [-np.inf, -np.inf, -np.inf, -np.inf, 2.0, 1.0])
+        np.testing.assert_array_equal(upper, [3.0, 1.0, 0.0, 4.0, 2.0, 1.0])
 
     @pytest.mark.parametrize("head", [0, 2, 3, 5, 6])
     def test_base_prefix_matches_full_conversion(self, head):
         # a base of 2 rows has no "=" row, one of 5 leaves only a "<=" tail
         base = SparseRows(MIXED_ROWS[:head], 5)
-        base.split()
+        base.highs()
         stacked = SparseRows(list(MIXED_ROWS), 5, base=base)
         assert stacked.base is base
-        assert_same_split(stacked.split(), SparseRows(MIXED_ROWS, 5).split())
+        assert_same_form(stacked.highs(), SparseRows(MIXED_ROWS, 5).highs())
 
     def test_base_must_be_the_form_of_a_prefix(self):
         base = SparseRows(MIXED_ROWS[:2], 5)
@@ -445,7 +470,7 @@ class TestSparseRows:
         assert moved.sparse is not old and moved.sparse.rows is moved.rows
         out = HighsSolver().solve_lp(moved)
         assert out.objective == pytest.approx(4.0)
-        assert_same_split(moved.sparse_rows().split(), per_row_split(moved))
+        assert_same_form(moved.sparse_rows().highs(), per_row_form(moved))
 
     def test_form_of_other_rows_or_columns_is_replaced(self):
         rows = [Row({0: 1.0}, "<=", 1.0)]
@@ -455,7 +480,7 @@ class TestSparseRows:
         )
         assert equal_rows.sparse is not sp and equal_rows.sparse.rows is equal_rows.rows
         wider = LinearProgram("min", np.ones(3), rows, np.zeros(3), np.ones(3), sp)
-        assert wider.sparse is not sp and wider.sparse_rows().split()[0][0].shape == (1, 3)
+        assert wider.sparse is not sp and wider.sparse_rows().highs()[0].shape == (1, 3)
 
 
 def test_stdout_capture_counts_and_hides_fd1(capfd):

@@ -309,14 +309,14 @@ class TestMasterBlock:
 
     @pytest.mark.parametrize("k", [1, 5], ids=["no-cut", "cuts"])
     def test_sparse_form_matches_full_conversion(self, k):
-        from test_linsolve import assert_same_split
+        from test_linsolve import assert_same_form
 
         prob, scens = self.pool()
         lp = build_master(prob, scens[:k]).lp
         assert lp.sparse.base is prob.master.sparse
         assert len(lp.rows) - len(prob.master.rows) == 2 * (k - 1)
         full = SparseRows(list(lp.rows), lp.n_vars)
-        assert_same_split(lp.sparse_rows().split(), full.split())
+        assert_same_form(lp.sparse_rows().highs(), full.highs())
 
     def test_programs_cannot_change_the_block(self):
         prob, scens = self.pool()

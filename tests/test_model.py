@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from obro import model, pwl
 from obro.linsolve import Row
 from obro.model import (
     ObroProblem,
@@ -8,6 +9,7 @@ from obro.model import (
     UncertainTerm,
     evaluate_v,
     reference_scenario,
+    scenario_issues,
     validate,
 )
 from obro.pwl import (
@@ -128,3 +130,32 @@ class TestEvaluateV:
         prob.c = np.array([2.0])
         scen = reference_scenario(prob)
         assert evaluate_v(prob, scen, np.array([0.5])) == pytest.approx(0.5 + 1.0)
+
+
+def test_scenario_issues_integrates_each_deviation_once(monkeypatch):
+    integrate = pwl.trapezoid_deviation
+    calls = []
+
+    def counting(f, ref):
+        calls.append(f)
+        return integrate(f, ref)
+
+    monkeypatch.setattr(pwl, "trapezoid_deviation", counting)
+    monkeypatch.setattr(model, "trapezoid_deviation", counting, raising=False)
+    spec = identity_spec(points=(0.0, 0.5, 1.0), dev=0.01)
+    prob = ObroProblem(
+        c=np.zeros(2), rows=[], lower=np.zeros(2), upper=np.ones(2), epsilon=0.1,
+        terms=[UncertainTerm("f1", spec, (0,)), UncertainTerm("f2", spec, (1,))],
+        names=["x", "y"],
+    )
+    ref = spec.reference
+    lifted = SampledFunction(ref.partition, ref.values + 0.05)  # deviation 0.05
+    assert scenario_issues(prob, Scenario((ref, lifted), (0.0, 0.05))) == [
+        "terms[1]: sup bound: ok; deviation budget: violated by 4.000e-02; ratio bound: ok"
+    ]
+    assert len(calls) == 2
+    calls.clear()
+    assert scenario_issues(prob, Scenario((ref, ref), (0.0, 0.04))) == [
+        "terms[1]: stored deviation disagrees with quadrature"
+    ]
+    assert len(calls) == 2

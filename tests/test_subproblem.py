@@ -187,12 +187,10 @@ def config_problem(name):
     return configio.problem_from_config(cfg)[0]
 
 
-def csr_bytes(split):
-    return [
-        (None if a is None else (a.shape, a.indptr.tobytes(), a.indices.tobytes(),
-                                 a.data.tobytes()), b.tobytes())
-        for a, b in split
-    ]
+def form_bytes(form):
+    a, lower, upper = form
+    return (a.shape, a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes(),
+            lower.tobytes(), upper.tobytes())
 
 
 class TestAdversaryBlock:
@@ -214,8 +212,8 @@ class TestAdversaryBlock:
             assert cached.upper.tobytes() == fresh.upper.tobytes()
             assert list(cached.rows) == list(fresh.rows)
             # the HiGHS matrices of the shared form and of a new conversion
-            rebuilt = SparseRows(list(fresh.rows), fresh.n_vars).split()
-            assert csr_bytes(cached.sparse_rows().split()) == csr_bytes(rebuilt)
+            rebuilt = SparseRows(list(fresh.rows), fresh.n_vars).highs()
+            assert form_bytes(cached.sparse_rows().highs()) == form_bytes(rebuilt)
 
     def test_second_build_constructs_no_row(self, monkeypatch):
         made = []
