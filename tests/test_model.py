@@ -141,6 +141,7 @@ def test_scenario_issues_integrates_each_deviation_once(monkeypatch):
         return integrate(f, ref)
 
     monkeypatch.setattr(pwl, "trapezoid_deviation", counting)
+    # a second integration would come through model's own import of it
     monkeypatch.setattr(model, "trapezoid_deviation", counting, raising=False)
     spec = identity_spec(points=(0.0, 0.5, 1.0), dev=0.01)
     prob = ObroProblem(
