@@ -10,7 +10,7 @@ neighborhood bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -313,12 +313,14 @@ def parametric_baseline(
         return a_hi * d - b_lo * d * d
 
     prob = assemble_bess_problem(feeder, inputs)
-    for ti, (term, b) in enumerate(zip(prob.terms, inputs.batteries)):
+    terms = []
+    for term, b in zip(prob.terms, inputs.batteries):
         ref = sample_reference(
             lambda p, b=b: corner_curve(p, inputs.dt, b.e_max), term.spec.partition
         )
         spec = NeighborhoodSpec(ref, 0.0, 0.0, term.spec.lip_ratio)
-        prob.terms[ti] = UncertainTerm(term.name, spec, term.eval_indices)
+        terms.append(UncertainTerm(term.name, spec, term.eval_indices))
+    prob = replace(prob, terms=terms)
 
     x, value = solve_master(prob, [reference_scenario(prob)], solver)
     schedule = schedule_from_solution(inputs, x)

@@ -37,7 +37,7 @@ from obro.linsolve import (
     SparseRows,
     solve_milp,
 )
-from obro.model import ObroProblem, held_block, scenario_issues, validate
+from obro.model import ObroProblem, scenario_issues, validate
 
 __all__ = ["MasterLayout", "master_layout", "build_master", "solve_master"]
 
@@ -83,12 +83,11 @@ class MasterBlock:
     """The part of the master MILP that no scenario changes: the layout,
     the cost and bounds without the anchor's increments, the polyhedron
     rows, incremental-block rows and coordinate links, the sorted
-    binaries and the rows' sparse form for HiGHS.  ``key`` holds the problem
-    fields it was built from.  ``pool`` holds the last build's scenarios,
+    binaries and the rows' sparse form for HiGHS.  Held by the problem as
+    ``ObroProblem.master``.  ``pool`` holds the last build's scenarios,
     each as ``(scenario, its cut, its cut rows)``; the anchor has no
     rows."""
 
-    key: tuple
     layout: MasterLayout
     c: np.ndarray
     rows: tuple
@@ -99,12 +98,9 @@ class MasterBlock:
     pool: list = field(default_factory=list, compare=False, repr=False)
 
 
-def _master_block(prob: ObroProblem) -> MasterBlock:
-    """The problem's block, built and validated on first use and kept on
-    the problem while its fields are, by identity, those it was built from."""
-    block, key = held_block(prob, "master")
-    if block is not None:
-        return block
+def master_block(prob: ObroProblem) -> MasterBlock:
+    """Validate the problem and build its block; `ObroProblem.master`
+    calls this once per problem."""
     issues = validate(prob)
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
@@ -147,9 +143,7 @@ def _master_block(prob: ObroProblem) -> MasterBlock:
     for a in (c, lower, upper):
         a.flags.writeable = False  # each build copies what it changes
     rows = tuple(rows)
-    block = MasterBlock(key, lay, c, rows, lower, upper, tuple(binaries), SparseRows(rows, n))
-    prob.master = block
-    return block
+    return MasterBlock(lay, c, rows, lower, upper, tuple(binaries), SparseRows(rows, n))
 
 
 def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
@@ -168,7 +162,7 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
     """
     if not scenarios:
         raise ValueError("need at least one scenario")
-    block = _master_block(prob)
+    block = prob.master
     lay, pool = block.layout, block.pool
 
     def cut(scen):

@@ -9,7 +9,8 @@ the interpolated function values, and a deviation penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "validate",
     "evaluate_v",
     "reference_scenario",
-    "held_block",
 ]
 
 FEAS_TOL = 1e-7
@@ -47,33 +47,35 @@ class UncertainTerm:
             raise ValueError(f"term {self.name!r} has no evaluation variables")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObroProblem:
     """min over the polyhedron, max over the admissible functions.
 
     The decision vector may carry auxiliary coordinates beyond the
     evaluation variables; ``rows`` is the polyhedron A x <= b, on top of
-    the per-variable box bounds.  ``adversary`` holds the adversary LP's
-    decision-independent part once `subproblem.build_subproblem` has
-    built it, and ``master`` the master MILP's, with the cut rows of the
-    last scenario pool, once `master.build_master` has; reassigning a
-    field makes the next build start afresh (see `held_block`).
+    the per-variable box bounds.  The problem holds read-only float copies
+    of ``c``, ``lower`` and ``upper`` and tuples of ``rows``, ``terms`` and
+    ``names``, so a changed problem comes only from `dataclasses.replace`.
+    The cached properties ``adversary`` (`subproblem.AdversaryBlock`) and
+    ``master`` (`master.MasterBlock`) are built and validated on first use.
     """
 
     c: np.ndarray
-    rows: list
+    rows: tuple
     lower: np.ndarray
     upper: np.ndarray
     epsilon: float
-    terms: list
-    names: list | None = None
-    adversary: object = field(default=None, init=False, repr=False, compare=False)
-    master: object = field(default=None, init=False, repr=False, compare=False)
+    terms: tuple
+    names: tuple | None = None
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
+        for name in ("c", "lower", "upper"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        for name in ("rows", "terms", "names"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def n_vars(self) -> int:
@@ -81,6 +83,18 @@ class ObroProblem:
 
     def var_name(self, j: int) -> str:
         return self.names[j] if self.names else f"x{j}"
+
+    @cached_property
+    def adversary(self):
+        from obro.subproblem import adversary_block
+
+        return adversary_block(self)
+
+    @cached_property
+    def master(self):
+        from obro.master import master_block
+
+        return master_block(self)
 
 
 @dataclass(frozen=True)
@@ -109,21 +123,6 @@ def reference_scenario(prob: ObroProblem) -> Scenario:
     )
 
 
-def held_block(prob: ObroProblem, name: str) -> tuple:
-    """``(block, key)`` for the block held in the problem's field ``name``.
-
-    ``key`` lists the fields every block is built from: ``c``, ``rows``,
-    ``lower``, ``upper``, ``epsilon`` and ``terms``.  ``block`` is the
-    held one while its own ``key`` matches them, each compared by
-    identity, and None otherwise; a new block stores ``key``.
-    """
-    key = (prob.c, prob.rows, prob.lower, prob.upper, prob.epsilon, prob.terms)
-    block = getattr(prob, name)
-    if block is not None and all(a is b for a, b in zip(block.key, key)):
-        return block, key
-    return None, key
-
-
 def validate(prob: ObroProblem) -> list:
     """Collect every invariant violation as a human-readable string.
 
@@ -131,6 +130,8 @@ def validate(prob: ObroProblem) -> list:
     """
     issues = []
     n = prob.n_vars
+    if prob.names is not None and len(prob.names) != n:
+        return [f"names: need one name per variable (got {len(prob.names)} for {n})"]
     if prob.lower.shape != (n,) or prob.upper.shape != (n,):
         issues.append("bounds: arrays must match the variable count")
         return issues

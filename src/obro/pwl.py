@@ -52,7 +52,8 @@ class Partition:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)  # a read-only copy
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 2:
             raise PartitionError("partition needs at least two points")
@@ -93,7 +94,8 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a read-only copy
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.partition.n_points,):
             raise PartitionError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from obro.linsolve import LinearProgram, Row, Solver, SparseRows, solve_lp
-from obro.model import ObroProblem, Scenario, held_block, scenario_issues, validate
+from obro.model import ObroProblem, Scenario, scenario_issues, validate
 from obro.pwl import (
     SampledFunction,
     sample_coefficients,
@@ -36,9 +36,8 @@ class AdversaryBlock:
     """The part of the adversary LP that no decision changes: column
     offsets per term (values block, slack block, deviation variable), the
     rows, the bounds, the deviation penalty in the cost, and the rows' sparse
-    form for HiGHS.  ``key`` holds the problem fields it was built from."""
+    form for HiGHS.  Held by the problem as ``ObroProblem.adversary``."""
 
-    key: tuple
     offsets: tuple
     c: np.ndarray
     rows: tuple
@@ -47,12 +46,9 @@ class AdversaryBlock:
     sparse: SparseRows
 
 
-def _adversary_block(prob: ObroProblem) -> AdversaryBlock:
-    """The problem's block, built and validated on first use and kept on
-    the problem while its fields are, by identity, those it was built from."""
-    block, key = held_block(prob, "adversary")
-    if block is not None:
-        return block
+def adversary_block(prob: ObroProblem) -> AdversaryBlock:
+    """Validate the problem and build its block; `ObroProblem.adversary`
+    calls this once per problem."""
     issues = validate(prob)
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
@@ -109,9 +105,7 @@ def _adversary_block(prob: ObroProblem) -> AdversaryBlock:
     for a in (c, lower, upper):
         a.flags.writeable = False  # shared by every LP built from the block
     rows = tuple(rows)
-    block = AdversaryBlock(key, tuple(offsets), c, rows, lower, upper, SparseRows(rows, base))
-    prob.adversary = block
-    return block
+    return AdversaryBlock(tuple(offsets), c, rows, lower, upper, SparseRows(rows, base))
 
 
 def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
@@ -122,7 +116,7 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
     c.x_k is a constant and stays out of the LP; callers re-add it when
     reporting values.
     """
-    block = _adversary_block(prob)
+    block = prob.adversary
     x_k = np.asarray(x_k, dtype=float)
     c = block.c.copy()
     for term, (f0, _, _) in zip(prob.terms, block.offsets):
@@ -147,12 +141,12 @@ def solve_subproblem(
     if out.status != "optimal":
         raise SubproblemError(f"adversary LP ended {out.status}")
 
-    offsets = _adversary_block(prob).offsets
+    offsets = prob.adversary.offsets
     functions = []
     deviations = []
     for term, (f0, s0, d0) in zip(prob.terms, offsets):
         n = term.spec.partition.n_points
-        f = SampledFunction(term.spec.partition, out.x[f0 : f0 + n].copy())
+        f = SampledFunction(term.spec.partition, out.x[f0 : f0 + n])
         dev = trapezoid_deviation(f, term.spec.reference)
         if abs(dev - out.x[d0]) > 1e-6:
             raise SubproblemError(

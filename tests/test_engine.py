@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -183,15 +184,43 @@ class TestArguments:
             run(prob, tol=1e-2, max_iter=0)
 
     def test_invalid_problem_rejected(self):
-        prob = two_pocket()
-        prob.epsilon = -1.0
-        with pytest.raises(ValueError, match="invalid problem"):
-            run(prob)
+        for bad in ({"epsilon": -1.0}, {"names": ["x", "y"]}):
+            with pytest.raises(ValueError, match="invalid problem"):
+                run(replace(two_pocket(), **bad))
 
     def test_wall_time_recorded(self):
         prob = two_pocket()
         res = run(prob, tol=1e-6, max_iter=50)
         assert all(r.wall_ms >= 0.0 for r in res.history)
+
+
+class TestFrozenProblem:
+    """Two runs on one problem with an in-place edit between them used to
+    reuse the stale cached blocks: a changed ``c`` gave an LB above the
+    UB, a changed reference a failed quadrature check.  Both writes now
+    fail, and a changed problem comes from ``replace``."""
+
+    def test_in_place_edits_raise_at_the_write(self):
+        prob = two_pocket()
+        first = run(prob, tol=1e-6, max_iter=50)
+        with pytest.raises(ValueError, match="read-only"):
+            prob.c[:] += 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            prob.terms[0].spec.reference.values[:] += 0.1
+        again = run(prob, tol=1e-6, max_iter=50)
+        assert (again.status, again.ub, again.lb) == (first.status, first.ub, first.lb)
+        shifted = run(replace(prob, c=prob.c + 0.5), tol=1e-6, max_iter=50)
+        fresh = run(replace(two_pocket(), c=[0.5]), tol=1e-6, max_iter=50)
+        assert (shifted.ub, shifted.lb) == (fresh.ub, fresh.lb)
+        assert shifted.lb <= shifted.ub + 1e-9
+
+    def test_scenario_functions_cannot_be_written(self):
+        result = run(two_pocket(), tol=1e-6, max_iter=50)
+        assert len(result.scenarios) > 1
+        for scen in result.scenarios:
+            for f in scen.functions:
+                with pytest.raises(ValueError, match="read-only"):
+                    f.values[0] = 0.0
 
 
 def reduction_case():

@@ -148,7 +148,7 @@ class TestIncrementalStructure:
         from obro.linsolve import Row
 
         prob = make_problem([0.0, 1.0], [1.0, 0.0])
-        prob.rows = [Row({0: 1.0}, "<=", 0.25, "cap")]
+        prob = replace(prob, rows=[Row({0: 1.0}, "<=", 0.25, "cap")])
         x, eta = solve_master(prob, [reference_scenario(prob)])
         assert x[0] <= 0.25 + 1e-9
         assert eta == pytest.approx(0.75, abs=1e-9)
@@ -266,21 +266,21 @@ class TestMasterBlock:
         build_master(prob, scens)
         block = prob.master
         copy = replace(prob)
-        assert copy.master is None
+        assert "master" not in vars(copy)
         build_master(copy, scens)
         assert copy.master is not block and prob.master is block
-        prob.rows = [Row({0: 1.0}, "<=", 0.25, "cap")]
-        mip = build_master(prob, scens)
-        assert prob.master is not block and mip.lp.rows[0].name == "cap"
-        block = prob.master
-        prob.terms = list(prob.terms)
-        build_master(prob, scens)
-        assert prob.master is not block
-        assert len(validated) == 4
-        # an invalid reassignment is caught by the new validation
-        prob.terms = [UncertainTerm("f1", prob.terms[0].spec, (3,)), prob.terms[1]]
+        capped = replace(prob, rows=[Row({0: 1.0}, "<=", 0.25, "cap")])
+        mip = build_master(capped, scens)
+        assert capped.master is not block and mip.lp.rows[0].name == "cap"
+        renewed = replace(capped, terms=list(capped.terms))
+        build_master(renewed, scens)
+        assert renewed.master is not capped.master
+        assert same_objects(validated, [prob, copy, capped, renewed])
+        assert prob.master is block and build_master(prob, scens).lp.rows[0].name != "cap"
+        # an invalid replacement is caught by the new validation
+        bad = replace(prob, terms=[UncertainTerm("f1", prob.terms[0].spec, (3,)), prob.terms[1]])
         with pytest.raises(ValueError, match="out of range"):
-            build_master(prob, scens)
+            build_master(bad, scens)
 
     def test_new_anchor_rebuilds_every_cut(self, monkeypatch):
         checked = counting(monkeypatch, "scenario_issues")
@@ -363,8 +363,7 @@ class TestErrors:
         from obro.linsolve import Row
         from obro.master import MasterError
 
-        prob = make_problem([0.0, 1.0], [0.0, 1.0])
-        prob.rows = [Row({0: 1.0}, "<=", -0.5)]
+        prob = replace(make_problem([0.0, 1.0], [0.0, 1.0]), rows=[Row({0: 1.0}, "<=", -0.5)])
         with pytest.raises(MasterError, match="empty"):
             solve_master(prob, [reference_scenario(prob)])
 
@@ -422,7 +421,8 @@ def acceptance_family_cases(count=12):
     cases = []
     while len(cases) < count:
         prob, _ = random_subproblem_instance(rng)
-        prob.c = rng.uniform(-1.5, 0.0, prob.n_vars)  # a certain cost pulling x off its bound
+        # a certain cost pulling x off its bound
+        prob = replace(prob, c=rng.uniform(-1.5, 0.0, prob.n_vars))
         scens = []
         for _ in range(4):
             scen = solve_subproblem(prob, rng.uniform(prob.lower, prob.upper))[0]

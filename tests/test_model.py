@@ -1,7 +1,10 @@
+from dataclasses import FrozenInstanceError, fields, replace
+from functools import cached_property
+
 import numpy as np
 import pytest
 
-from obro import model, pwl
+from obro import master, model, pwl, subproblem
 from obro.linsolve import Row
 from obro.model import (
     ObroProblem,
@@ -59,22 +62,85 @@ class TestValidate:
         assert any("duplicate evaluation variable" in s for s in issues)
 
     def test_bounds_exceed_partition(self):
-        prob = one_term_problem()
-        prob.lower = np.array([-1.0])
-        prob.upper = np.array([2.0])
+        prob = replace(one_term_problem(), lower=np.array([-1.0]), upper=np.array([2.0]))
         issues = validate(prob)
         assert any("exceed partition" in s for s in issues)
 
     def test_nonpositive_epsilon(self):
-        prob = one_term_problem()
-        prob.epsilon = 0.0
+        prob = replace(one_term_problem(), epsilon=0.0)
         issues = validate(prob)
         assert any("epsilon" in s for s in issues), issues
 
     def test_infinite_eval_bounds(self):
-        prob = one_term_problem()
-        prob.upper = np.array([np.inf])
+        prob = replace(one_term_problem(), upper=np.array([np.inf]))
         assert any("finite box bounds" in s for s in validate(prob))
+
+    def test_names_need_one_per_variable(self):
+        # a short list used to pass, then fail in the master's row names
+        prob = ObroProblem(
+            np.zeros(2), [], np.zeros(2), np.ones(2), 0.1,
+            [UncertainTerm("f1", identity_spec(), (1,))], names=["a"],
+        )
+        assert validate(prob) == ["names: need one name per variable (got 1 for 2)"]
+        assert validate(replace(prob, names=["a", "b"])) == []
+        assert validate(replace(prob, names=None)) == []
+
+
+class TestFrozenProblem:
+    """A problem cannot change once built, so the blocks it caches always
+    describe it; a changed problem comes from ``dataclasses.replace``."""
+
+    def test_fields_cannot_be_reassigned(self):
+        prob = one_term_problem()
+        for name in ("c", "rows", "lower", "upper", "epsilon", "terms", "names",
+                     "adversary", "master"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(prob, name, None)
+
+    def test_arrays_and_sequences_are_read_only_copies(self):
+        c = np.zeros(1)
+        rows = [Row({0: 1.0}, "<=", 0.4)]
+        terms = [UncertainTerm("f1", identity_spec(), (0,))]
+        prob = ObroProblem(c, rows, [0], [1], 0.1, terms, ["x"])
+        c[0] = 1.0
+        rows.append(Row({0: -1.0}, "<=", 0.0))
+        terms.clear()
+        assert prob.c[0] == 0.0 and len(prob.rows) == 1 and len(prob.terms) == 1
+        for a in (prob.c, prob.lower, prob.upper):
+            assert a.dtype == float
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+        assert (type(prob.rows), type(prob.terms), prob.names) == (tuple, tuple, ("x",))
+        with pytest.raises(TypeError):
+            prob.terms[0] = prob.terms[0]
+
+    def test_blocks_are_cached_properties(self):
+        assert {f.name for f in fields(ObroProblem)} == {
+            "c", "rows", "lower", "upper", "epsilon", "terms", "names"
+        }
+        for name in ("adversary", "master"):
+            assert isinstance(vars(ObroProblem)[name], cached_property)
+        prob = one_term_problem()
+        assert "adversary" not in vars(prob) and "master" not in vars(prob)
+        assert prob.adversary is prob.adversary and prob.master is prob.master
+
+    def test_replace_builds_its_own_validated_blocks(self, monkeypatch):
+        validated = []
+        for module in (subproblem, master):
+            def counted(prob, original=module.validate):
+                validated.append(prob)
+                return original(prob)
+
+            monkeypatch.setattr(module, "validate", counted)
+        prob = one_term_problem()
+        adversary, held = prob.adversary, prob.master
+        cheap = replace(prob, c=np.array([-2.0]))
+        assert "adversary" not in vars(cheap) and "master" not in vars(cheap)
+        assert cheap.adversary is not adversary and cheap.master is not held
+        assert prob.adversary is adversary and prob.master is held
+        assert [p is prob for p in validated] == [True, True, False, False]
+        assert all(p is cheap for p in validated[2:])
+        assert (prob.master.c[0], cheap.master.c[0]) == (0.0, -2.0)
 
 
 class TestEvaluateV:
@@ -109,8 +175,7 @@ class TestEvaluateV:
         assert evaluate_v(prob, scen, np.array([0.25, 0.75])) == pytest.approx(1.0)
 
     def test_infeasible_decision_rejected(self):
-        prob = one_term_problem()
-        prob.rows = [Row({0: 1.0}, "<=", 0.4)]
+        prob = replace(one_term_problem(), rows=[Row({0: 1.0}, "<=", 0.4)])
         with pytest.raises(ValueError, match="infeasible"):
             evaluate_v(prob, reference_scenario(prob), np.array([0.6]))
 
@@ -126,8 +191,7 @@ class TestEvaluateV:
             assert evaluate_v(prob, scen, np.array([x])) == pytest.approx(expected)
 
     def test_certain_cost_term(self):
-        prob = one_term_problem()
-        prob.c = np.array([2.0])
+        prob = replace(one_term_problem(), c=np.array([2.0]))
         scen = reference_scenario(prob)
         assert evaluate_v(prob, scen, np.array([0.5])) == pytest.approx(0.5 + 1.0)
 

@@ -310,7 +310,8 @@ def two_term_pools(count=8):
         prob, _ = random_subproblem_instance(rng)
         if len(prob.terms) != 2:
             continue
-        prob.c = rng.uniform(-1.5, 0.0, prob.n_vars)  # a certain cost pulling x off its bound
+        # a certain cost pulling x off its bound
+        prob = replace(prob, c=rng.uniform(-1.5, 0.0, prob.n_vars))
         scens = [reference_scenario(prob)]
         wanted = 3 + len(cases) % 2  # the reference plus 2 or 3 generated
         for _ in range(12):
@@ -359,14 +360,13 @@ class TestRefinementStudy:
         def builder(step):
             prob = self.builder(step)
             spec = prob.terms[0].spec
-            prob.terms = [
+            return replace(prob, terms=[
                 UncertainTerm(
                     "f1",
                     NeighborhoodSpec(spec.reference, 0.0, spec.dev_max, spec.lip_ratio),
                     (0,),
                 )
-            ]
-            return prob
+            ])
 
         table = refinement_study(builder, [0.02, 0.01, 0.005], tol=1e-6)
         # the nominal optimizer sits on a shared grid point, so refinement
@@ -390,7 +390,7 @@ class TestRefinementStudy:
         def bad_builder(step):
             prob = self.builder(step)
             if step < 0.003:
-                prob.rows = [Row({0: 1.0}, "<=", -1.0)]  # empty polyhedron
+                prob = replace(prob, rows=[Row({0: 1.0}, "<=", -1.0)])  # empty polyhedron
             return prob
 
         with pytest.raises(Exception, match="0.002"):

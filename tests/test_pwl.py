@@ -56,6 +56,16 @@ class TestPartition:
         with pytest.raises(PartitionError):
             make_partition(1.0, 0.0, 0.1)
 
+    def test_points_and_values_are_read_only_copies(self):
+        points, values = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        f = SampledFunction(Partition(points), values)
+        points[1], values[1] = 5.0, 5.0
+        np.testing.assert_array_equal(f.partition.points, [0.0, 1.0])
+        np.testing.assert_array_equal(f.values, [1.0, 2.0])
+        for a in (f.partition.points, f.values):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+
     def test_rejects_non_increasing_points(self):
         with pytest.raises(PartitionError):
             Partition(np.array([0.0, 0.0, 1.0]))

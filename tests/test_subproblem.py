@@ -245,15 +245,20 @@ class TestAdversaryBlock:
         build_subproblem(prob, np.array([0.7]))
         assert len(calls) == 1
         spec = prob.terms[0].spec
-        prob.terms = [
+        pinned = replace(prob, terms=[
             UncertainTerm("f1", NeighborhoodSpec(spec.reference, 0.0, spec.dev_max,
                                                  spec.lip_ratio), (0,))
-        ]
-        lp = build_subproblem(prob, np.array([0.5]))
-        assert len(calls) == 2
+        ])
+        assert "adversary" not in vars(pinned)
+        lp = build_subproblem(pinned, np.array([0.5]))
+        assert calls == [prob, pinned]
+        assert pinned.adversary is not prob.adversary
         sup = [r.rhs for r in lp.rows if ".sup+" in r.name]
         np.testing.assert_array_equal(sup, spec.reference.values)
-        # an invalid reassignment is caught by the new validation
-        prob.terms = [UncertainTerm("f1", spec, (3,))]
+        wide = [r.rhs for r in build_subproblem(prob, np.array([0.5])).rows if ".sup+" in r.name]
+        np.testing.assert_array_equal(wide, spec.reference.values + spec.delta_max)
+        assert len(calls) == 2
+        # an invalid replacement is caught by the new validation
+        bad = replace(prob, terms=[UncertainTerm("f1", spec, (3,))])
         with pytest.raises(ValueError, match="out of range"):
-            build_subproblem(prob, np.array([0.5]))
+            build_subproblem(bad, np.array([0.5]))
