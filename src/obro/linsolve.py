@@ -18,8 +18,10 @@ import sys
 import tempfile
 import warnings
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,11 +46,16 @@ PIVOT_TOL = 1e-9
 INT_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class Row:
-    """One linear constraint: coeffs . x  (sense)  rhs."""
+    """One linear constraint: coeffs . x  (sense)  rhs.
 
-    coeffs: dict
+    Frozen, and ``coeffs`` is a read-only view of the row's own copy of
+    its nonzero coefficients, so an edit raises at the write; a changed
+    row comes from ``dataclasses.replace``.
+    """
+
+    coeffs: Mapping[int, float]
     sense: str  # "<=", "=", ">="
     rhs: float
     name: str = ""
@@ -56,8 +63,9 @@ class Row:
     def __post_init__(self):
         if self.sense not in ("<=", "=", ">="):
             raise ValueError(f"bad row sense {self.sense!r}")
-        self.coeffs = {int(j): float(v) for j, v in self.coeffs.items() if v != 0.0}
-        self.rhs = float(self.rhs)
+        coeffs = {int(j): float(v) for j, v in self.coeffs.items() if v != 0.0}
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
+        object.__setattr__(self, "rhs", float(self.rhs))
         if self.coeffs and min(self.coeffs) < 0:
             raise ValueError(f"row {self.name!r} references variable {min(self.coeffs)}")
 

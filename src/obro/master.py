@@ -120,7 +120,7 @@ def master_block(prob: ObroProblem) -> MasterBlock:
     binaries = []
 
     rows = [
-        Row(dict(r.coeffs), r.sense, r.rhs, r.name or f"poly[{i}]")
+        Row(r.coeffs, r.sense, r.rhs, r.name or f"poly[{i}]")
         for i, r in enumerate(prob.rows)
     ]
 

@@ -42,6 +42,7 @@ GRID_BUDGET = 10**7
 MAX_LEVELS = 101
 PATTERN_BUDGET = 10**6
 CHECK_SLACK = 1e-12
+_SWEEP_BLOCK = 2**15  # grid points per vector pass of the grid oracle
 
 
 class GridBudgetError(RuntimeError):
@@ -80,9 +81,13 @@ def brute_force_subproblem(
     constant times the grid step of it.
 
     Per term, the offsets of samples 1..n-1 (the tail) are enumerated once
-    with their deviation, ratio rows and objective share; each offset of
-    sample 0 then completes them with a few vector operations, so the full
-    ``levels**n`` grid is never held in memory.  The returned function is
+    with their deviation and objective share, a tail that breaks a ratio
+    row taking the value -inf.  The offsets of sample 0 are then swept in
+    blocks of about ``_SWEEP_BLOCK`` grid points, each block one 2-D
+    broadcast over the tail, so the full ``levels**n`` grid is never held
+    in memory.  The ratio row between samples 0 and 1 is a table over
+    their offsets, and the deviation budget is tested only when the
+    largest deviation on the grid exceeds it.  The returned function is
     the grid point with the largest value as computed here, the earliest
     in lexicographic grid order (sample 0 slowest) among equal values, so
     repeated calls return bit-identical results.
@@ -113,32 +118,64 @@ def brute_force_subproblem(
             offsets = np.zeros(1)
         weights = trapezoid_weights(part.points)
         ratio_cap = spec.lip_ratio * np.abs(np.diff(ref)) + CHECK_SLACK
+        budget = spec.dev_max + CHECK_SLACK
 
-        tail = np.stack(
-            np.meshgrid(*([offsets] * (n - 1)), indexing="ij"), axis=-1
-        ).reshape(-1, n - 1)
-        f_tail = ref[1:] + tail
-        tail_dev = np.abs(tail) @ weights[1:]
-        tail_ok = np.all(np.abs(np.diff(f_tail, axis=1)) <= ratio_cap[1:], axis=1)
+        # The tail: every combination of offsets for samples 1..n-1, one
+        # row each, sample 1 slowest.
+        tail_dev = _grid([np.abs(offsets)] * (n - 1)) @ weights[1:]
+        f_tail = _grid([r + offsets for r in ref[1:]])
         tail_val = f_tail @ coeff[1:]
+        f0 = ref[0] + offsets
+        head_dev = np.abs(offsets) * weights[0]
+        head_val = f0 * coeff[0]
+        inner = len(f_tail) // len(offsets)
+        rows = max(1, _SWEEP_BLOCK // len(f_tail))
 
-        best_val, best_off = -np.inf, None
-        for off0 in offsets:
-            f0 = ref[0] + off0
-            dev = abs(off0) * weights[0] + tail_dev
-            ok = tail_ok & (dev <= spec.dev_max + CHECK_SLACK)
-            ok &= np.abs(f_tail[:, 0] - f0) <= ratio_cap[0]
-            vals = f0 * coeff[0] + tail_val - prob.epsilon * dev
-            vals[~ok] = -np.inf
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:  # strict: earliest grid index wins ties
-                best_val = float(vals[j])
-                best_off = np.concatenate([[off0], tail[j]])
-        if best_off is None:
-            raise GridBudgetError("no feasible grid point (should be impossible)")
+        # Without sup radius the reference is the only grid point, and it
+        # passes every test: its deviation is 0 and lip_ratio > 1.
+        pair_bad, dev_binds = None, False
+        if spec.delta_max > 0:
+            tail_ok = np.ones(len(f_tail), dtype=bool)
+            for k in range(1, n - 1):
+                tail_ok &= np.abs(f_tail[:, k] - f_tail[:, k - 1]) <= ratio_cap[k]
+            tail_val[~tail_ok] = -np.inf
+            # The pair-0 ratio test as a table over (sample-0, sample-1)
+            # offsets; each entry covers ``inner`` consecutive tail rows.
+            pair_bad = ~(np.abs((ref[1] + offsets) - f0[:, None]) <= ratio_cap[0])
+            # Floating-point addition is monotone, so no grid point breaks
+            # the budget when the largest deviation fits it.
+            dev_binds = head_dev.max() + tail_dev.max() > budget
+
+        best_val, best_f = -np.inf, None
+        for lo in range(0, len(offsets), rows):
+            hi = min(lo + rows, len(offsets))
+            dev = head_dev[lo:hi, None] + tail_dev
+            vals = head_val[lo:hi, None] + tail_val
+            if dev_binds:
+                vals[dev > budget] = -np.inf
+            dev *= prob.epsilon
+            vals -= dev
+            if pair_bad is not None and pair_bad[lo:hi].any():
+                vals.reshape(hi - lo, len(offsets), inner)[pair_bad[lo:hi]] = -np.inf
+            i, j = divmod(int(np.argmax(vals)), len(f_tail))
+            if vals[i, j] > best_val:  # strict: earliest grid index wins ties
+                best_val = float(vals[i, j])
+                best_f = np.concatenate([[f0[lo + i]], f_tail[j]])
+        if best_f is None:
+            raise GridBudgetError(f"no feasible grid point at {levels} levels")
         total += best_val
-        best_functions.append(SampledFunction(part, ref + best_off))
+        best_functions.append(SampledFunction(part, best_f))
     return total, best_functions
+
+
+def _grid(axes) -> np.ndarray:
+    """Every combination of one value per axis, one row each, in
+    lexicographic order (the first axis slowest)."""
+    m = len(axes)
+    grid = np.empty([len(a) for a in axes] + [m])
+    for k, a in enumerate(axes):
+        grid[..., k] = a.reshape([-1 if i == k else 1 for i in range(m)])
+    return grid.reshape(-1, m)
 
 
 def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndarray]:

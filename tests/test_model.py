@@ -1,10 +1,13 @@
 from dataclasses import FrozenInstanceError, fields, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from obro import master, model, pwl, subproblem
+from obro.configio import load_config, problem_from_config
+from obro.engine import run
 from obro.linsolve import Row
 from obro.model import (
     ObroProblem,
@@ -141,6 +144,28 @@ class TestFrozenProblem:
         assert [p is prob for p in validated] == [True, True, False, False]
         assert all(p is cheap for p in validated[2:])
         assert (prob.master.c[0], cheap.master.c[0]) == (0.0, -2.0)
+
+    def test_rows_cannot_be_edited_in_place(self):
+        # An edited row used to leave the master built by the first run
+        # stale: the second run raised "decision vector infeasible".
+        config = Path(__file__).resolve().parent.parent / "configs" / "two_pocket.json"
+        base, options = problem_from_config(load_config(config))
+        prob = replace(base, rows=[Row({0: 1.0}, "<=", 1.0)])
+        first = run(prob, **options)
+        with pytest.raises(FrozenInstanceError):
+            prob.rows[0].rhs = 0.2
+        with pytest.raises(TypeError):
+            prob.rows[0].coeffs[0] = 5.0
+        assert prob.rows[0] == Row({0: 1.0}, "<=", 1.0)
+        assert run(prob, **options).ub == first.ub
+
+        coeffs = {0: 1.0}
+        tight = replace(prob, rows=[Row(coeffs, "<=", 0.2)])
+        coeffs[0] = 5.0  # the row holds its own copy
+        assert dict(tight.rows[0].coeffs) == {0: 1.0}
+        result = run(tight, **options)
+        assert result.converged and result.x[0] == pytest.approx(0.2)
+        assert result.ub == pytest.approx(0.35, abs=1e-9) and first.ub < 0.35
 
 
 class TestEvaluateV:

@@ -1,9 +1,13 @@
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from obro.configio import load_config, problem_from_config
 from obro.linsolve import BranchBoundSolver, HighsSolver, Row, SimplexSolver
 from obro.master import build_master, master_layout, solve_master
 from obro.model import (
@@ -18,6 +22,7 @@ from obro.oracle import (
     GridBudgetError,
     brute_force_subproblem,
     enumerate_master,
+    levels_within_budget,
     pin_segments,
     refinement_study,
 )
@@ -27,9 +32,11 @@ from obro.pwl import (
     SampledFunction,
     check_neighborhood,
     make_partition,
+    sample_coefficients,
     sample_reference,
     sup_distance,
     trapezoid_deviation,
+    trapezoid_weights,
 )
 from obro.subproblem import solve_subproblem
 
@@ -217,6 +224,189 @@ class TestGridAgainstDefinition:
         assert v1 == v2
         for a, b in zip(f1, f2):
             np.testing.assert_array_equal(a.values, b.values)
+
+
+def grid_per_offset(prob, x, levels):
+    """The grid oracle as one pass over the tail per offset of sample 0:
+    the same arithmetic per grid point as the blocked sweep, so the two
+    must agree bit for bit, maximizer included."""
+    total = float(prob.c @ x)
+    functions = []
+    for term in prob.terms:
+        spec = term.spec
+        part = spec.partition
+        n = part.n_points
+        ref = spec.reference.values
+        coeff = sample_coefficients(part, x[list(term.eval_indices)])
+        if spec.delta_max > 0:
+            offsets = np.linspace(-spec.delta_max, spec.delta_max, levels)
+        else:
+            offsets = np.zeros(1)
+        weights = trapezoid_weights(part.points)
+        ratio_cap = spec.lip_ratio * np.abs(np.diff(ref)) + CHECK_SLACK
+
+        tail = np.stack(
+            np.meshgrid(*([offsets] * (n - 1)), indexing="ij"), axis=-1
+        ).reshape(-1, n - 1)
+        f_tail = ref[1:] + tail
+        tail_dev = np.abs(tail) @ weights[1:]
+        tail_ok = np.all(np.abs(np.diff(f_tail, axis=1)) <= ratio_cap[1:], axis=1)
+        tail_val = f_tail @ coeff[1:]
+
+        best_val, best_off = -np.inf, None
+        for off0 in offsets:
+            f0 = ref[0] + off0
+            dev = abs(off0) * weights[0] + tail_dev
+            ok = tail_ok & (dev <= spec.dev_max + CHECK_SLACK)
+            ok &= np.abs(f_tail[:, 0] - f0) <= ratio_cap[0]
+            vals = f0 * coeff[0] + tail_val - prob.epsilon * dev
+            vals[~ok] = -np.inf
+            j = int(np.argmax(vals))
+            if vals[j] > best_val:
+                best_val = float(vals[j])
+                best_off = np.concatenate([[off0], tail[j]])
+        if best_off is None:
+            raise GridBudgetError("no feasible grid point")
+        total += best_val
+        functions.append(ref + best_off)
+    return total, functions
+
+
+def assert_same_as_per_offset(prob, x, levels):
+    x = np.asarray(x, float)
+    try:
+        ref_total, ref_values = grid_per_offset(prob, x, levels)
+    except GridBudgetError:  # an even grid can miss a zero budget
+        with pytest.raises(GridBudgetError, match="no feasible grid point"):
+            brute_force_subproblem(prob, x, levels)
+        return
+    total, funcs = brute_force_subproblem(prob, x, levels)
+    assert total == ref_total
+    assert len(funcs) == len(ref_values)
+    for f, values in zip(funcs, ref_values):
+        assert np.array_equal(f.values, values)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GENERIC_CONFIGS = [
+    "tiny_identity", "two_pocket", "two_term_coupled", "degenerate_delta0",
+    "two_pocket_truncated",
+]
+
+
+def budget_binds(prob):
+    """Whether some term's deviation budget excludes grid points: its
+    largest grid deviation, every sample at full offset, exceeds it."""
+    return any(
+        t.spec.delta_max * (t.spec.partition.hi - t.spec.partition.lo)
+        > t.spec.dev_max + CHECK_SLACK
+        for t in prob.terms
+    )
+
+
+def acceptance_draws(count=10):
+    """Seeded draws from the acceptance family, half of them with a
+    binding deviation budget."""
+    from test_acceptance import random_subproblem_instance
+
+    rng = np.random.default_rng(1313)
+    draws = {True: [], False: []}
+    while min(len(d) for d in draws.values()) < count // 2:
+        prob, x = random_subproblem_instance(rng)
+        draws[budget_binds(prob)].append((prob, x))
+    return draws[True][: count // 2] + draws[False][: count // 2]
+
+
+def pair0_pruned():
+    """Sample 0 may differ from sample 1 by at most 1.05 * 0.1, so the
+    pair-0 ratio test removes most (sample-0, sample-1) offset pairs."""
+    return one_term([0.0, 0.4, 0.7, 1.0], [0.0, 0.1, 0.5, 0.6], delta=0.2, lip=1.05, dev=0.3)
+
+
+def mixed_delta0():
+    """A term without sup radius next to one with it."""
+    part = Partition(np.array([0.0, 0.5, 1.0]))
+    flat = NeighborhoodSpec(SampledFunction(part, np.array([0.2, 0.6, 1.1])), 0.0, 0.0, 2.0)
+    wide = NeighborhoodSpec(SampledFunction(part, np.array([0.0, 0.4, 0.5])), 0.1, 0.04, 2.0)
+    return ObroProblem(
+        c=np.array([0.3, -0.2]), rows=[], lower=np.zeros(2), upper=np.ones(2),
+        epsilon=0.1, terms=[UncertainTerm("f1", flat, (0,)), UncertainTerm("f2", wide, (1,))],
+    )
+
+
+class TestGridSweepBitIdentity:
+    """The blocked sweep returns what one pass per sample-0 offset
+    returns, bit for bit, at every level count."""
+
+    @pytest.mark.parametrize("name", GENERIC_CONFIGS)
+    def test_generic_configs(self, name):
+        prob, _ = problem_from_config(load_config(CONFIGS / f"{name}.json"))
+        rng = np.random.default_rng(17)
+        for levels in (3, 5, levels_within_budget(prob)):
+            for _ in range(2):
+                assert_same_as_per_offset(prob, rng.uniform(prob.lower, prob.upper), levels)
+
+    @pytest.mark.parametrize("draw", range(10))
+    def test_acceptance_draws(self, draw):
+        prob, x = ACCEPTANCE_DRAWS[draw]
+        assert budget_binds(prob) == (draw < 5)
+        for levels in (3, 5, levels_within_budget(prob)):
+            assert_same_as_per_offset(prob, x, levels)
+
+    def test_pair0_ratio_prunes(self):
+        prob = pair0_pruned()
+        spec = prob.terms[0].spec
+        ref = spec.reference.values
+        cap = spec.lip_ratio * abs(ref[1] - ref[0]) + CHECK_SLACK
+        for levels in (3, 5, 9, levels_within_budget(prob)):
+            offsets = np.linspace(-spec.delta_max, spec.delta_max, levels)
+            pairs = np.abs((ref[1] + offsets) - (ref[0] + offsets)[:, None])
+            assert np.any(pairs > cap)
+            for x in (0.05, 0.3, 0.9):
+                assert_same_as_per_offset(prob, [x], levels)
+
+    @pytest.mark.parametrize("prob", [
+        one_term([0.0, 0.5, 1.0], [0.0, 0.6, 1.1], delta=0.0),
+        one_term([0.0, 1.0], [0.3, 0.1], delta=0.0, dev=0.0),
+        mixed_delta0(),
+    ], ids=["one-term", "two-point", "mixed"])
+    def test_delta0_terms(self, prob):
+        rng = np.random.default_rng(5)
+        for levels in (3, 5, levels_within_budget(prob)):
+            assert_same_as_per_offset(prob, rng.uniform(prob.lower, prob.upper), levels)
+
+    def test_ties_split_across_blocks(self, monkeypatch):
+        # one row per block, so the strict comparison across blocks,
+        # not the argmax inside one, keeps the earliest tie
+        monkeypatch.setattr("obro.oracle._SWEEP_BLOCK", 1)
+        prob = one_term([0.0, 1.0], [0.0, 1.0], delta=0.5, dev=0.375, eps=0.125)
+        assert_same_as_per_offset(prob, [0.5], 5)
+        _, funcs = brute_force_subproblem(prob, np.array([0.5]), 5)
+        np.testing.assert_array_equal(funcs[0].values, [0.25, 1.5])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        levels=st.integers(3, 9),
+        data=st.data(),
+    )
+    def test_small_terms(self, n, levels, data):
+        floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+        gaps = data.draw(st.lists(floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+        points = np.concatenate([[0.0], np.cumsum(gaps)])
+        values = data.draw(st.lists(floats(-1.0, 1.0), min_size=n, max_size=n))
+        prob = one_term(
+            points, values,
+            delta=data.draw(st.sampled_from([0.0, 0.01, 0.1]) | floats(0.0, 0.5)),
+            lip=data.draw(floats(1.01, 4.0)),
+            dev=data.draw(floats(0.0, 1.0)),
+            eps=data.draw(floats(0.01, 1.0)),
+        )
+        x = data.draw(floats(0.0, 1.0)) * points[-1]
+        assert_same_as_per_offset(prob, [x], levels)
+
+
+ACCEPTANCE_DRAWS = acceptance_draws()
 
 
 class TestEnumerateMaster:
