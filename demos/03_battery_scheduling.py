@@ -7,6 +7,9 @@ compared against the parametric baseline, where only two curve
 coefficients are uncertain and the worst case is trivially a corner.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 
 from obro.bess import (
@@ -14,13 +17,15 @@ from obro.bess import (
     parametric_baseline,
     schedule_from_solution,
     state_of_charge,
-    synthetic_8node_case,
     voltages_for_schedule,
 )
+from obro.configio import bess_case_from_config, load_config
 from obro.engine import run
 from obro.linsolve import HighsSolver
 
-feeder, inputs = synthetic_8node_case()
+config = Path(__file__).resolve().parent.parent / "configs" / "bess_8node.json"
+feeder, inputs, schemes, _ = bess_case_from_config(load_config(config))
+inputs = replace(inputs, scheme=schemes["benchmark"])
 solver = HighsSolver()  # 960 binaries per master: use the HiGHS backend
 
 idle_v = voltages_for_schedule(feeder, inputs, np.zeros((2, inputs.n_slots)))

@@ -8,17 +8,22 @@ tabulates the drift, then compares a dense grid against a heterogeneous
 one that is dense only on the lower half of the power range.
 """
 
-from obro.bess import assemble_bess_problem, synthetic_reduction_case
+from dataclasses import replace
+from pathlib import Path
+
+from obro.bess import assemble_bess_problem
+from obro.configio import bess_case_from_config, load_config
 from obro.engine import run
 from obro.linsolve import HighsSolver
 from obro.oracle import refinement_study
 
 solver = HighsSolver()
+config = Path(__file__).resolve().parent.parent / "configs" / "bess_reduction.json"
+feeder, inputs, schemes, _ = bess_case_from_config(load_config(config))
 
 
 def builder(step):
-    feeder, inputs = synthetic_reduction_case(scheme=step)
-    return assemble_bess_problem(feeder, inputs)
+    return assemble_bess_problem(feeder, replace(inputs, scheme=step))
 
 
 table = refinement_study(
@@ -30,10 +35,8 @@ print(f"monotone trend: {'yes' if table.trend_ok else 'no'}")
 print()
 
 # dense everywhere vs dense only on the lower half of the power range
-dense_prob = assemble_bess_problem(*synthetic_reduction_case(scheme=0.0008))
-hetero_prob = assemble_bess_problem(
-    *synthetic_reduction_case(scheme=[(0.0, 0.019, 0.0008), (0.019, 0.038, 0.002)])
-)
+dense_prob = builder(schemes["dense"])
+hetero_prob = builder(schemes["hetero"])
 res_dense = run(dense_prob, tol=1e-2, max_iter=100, solver=solver)
 res_hetero = run(hetero_prob, tol=1e-2, max_iter=100, solver=solver)
 rel = abs(res_dense.ub - res_hetero.ub) / abs(res_dense.ub)

@@ -69,8 +69,6 @@ from obro.bess import (
     voltages_for_schedule,
     state_of_charge,
     parametric_baseline,
-    synthetic_8node_case,
-    synthetic_reduction_case,
 )
 
 __version__ = "0.1.0"

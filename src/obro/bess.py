@@ -29,7 +29,6 @@ __all__ = [
     "voltages_for_schedule",
     "schedule_from_solution",
     "parametric_baseline",
-    "synthetic_8node_case",
 ]
 
 
@@ -326,72 +325,3 @@ def parametric_baseline(
     schedule = schedule_from_solution(inputs, x)
     return (a_hi, b_lo), schedule, float(value)
 
-
-def synthetic_8node_case():
-    """The shipped 8-node feeder with day-shaped load and solar profiles.
-
-    The network data behind the published study is not redistributable,
-    so this case is synthetic: a radial chain with photovoltaics at nodes
-    3 and 5 sized to push midday voltages just past the upper limit
-    unless the batteries at nodes 2 and 6 absorb the surplus.  Loads peak
-    in the early evening, solar at midday.
-    """
-    lines = [(i, i + 1, 0.03, 0.02) for i in range(8)]
-    feeder = build_feeder(lines, v_s=1.0)
-
-    hours = np.arange(24, dtype=float)
-    load_shape = 0.35 + 0.65 * np.exp(-0.5 * ((hours - 19.0) / 3.0) ** 2)
-    load_shape += 0.25 * np.exp(-0.5 * ((hours - 8.0) / 2.5) ** 2)
-    pv_shape = np.exp(-0.5 * ((hours - 13.0) / 4.6) ** 2)
-    pv_shape[pv_shape < 1e-3] = 0.0
-
-    load_peak = {1: 0.012, 2: 0.015, 3: 0.014, 4: 0.012, 5: 0.015, 6: 0.014, 7: 0.012, 8: 0.013}
-    load_p = {n: (p * load_shape).round(6).tolist() for n, p in load_peak.items()}
-    load_q = {n: (0.35 * p * load_shape).round(6).tolist() for n, p in load_peak.items()}
-    pv = {
-        3: (0.165 * pv_shape).round(6).tolist(),
-        5: (0.165 * pv_shape).round(6).tolist(),
-    }
-
-    batteries = [Battery(node=2), Battery(node=6)]
-    inputs = ScheduleInputs(
-        dt=1.0,
-        n_slots=24,
-        load_p=load_p,
-        load_q=load_q,
-        pv=pv,
-        batteries=batteries,
-        v_min=0.95,
-        v_max=1.05,
-        w_v=10.0,
-        epsilon=0.1,
-        scheme=0.002,
-    )
-    return feeder, inputs
-
-
-def synthetic_reduction_case(scheme=0.002):
-    """Six-slot slice of the 8-node case (the midday charging window),
-    small enough for refinement studies and oracle cross-checks.
-
-    The power cap is 0.038 rather than 0.04 so it does not sit on the
-    coarsest even grid: near-cap choices then genuinely depend on the
-    partition step, which is what a refinement study should resolve.
-    """
-    feeder, full = synthetic_8node_case()
-    window = slice(10, 16)
-    pick = lambda table: {n: np.asarray(s)[window] for n, s in table.items()}
-    inputs = ScheduleInputs(
-        dt=full.dt,
-        n_slots=6,
-        load_p=pick(full.load_p),
-        load_q=pick(full.load_q),
-        pv=pick(full.pv),
-        batteries=[Battery(node=b.node, p_max=0.038) for b in full.batteries],
-        v_min=full.v_min,
-        v_max=full.v_max,
-        w_v=full.w_v,
-        epsilon=full.epsilon,
-        scheme=scheme,
-    )
-    return feeder, inputs

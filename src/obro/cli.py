@@ -49,32 +49,6 @@ def _setup_logging():
         log.warning("OBRO_LOG=%s not recognized; using quiet", name)
 
 
-def _write_iterations(path, history):
-    # wall time stays out of the CSV so reruns are byte-identical
-    write_csv(
-        path,
-        ["k", "UB", "LB", "gap"],
-        [(r.k, float(r.ub), float(r.lb), float(r.gap)) for r in history],
-    )
-
-
-def _write_worst_functions(path, prob, scenarios):
-    rows = []
-    for li, scen in enumerate(scenarios):
-        for term, f in zip(prob.terms, scen.functions):
-            for xv, fv in zip(f.partition.points, f.values):
-                rows.append((li, term.name, float(xv), float(fv)))
-    write_csv(path, ["scenario", "term", "sample_x", "sample_f"], rows)
-
-
-def _write_solution(path, prob, x):
-    write_csv(
-        path,
-        ["variable", "value"],
-        [(prob.var_name(j), float(x[j])) for j in range(prob.n_vars)],
-    )
-
-
 def _load_problem(path):
     """The generic config at ``path`` as (problem, options), or None after
     printing its config error or every validation issue."""
@@ -89,34 +63,57 @@ def _load_problem(path):
     return None if issues else (prob, options)
 
 
-def cmd_solve(args) -> int:
-    loaded = _load_problem(args.config)
-    if loaded is None:
-        return EXIT_ERROR
-    prob, options = loaded
+def _run_and_write(args, prob, options, solver, write_decision) -> int:
+    """The tail of `solve` and `bess`: run the loop with ``--tol`` and
+    ``--max-iter`` over the config's options, write the decision through
+    ``write_decision(out_dir, x)`` plus iterations.csv and
+    worst_functions.csv, print the status line and return its exit code."""
     tol = args.tol if args.tol is not None else options["tol"]
     max_iter = args.max_iter if args.max_iter is not None else options["max_iter"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        result = run(prob, tol=tol, max_iter=max_iter, solver=default_solver())
+        result = run(prob, tol=tol, max_iter=max_iter, solver=solver)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _write_iterations(out_dir / "iterations.csv", result.history)
-    _write_worst_functions(out_dir / "worst_functions.csv", prob, result.scenarios)
-    _write_solution(out_dir / "solution.csv", prob, result.x)
-    print(
-        f"{result.status}: {len(result.history)} iterations, "
-        f"gap {format_float(result.gap)}"
+    write_decision(out_dir, result.x)
+    # wall time stays out of the CSV so reruns are byte-identical
+    write_csv(
+        out_dir / "iterations.csv",
+        ["k", "UB", "LB", "gap"],
+        [(r.k, float(r.ub), float(r.lb), float(r.gap)) for r in result.history],
     )
+    worst = [
+        (li, term.name, float(xv), float(fv))
+        for li, scen in enumerate(result.scenarios)
+        for term, f in zip(prob.terms, scen.functions)
+        for xv, fv in zip(f.partition.points, f.values)
+    ]
+    write_csv(out_dir / "worst_functions.csv", ["scenario", "term", "sample_x", "sample_f"], worst)
+    print(f"{result.status}: {len(result.history)} iterations, gap {format_float(result.gap)}")
     return EXIT_OK if result.converged else EXIT_MAX_ITER
+
+
+def cmd_solve(args) -> int:
+    loaded = _load_problem(args.config)
+    if loaded is None:
+        return EXIT_ERROR
+    prob, options = loaded
+
+    def write_solution(out_dir, x):
+        write_csv(
+            out_dir / "solution.csv",
+            ["variable", "value"],
+            [(prob.var_name(j), float(x[j])) for j in range(prob.n_vars)],
+        )
+
+    return _run_and_write(args, prob, options, default_solver(), write_solution)
 
 
 def cmd_bess(args) -> int:
     try:
-        cfg = load_config(args.config)
-        feeder, inputs, schemes, options = bess_case_from_config(cfg)
+        feeder, inputs, schemes, options = bess_case_from_config(load_config(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -127,8 +124,6 @@ def cmd_bess(args) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scheme = schemes[args.scheme]
     solver = HighsSolver()
 
@@ -137,6 +132,8 @@ def cmd_bess(args) -> int:
             corner, schedule, value = bess.parametric_baseline(
                 feeder, inputs, scheme["a"], scheme["b"], solver
             )
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
             _write_schedule(out_dir / "schedule.csv", feeder, inputs, schedule)
             write_csv(
                 out_dir / "parametric.csv",
@@ -149,22 +146,15 @@ def cmd_bess(args) -> int:
 
         inputs.scheme = scheme
         prob = bess.assemble_bess_problem(feeder, inputs)
-        tol = args.tol if args.tol is not None else options["tol"]
-        max_iter = args.max_iter if args.max_iter is not None else options["max_iter"]
-        result = run(prob, tol=tol, max_iter=max_iter, solver=solver)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    schedule = bess.schedule_from_solution(inputs, result.x)
-    _write_schedule(out_dir / "schedule.csv", feeder, inputs, schedule)
-    _write_iterations(out_dir / "iterations.csv", result.history)
-    _write_worst_functions(out_dir / "worst_functions.csv", prob, result.scenarios)
-    print(
-        f"{result.status}: {len(result.history)} iterations, "
-        f"gap {format_float(result.gap)}"
-    )
-    return EXIT_OK if result.converged else EXIT_MAX_ITER
+    def write_schedule(out_dir, x):
+        schedule = bess.schedule_from_solution(inputs, x)
+        _write_schedule(out_dir / "schedule.csv", feeder, inputs, schedule)
+
+    return _run_and_write(args, prob, options, solver, write_schedule)
 
 
 def _write_schedule(path, feeder, inputs, schedule):
@@ -188,6 +178,11 @@ def _write_schedule(path, feeder, inputs, schedule):
 
 
 def cmd_verify(args) -> int:
+    if args.levels is not None and (args.levels < 3 or args.levels % 2 == 0):
+        # an odd count keeps the reference, which passes every test, on the grid
+        print(f"error: --levels must be an odd count of at least 3, not {args.levels}",
+              file=sys.stderr)
+        return EXIT_ERROR
     loaded = _load_problem(args.config)
     if loaded is None:
         return EXIT_ERROR

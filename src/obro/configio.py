@@ -84,18 +84,38 @@ def _numbers(values, path: str) -> list:
     return [_number(v, f"{path}/{k}") for k, v in enumerate(_list(values, path))]
 
 
-def _pieces(values, path: str) -> list:
-    """A non-empty list of ``[lo, hi, step]`` triples, as ``make_partition``
-    takes them."""
-    if not _list(values, path):
+def _scheme(cfg: dict, path: str):
+    """A scheme object's ``step``, or its ``pieces`` as a non-empty list
+    of ``[lo, hi, step]`` triples, as ``make_partition`` takes them; None
+    when it has neither."""
+    if "step" in cfg:
+        return _number(cfg["step"], f"{path}/step")
+    if "pieces" not in cfg:
+        return None
+    path = f"{path}/pieces"
+    if not _list(cfg["pieces"], path):
         raise ConfigError("expected at least one piece", path)
     pieces = []
-    for k, piece in enumerate(values):
+    for k, piece in enumerate(cfg["pieces"]):
         triple = _numbers(piece, f"{path}/{k}")
         if len(triple) != 3:
             raise ConfigError("expected [lo, hi, step]", f"{path}/{k}")
         pieces.append(tuple(triple))
     return pieces
+
+
+def _run_options(cfg: dict, max_iter: int) -> dict:
+    """The loop's ``tol`` and ``max_iter``; ``max_iter`` is the flavour's
+    default cap."""
+    options = {
+        "tol": _number(cfg.get("tol", 1e-2), "/tol"),
+        "max_iter": _integer(cfg.get("max_iter", max_iter), "/max_iter"),
+    }
+    if options["tol"] <= 0:
+        raise ConfigError("tol must be positive", "/tol")
+    if options["max_iter"] < 1:
+        raise ConfigError("max_iter must be at least 1", "/max_iter")
+    return options
 
 
 def _partition_from(cfg, path: str) -> Partition:
@@ -109,11 +129,8 @@ def _partition_from(cfg, path: str) -> Partition:
         raise ConfigError("expected a point list or a scheme object", path)
     lo = _number(_need(cfg, "lo", path), f"{path}/lo")
     hi = _number(_need(cfg, "hi", path), f"{path}/hi")
-    if "step" in cfg:
-        scheme = _number(cfg["step"], f"{path}/step")
-    elif "pieces" in cfg:
-        scheme = _pieces(cfg["pieces"], f"{path}/pieces")
-    else:
+    scheme = _scheme(cfg, path)
+    if scheme is None:
         raise ConfigError("scheme needs either 'step' or 'pieces'", path)
     try:
         return make_partition(lo, hi, scheme)
@@ -199,13 +216,7 @@ def problem_from_config(cfg: dict) -> tuple:
         terms.append(UncertainTerm(str(tc.get("name", f"f{i}")), spec, tuple(eval_ix)))
 
     prob = ObroProblem(c, rows, np.array(lower), np.array(upper), epsilon, terms, names)
-    options = {
-        "tol": _number(cfg.get("tol", 1e-2), "/tol"),
-        "max_iter": _integer(cfg.get("max_iter", 100), "/max_iter"),
-    }
-    if options["tol"] <= 0:
-        raise ConfigError("tol must be positive", "/tol")
-    return prob, options
+    return prob, _run_options(cfg, max_iter=100)
 
 
 def bess_case_from_config(cfg: dict) -> tuple:
@@ -285,27 +296,19 @@ def bess_case_from_config(cfg: dict) -> tuple:
         v_max=_number(limits.get("v_max", 1.05), "/limits/v_max"),
         w_v=_number(weights.get("voltage", 10.0), "/weights/voltage"),
         epsilon=epsilon,
-        scheme=0.002,
     )
 
     schemes = {}
     for name, sc in _object(_need(cfg, "schemes", ""), "/schemes").items():
         path = f"/schemes/{name}"
-        sc = _object(sc, path)
-        if "step" in sc:
-            schemes[name] = _number(sc["step"], f"{path}/step")
-        elif "pieces" in sc:
-            schemes[name] = _pieces(sc["pieces"], f"{path}/pieces")
-        elif "a" in sc and "b" in sc:
-            schemes[name] = {k: _numbers(sc[k], f"{path}/{k}") for k in ("a", "b")}
-        else:
+        scheme = _scheme(_object(sc, path), path)
+        if scheme is None and "a" in sc and "b" in sc:  # parametric baseline
+            scheme = {k: _numbers(sc[k], f"{path}/{k}") for k in ("a", "b")}
+        if scheme is None:
             raise ConfigError("scheme needs 'step', 'pieces', or 'a'/'b' ranges", path)
+        schemes[name] = scheme
 
-    options = {
-        "tol": _number(cfg.get("tol", 1e-2), "/tol"),
-        "max_iter": _integer(cfg.get("max_iter", 200), "/max_iter"),
-    }
-    return feeder, inputs, schemes, options
+    return feeder, inputs, schemes, _run_options(cfg, max_iter=200)
 
 
 def format_float(value) -> str:

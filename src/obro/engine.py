@@ -18,7 +18,7 @@ import numpy as np
 
 from obro.linsolve import Solver
 from obro.master import solve_master
-from obro.model import ObroProblem, Scenario, evaluate_v, reference_scenario, validate
+from obro.model import ObroProblem, Scenario, reference_scenario, validate
 from obro.pwl import sup_distance
 from obro.subproblem import solve_subproblem
 
@@ -124,9 +124,8 @@ def run(
 
         dup = min((_scenario_distance(scen, s) for s in scenarios), default=np.inf)
         if dup <= DUPLICATE_TOL:
-            # repeated scenario: the master over the unchanged pool would
-            # return the same bound, so close the gap at cut tightness
-            lb = max(evaluate_v(prob, s, x) for s in scenarios)
+            # repeated scenario: the pool did not change, so the last
+            # master bound stands as the LB
             status = "converged"
             message = f"fixed point: scenario repeated within {DUPLICATE_TOL:g}"
             log.info("k=%d fixed point, gap %.3g", k, ub - lb)

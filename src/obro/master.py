@@ -59,7 +59,7 @@ class MasterLayout:
     etas: tuple
     z_slices: tuple  # (term, eval) -> slice, flattened in term order
     y_slices: tuple
-    eval_keys: tuple  # (term index, eval position, eval var index)
+    eval_keys: tuple  # (term index, eval var index)
     n_total: int
 
 
@@ -69,11 +69,11 @@ def master_layout(prob: ObroProblem) -> MasterLayout:
     zs, ys, keys = [], [], []
     for ti, term in enumerate(prob.terms):
         ns = term.spec.partition.n_segments
-        for pi, e in enumerate(term.eval_indices):
+        for e in term.eval_indices:
             zs.append(slice(base, base + ns))
             ys.append(slice(base + ns, base + 2 * ns - 1))
             base += 2 * ns - 1
-            keys.append((ti, pi, e))
+            keys.append((ti, e))
     etas = (n_x, *range(base, base + len(prob.terms) - 1))
     return MasterLayout(n_x, etas, tuple(zs), tuple(ys), tuple(keys), base + len(etas) - 1)
 
@@ -124,7 +124,7 @@ def master_block(prob: ObroProblem) -> MasterBlock:
         for i, r in enumerate(prob.rows)
     ]
 
-    for (ti, _, e), z, y in zip(lay.eval_keys, lay.z_slices, lay.y_slices):
+    for (ti, e), z, y in zip(lay.eval_keys, lay.z_slices, lay.y_slices):
         term = prob.terms[ti]
         points = term.spec.partition.points
         tag = f"{term.name}@{prob.var_name(e)}"
@@ -168,10 +168,10 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
     def cut(scen):
         # cut_{s,t} = sum(increments . z) - rhs[t] over term t's blocks;
         # total is the whole cut's constant, summed in the same order
-        increments = [np.diff(scen.functions[ti].values) for ti, _, _ in lay.eval_keys]
+        increments = [np.diff(scen.functions[ti].values) for ti, _ in lay.eval_keys]
         rhs = [prob.epsilon * d for d in scen.deviations]
         total = prob.epsilon * sum(scen.deviations)
-        for ti, _, _ in lay.eval_keys:
+        for ti, _ in lay.eval_keys:
             first = float(scen.functions[ti].values[0])
             rhs[ti] -= first
             total -= first
@@ -191,7 +191,7 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
         if li:
             anchor, anchor_rhs, _ = pool[0][1]
             coeffs = [{eta: -1.0} for eta in lay.etas]  # Row drops increments equal to the anchor's
-            for (ti, _, _), z, d, d0 in zip(lay.eval_keys, lay.z_slices, increments, anchor):
+            for (ti, _), z, d, d0 in zip(lay.eval_keys, lay.z_slices, increments, anchor):
                 coeffs[ti].update(zip(range(z.start, z.stop), (d - d0).tolist()))
             rows = tuple(
                 Row(row, "<=", r - r0, f"{term.name}.cut[{li}]")

@@ -12,8 +12,6 @@ from obro.bess import (
     assemble_bess_problem,
     degradation_reference,
     parametric_baseline,
-    synthetic_8node_case,
-    synthetic_reduction_case,
 )
 from obro.cli import main
 from obro.configio import load_config, problem_from_config
@@ -24,6 +22,8 @@ from obro.model import ObroProblem, UncertainTerm, reference_scenario
 from obro.oracle import brute_force_subproblem, enumerate_master, refinement_study
 from obro.pwl import NeighborhoodSpec, Partition, SampledFunction
 from obro.subproblem import solve_subproblem
+
+from feeders import feeder_case
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SOLVE_CONFIGS = [
@@ -36,7 +36,7 @@ SOLVE_CONFIGS = [
 
 
 def reduction_problem(step):
-    feeder, inputs = synthetic_reduction_case(scheme=step)
+    feeder, inputs = feeder_case("bess_reduction", step)
     return assemble_bess_problem(feeder, inputs)
 
 
@@ -46,7 +46,7 @@ def report(criterion, text):
 
 @pytest.fixture(scope="module")
 def bess_run():
-    feeder, inputs = synthetic_8node_case()
+    feeder, inputs = feeder_case("bess_8node")
     prob = assemble_bess_problem(feeder, inputs)
     start = time.perf_counter()
     result = run(prob, tol=1e-2, max_iter=200, solver=HighsSolver())
@@ -219,7 +219,7 @@ def test_criterion_07_bess_convergence(bess_run):
 
 
 def test_criterion_08_parametric_corner():
-    feeder, inputs = synthetic_8node_case()
+    feeder, inputs = feeder_case("bess_8node")
     corner, _, value = parametric_baseline(
         feeder, inputs, (9.0, 10.0), (4.0, 5.0), HighsSolver()
     )

@@ -10,13 +10,13 @@ from obro.bess import (
     parametric_baseline,
     schedule_from_solution,
     state_of_charge,
-    synthetic_8node_case,
-    synthetic_reduction_case,
     voltages_for_schedule,
 )
 from obro.linsolve import HighsSolver
 from obro.master import solve_master
 from obro.model import reference_scenario, validate
+
+from feeders import feeder_case
 
 
 class TestDegradationReference:
@@ -69,7 +69,7 @@ class TestBuildFeeder:
         assert feeder.r_sens[feeder.index(1), feeder.index(2)] == 0.0
 
     def test_symmetry(self):
-        feeder, _ = synthetic_8node_case()
+        feeder, _ = feeder_case("bess_8node")
         np.testing.assert_allclose(feeder.r_sens, feeder.r_sens.T)
         np.testing.assert_allclose(feeder.x_sens, feeder.x_sens.T)
 
@@ -106,7 +106,7 @@ class TestAssemble:
         assert validate(prob) == []
 
     def test_benchmark_configuration_shape(self):
-        feeder, inputs = synthetic_8node_case()
+        feeder, inputs = feeder_case("bess_8node")
         prob = assemble_bess_problem(feeder, inputs)
         assert len(prob.terms) == 2
         assert sum(len(t.eval_indices) for t in prob.terms) == 48
@@ -123,7 +123,7 @@ class TestAssemble:
         assert eta == pytest.approx(0.0, abs=1e-9)
 
     def test_voltage_affine_consistency(self):
-        feeder, inputs = synthetic_reduction_case(scheme=0.004)
+        feeder, inputs = feeder_case("bess_reduction", "sparse")
         prob = assemble_bess_problem(feeder, inputs)
         x, _ = solve_master(prob, [reference_scenario(prob)], HighsSolver())
         schedule = schedule_from_solution(inputs, x)
@@ -135,7 +135,7 @@ class TestAssemble:
         assert np.all(volts >= inputs.v_min - 1e-6)
 
     def test_soc_stays_within_bounds(self):
-        feeder, inputs = synthetic_reduction_case(scheme=0.004)
+        feeder, inputs = feeder_case("bess_reduction", "sparse")
         prob = assemble_bess_problem(feeder, inputs)
         x, _ = solve_master(prob, [reference_scenario(prob)], HighsSolver())
         schedule = schedule_from_solution(inputs, x)
@@ -158,7 +158,7 @@ class TestAssemble:
 
 class TestSyntheticCase:
     def test_charging_is_forced_by_overvoltage(self):
-        feeder, inputs = synthetic_8node_case()
+        feeder, inputs = feeder_case("bess_8node")
         idle = voltages_for_schedule(feeder, inputs, np.zeros((2, 24)))
         assert idle.max() > inputs.v_max  # batteries must absorb
         full = voltages_for_schedule(feeder, inputs, np.full((2, 24), 0.04))
@@ -166,7 +166,7 @@ class TestSyntheticCase:
         assert idle.min() > inputs.v_min
 
     def test_reduction_matches_window(self):
-        feeder, inputs = synthetic_reduction_case()
+        feeder, inputs = feeder_case("bess_reduction")
         assert inputs.n_slots == 6
         idle = voltages_for_schedule(feeder, inputs, np.zeros((2, 6)))
         assert idle.max() > inputs.v_max
@@ -174,7 +174,7 @@ class TestSyntheticCase:
 
 class TestParametricBaseline:
     def test_corner_selection(self):
-        feeder, inputs = synthetic_reduction_case(scheme=0.004)
+        feeder, inputs = feeder_case("bess_reduction", "sparse")
         corner, schedule, value = parametric_baseline(
             feeder, inputs, (9.0, 10.0), (4.0, 5.0), HighsSolver()
         )
@@ -183,7 +183,7 @@ class TestParametricBaseline:
         assert value > 0
 
     def test_four_corner_cross_check(self):
-        feeder, inputs = synthetic_reduction_case(scheme=0.004)
+        feeder, inputs = feeder_case("bess_reduction", "sparse")
         corner, schedule, _ = parametric_baseline(
             feeder, inputs, (9.0, 10.0), (4.0, 5.0), HighsSolver()
         )
@@ -201,7 +201,7 @@ class TestParametricBaseline:
         assert max(totals, key=totals.get) == (10.0, 4.0) == corner
 
     def test_degenerate_ranges(self):
-        feeder, inputs = synthetic_reduction_case(scheme=0.004)
+        feeder, inputs = feeder_case("bess_reduction", "sparse")
         corner, _, value = parametric_baseline(
             feeder, inputs, (9.62, 9.62), (4.7, 4.7), HighsSolver()
         )
@@ -212,7 +212,7 @@ class TestParametricBaseline:
         assert value == pytest.approx(eta, abs=1e-6)
 
     def test_range_validation(self):
-        feeder, inputs = synthetic_reduction_case(scheme=0.004)
+        feeder, inputs = feeder_case("bess_reduction", "sparse")
         with pytest.raises(ValueError):
             parametric_baseline(feeder, inputs, (10.0, 9.0), (4.0, 5.0))
         with pytest.raises(ValueError):

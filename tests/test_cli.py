@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from obro.bess import assemble_bess_problem
 from obro.cli import main
 from obro.configio import (
     ConfigError,
@@ -12,6 +14,7 @@ from obro.configio import (
     load_config,
     problem_from_config,
 )
+from obro.model import validate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -27,23 +30,6 @@ class TestConfigIo:
         assert prob.n_vars == 1
         assert options["tol"] == 1e-6
         assert prob.terms[0].spec.delta_max == 0.1
-
-    def test_bess_roundtrip_matches_builder(self):
-        from obro.bess import assemble_bess_problem, synthetic_8node_case
-
-        cfg = load_config(CONFIGS / "bess_8node.json")
-        feeder, inputs, schemes, options = bess_case_from_config(cfg)
-        built_feeder, built_inputs = synthetic_8node_case()
-        np.testing.assert_allclose(feeder.r_sens, built_feeder.r_sens)
-        prob_cfg = assemble_bess_problem(feeder, inputs)
-        prob_py = assemble_bess_problem(built_feeder, built_inputs)
-        np.testing.assert_allclose(prob_cfg.c, prob_py.c)
-        np.testing.assert_allclose(
-            prob_cfg.terms[0].spec.reference.values,
-            prob_py.terms[0].spec.reference.values,
-        )
-        assert len(prob_cfg.rows) == len(prob_py.rows)
-        assert set(schemes) == {"sparse", "benchmark", "dense", "hetero", "parametric"}
 
     def test_error_paths(self, tmp_path):
         bad = {"variables": [{"name": "x"}], "epsilon": 0.1, "terms": [{}]}
@@ -78,11 +64,32 @@ class TestConfigIo:
         assert format_float(1.736) == "1.736"
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_config(name):
+    # a feeder config assembles a valid problem for every PWL scheme; both
+    # flavours reject a zero tol or max_iter at its own path
+    cfg = load_config(CONFIGS / name)
+    if "feeder" in cfg:
+        parse = bess_case_from_config
+        feeder, inputs, schemes, _ = parse(cfg)
+        assert set(schemes) == {"sparse", "benchmark", "dense", "hetero", "parametric"}
+        for scheme in schemes.values():
+            if not isinstance(scheme, dict):
+                assert validate(assemble_bess_problem(feeder, replace(inputs, scheme=scheme))) == []
+    else:
+        parse = problem_from_config
+        assert validate(parse(cfg)[0]) == []
+    for key in ("tol", "max_iter"):
+        with pytest.raises(ConfigError, match=f"^/{key}: "):
+            parse({**cfg, key: 0})
+
+
 # (command, keys down to the value to replace, bad value, path the error cites)
 MALFORMED = {
     "max_iter-string": ("solve", ["max_iter"], "ten", "/max_iter"),
     "max_iter-fraction": ("solve", ["max_iter"], 2.7, "/max_iter"),
     "max_iter-bool": ("solve", ["max_iter"], True, "/max_iter"),
+    "max_iter-zero": ("solve", ["max_iter"], 0, "/max_iter"),
     "partition-repeat": ("solve", ["terms", 0, "partition"], [0, 0, 1], "/terms/0/partition"),
     "reference-string": (
         "solve", ["terms", 0, "reference_values"], ["a", 1], "/terms/0/reference_values/0"
@@ -97,6 +104,7 @@ MALFORMED = {
     "evaluations-number": ("solve", ["terms", 0, "evaluations"], 5, "/terms/0/evaluations"),
     "slots-string": ("bess", ["horizon", "slots"], "six", "/horizon/slots"),
     "bess-max_iter-string": ("bess", ["max_iter"], "many", "/max_iter"),
+    "bess-tol-zero": ("bess", ["tol"], 0, "/tol"),
     "profile-node-key": ("bess", ["profiles", "load_p", "n1"], [0.0] * 6, "/profiles/load_p/n1"),
     "profile-strings": ("bess", ["profiles", "load_p", "2"], ["low"] * 6, "/profiles/load_p/2/0"),
     "profiles-list": ("bess", ["profiles"], [], "/profiles"),
@@ -278,6 +286,14 @@ class TestCmdVerify:
         out = capsys.readouterr().out
         assert code != 0
         assert any("fixed point" in line and "FAIL" in line for line in out.splitlines())
+
+    @pytest.mark.parametrize("levels", ["4", "1"])
+    def test_levels_must_be_odd_and_at_least_3(self, capsys, levels):
+        # an even count leaves the reference off the grid, where dev_max 0
+        # used to end as a budget overrun (exit 3)
+        cfg = str(CONFIGS / "tiny_identity.json")
+        assert main(["verify", cfg, "--levels", levels]) == 1
+        assert capsys.readouterr().err.startswith("error: --levels must be an odd count")
 
     def test_budget_exceeded_exit_code(self, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "tiny_identity.json").read_text())

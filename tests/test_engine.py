@@ -8,9 +8,12 @@ import scipy.optimize
 from obro import bess, configio, engine
 from obro.engine import run, verify_saddle
 from obro.linsolve import HighsSolver
+from obro.master import solve_master
 from obro.model import ObroProblem, UncertainTerm
 from obro.pwl import NeighborhoodSpec, Partition, SampledFunction, sup_distance
 from obro.subproblem import solve_subproblem
+
+from feeders import feeder_case
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -105,6 +108,17 @@ class TestLoopInvariants:
                 assert cur.lb > prev.lb + 1e-12
                 checked += 1
         assert checked >= 1  # the instance must actually exercise this
+
+
+    def test_fixed_point_reports_the_master_bound(self):
+        # a repeated worst case leaves the pool unchanged, so the last
+        # master bound stands as the LB
+        prob, options = configio.problem_from_config(
+            configio.load_config(CONFIGS / "two_pocket.json")
+        )
+        res = run(prob, tol=options["tol"], max_iter=options["max_iter"])
+        assert "fixed point" in res.message
+        assert res.lb == solve_master(prob, res.scenarios)[1]
 
 
 class TestBoundSandwich:
@@ -280,6 +294,6 @@ def test_highs_run_never_calls_linprog(monkeypatch):
         raise AssertionError("scipy.optimize.linprog called")
 
     monkeypatch.setattr(scipy.optimize, "linprog", no_linprog)
-    prob = bess.assemble_bess_problem(*bess.synthetic_reduction_case(0.004))
+    prob = bess.assemble_bess_problem(*feeder_case("bess_reduction", "sparse"))
     res = run(prob, tol=1e-2, max_iter=20, solver=HighsSolver())
     assert res.converged

@@ -196,7 +196,7 @@ class TestPerTermRows:
         scens = self.scenarios(prob)
         static = len(build_master(prob, scens[:1]).lp.rows)
         own = [set(), set()]
-        for (ti, _, _), z in zip(lay.eval_keys, lay.z_slices):
+        for (ti, _), z in zip(lay.eval_keys, lay.z_slices):
             own[ti].update(range(z.start, z.stop))
         for k in range(1, len(scens) + 1):
             cuts = build_master(prob, scens[:k]).lp.rows[static:]
@@ -385,7 +385,7 @@ def epigraph_master(prob, scenarios):
         coeffs = {j: float(v) for j, v in enumerate(prob.c) if v != 0.0}
         coeffs[eta] = coeffs.get(eta, 0.0) - 1.0
         rhs = prob.epsilon * sum(scen.deviations)
-        for (ti, _, _), z in zip(lay.eval_keys, lay.z_slices):
+        for (ti, _), z in zip(lay.eval_keys, lay.z_slices):
             values = scen.functions[ti].values
             rhs -= float(values[0])
             for k, d in enumerate(np.diff(values)):
