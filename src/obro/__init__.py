@@ -27,7 +27,6 @@ from obro.linsolve import (
     MixedIntegerProgram,
     SolveOutcome,
     Solver,
-    SimplexSolver,
     BranchBoundSolver,
     HighsSolver,
     default_solver,

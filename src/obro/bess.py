@@ -56,7 +56,6 @@ class FeederModel:
     """
 
     nodes: tuple
-    lines: tuple  # (parent, child, r, x)
     v_s: float
     r_sens: np.ndarray
     x_sens: np.ndarray
@@ -81,15 +80,8 @@ def build_feeder(lines, v_s: float = 1.0, substation=0) -> FeederModel:
         parent[c] = (p, r, x)
     nodes = tuple(sorted(parent))
 
-    paths = {}
-
-    def path_to(node):
-        if node == substation:
-            return []
-        if node not in parent:
-            raise ValueError(f"node {node}: disconnected from the substation")
-        if node in paths:
-            return paths[node]
+    paths = {}  # node -> [(node, r, x)] for the lines up to the substation
+    for node in nodes:
         seen = set()
         chain = []
         cur = node
@@ -103,22 +95,21 @@ def build_feeder(lines, v_s: float = 1.0, substation=0) -> FeederModel:
             chain.append((cur, r, x))
             cur = p
         paths[node] = chain
-        return chain
 
     n = len(nodes)
     r_sens = np.zeros((n, n))
     x_sens = np.zeros((n, n))
     for i, ni in enumerate(nodes):
-        li = {c: (r, x) for c, r, x in path_to(ni)}
+        li = {c: (r, x) for c, r, x in paths[ni]}
         for j, nj in enumerate(nodes):
             shared_r = shared_x = 0.0
-            for c, r, x in path_to(nj):
+            for c, r, x in paths[nj]:
                 if c in li:
                     shared_r += r
                     shared_x += x
             r_sens[i, j] = 2.0 * shared_r
             x_sens[i, j] = 2.0 * shared_x
-    return FeederModel(nodes, lines, float(v_s), r_sens, x_sens)
+    return FeederModel(nodes, float(v_s), r_sens, x_sens)
 
 
 @dataclass(frozen=True)

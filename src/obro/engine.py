@@ -32,6 +32,17 @@ DUPLICATE_TOL = 1e-9
 FIXED_POINT_TOL = 1e-6
 
 
+def phase_error(exc: Exception, phase: str) -> Exception:
+    """``exc`` again with ``phase`` leading its message, to raise ``from
+    exc``: of the same type when that type takes the message alone, else
+    a RuntimeError."""
+    message = f"{phase}: {exc}"
+    try:
+        return type(exc)(message)
+    except TypeError:  # the constructor wants more than a message
+        return RuntimeError(message)
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     k: int
@@ -108,7 +119,7 @@ def run(
     try:
         x, lb = solve_master(prob, scenarios, solver)
     except Exception as exc:  # noqa: BLE001 - annotate with the phase
-        raise type(exc)(f"initial master solve: {exc}") from exc
+        raise phase_error(exc, "initial master solve") from exc
     log.info("init: x0 ready, master bound %.6g", lb)
 
     history = []
@@ -118,7 +129,7 @@ def run(
         try:
             scen, value = solve_subproblem(prob, x, solver)
         except Exception as exc:
-            raise type(exc)(f"iteration {k}, subproblem: {exc}") from exc
+            raise phase_error(exc, f"iteration {k}, subproblem") from exc
         if value < ub:
             ub, x_best = value, x
 
@@ -134,7 +145,7 @@ def run(
             try:
                 x, lb = solve_master(prob, scenarios, solver)
             except Exception as exc:
-                raise type(exc)(f"iteration {k}, master: {exc}") from exc
+                raise phase_error(exc, f"iteration {k}, master") from exc
             log.info("k=%d UB %.6g LB %.6g gap %.3g", k, ub, lb, ub - lb)
             if ub - lb <= tol:
                 status = "converged"

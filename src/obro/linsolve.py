@@ -1,8 +1,8 @@
 """Desk-scale LP and MILP solving behind a pluggable solver interface.
 
-The bundled backends favor transparency over speed: a dense two-phase
+The bundled backend favors transparency over speed: a dense two-phase
 simplex with Bland's anti-cycling rule for LPs, and best-bound
-branch-and-bound on binary variables for MILPs.  Both are deterministic:
+branch-and-bound on binary variables for MILPs.  It is deterministic:
 identical inputs produce identical primal vectors.  A HiGHS-backed
 adapter (via scipy.optimize) exposes the same interface for instances
 too large for the bundled code.
@@ -10,16 +10,11 @@ too large for the bundled code.
 
 from __future__ import annotations
 
-import ctypes
 import heapq
 import itertools
-import os
-import sys
-import tempfile
 import warnings
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
@@ -32,13 +27,11 @@ __all__ = [
     "MixedIntegerProgram",
     "SolveOutcome",
     "Solver",
-    "SimplexSolver",
     "BranchBoundSolver",
     "HighsSolver",
     "default_solver",
     "solve_lp",
     "solve_milp",
-    "stdout_captured",
 ]
 
 FEAS_TOL = 1e-7
@@ -333,20 +326,27 @@ class _StandardForm:
         return x
 
 
-class SimplexSolver(Solver):
-    """Dense two-phase tableau simplex with Bland's rule.
+class BranchBoundSolver(Solver):
+    """The bundled backend: a dense two-phase tableau simplex with Bland's
+    rule for LPs, and best-bound branch-and-bound on binary variables for
+    MILPs, whose every node relaxation is solved by that simplex.
 
     Bland's rule (lowest-index entering column, lowest-index basic
     variable on ratio ties) makes the pivot sequence cycle-free and fully
-    deterministic.  Intended for desk-scale programs; the pivot cap turns
-    numerical trouble into an explicit iteration-limit status.
+    deterministic.  Branching takes the most-fractional binary (smallest
+    index on ties), fixing it to 0 then 1; nodes are explored in
+    best-relaxation-bound order with a monotone counter breaking ties, so
+    runs are repeatable.  Intended for desk-scale programs: the pivot cap
+    on every LP, node LPs included, and the node cap turn numerical
+    trouble and blow-up into an explicit iteration-limit status.
     """
 
-    def __init__(self, pivot_limit: int = 10**6):
+    def __init__(
+        self, pivot_limit: int = 10**6, node_limit: int = 10**6, warn_nodes: int = 10**4
+    ):
         self.pivot_limit = pivot_limit
-
-    def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
-        return BranchBoundSolver().solve_milp(mip)
+        self.node_limit = node_limit
+        self.warn_nodes = warn_nodes
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
         sf = _StandardForm(lp)
@@ -463,25 +463,8 @@ class SimplexSolver(Solver):
         return SolveOutcome("optimal", objective, x, {"pivots": pivots})
 
 
-class BranchBoundSolver(Solver):
-    """Best-bound branch-and-bound on binary variables.
-
-    Branches on the most-fractional binary (smallest index on ties) by
-    fixing it to 0 then 1; nodes are explored in best-relaxation-bound
-    order with a monotone counter breaking ties, so runs are repeatable.
-    Every relaxation is solved by the bundled simplex.
-    """
-
-    def __init__(self, node_limit: int = 10**6, warn_nodes: int = 10**4):
-        self.node_limit = node_limit
-        self.warn_nodes = warn_nodes
-
-    def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
-        return SimplexSolver().solve_lp(lp)
-
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
         lp = mip.lp
-        simplex = SimplexSolver()
         score = (lambda v: v) if lp.sense == "min" else (lambda v: -v)
         nodes = 0
         warned = False
@@ -505,7 +488,7 @@ class BranchBoundSolver(Solver):
                     f"branch-and-bound past {self.warn_nodes} nodes", stacklevel=3
                 )
                 warned = True
-            out = simplex.solve_lp(node_lp(fixings))
+            out = self.solve_lp(node_lp(fixings))
             if out.status == "infeasible":
                 return None
             if out.status != "optimal":
@@ -563,29 +546,9 @@ class BranchBoundSolver(Solver):
         return incumbent
 
 
-@contextmanager
-def stdout_captured():
-    """Point fd 1 at a temporary file for the block; on exit the yielded
-    dict's ``"lines"`` counts the lines written there, which never reach
-    the real stdout.  fd 1 is process-wide: keep other threads quiet."""
-    count = {"lines": 0}
-    with tempfile.TemporaryFile() as captured:
-        sys.stdout.flush()
-        saved = os.dup(1)
-        try:
-            os.dup2(captured.fileno(), 1)
-            yield count
-        finally:
-            sys.stdout.flush()
-            _fflush(None)  # C stdio holds native output until flushed
-            os.dup2(saved, 1)
-            os.close(saved)
-            captured.seek(0)
-            count["lines"] = len(captured.read().splitlines())
-
-
-_fflush = ctypes.CDLL(None).fflush
-_fflush.argtypes, _fflush.restype = [ctypes.c_void_p], ctypes.c_int
+# the benchmark's tracer patches `SimplexSolver.solve_lp` by this name; the
+# alias goes once the tracer reads solver stats instead of patching
+SimplexSolver = BranchBoundSolver
 
 
 # scipy `milp`'s status codes; 1 is an iteration, node or time limit, and 4
@@ -596,7 +559,9 @@ _HIGHS_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unboun
 
 class HighsSolver(Solver):
     """scipy/HiGHS backend for instances beyond the bundled code.  LPs and
-    MILPs alike go to `scipy.optimize.milp`; an LP has no integrality."""
+    MILPs alike go to `scipy.optimize.milp`; an LP has no integrality.
+    HiGHS prints nothing: scipy passes `milp`'s ``disp`` option, off by
+    default and never set here, to HiGHS as ``log_to_console``."""
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
         return self._milp(lp)[1]
@@ -616,23 +581,20 @@ class HighsSolver(Solver):
 
     @staticmethod
     def _milp(lp: LinearProgram, integrality=None, options=None):
-        """Solve ``lp`` with fd 1 captured, since HiGHS can print from
-        native code; returns scipy's result and the outcome, whose stats
-        count the captured lines as ``stdout_lines`` and carry scipy's
-        ``message``."""
+        """Solve ``lp``; returns scipy's result and the outcome, whose
+        stats carry scipy's ``message``."""
         from scipy.optimize import Bounds, LinearConstraint, milp
 
         maximize = lp.sense == "max"
-        with stdout_captured() as chatter:
-            res = milp(
-                -lp.c if maximize else lp.c,
-                integrality=integrality,
-                bounds=Bounds(lp.lower, lp.upper),
-                constraints=LinearConstraint(*lp.sparse_rows().highs()),
-                options=options,
-            )
+        res = milp(
+            -lp.c if maximize else lp.c,
+            integrality=integrality,
+            bounds=Bounds(lp.lower, lp.upper),
+            constraints=LinearConstraint(*lp.sparse_rows().highs()),
+            options=options,
+        )
         status = _HIGHS_STATUS.get(res.status, "inconclusive")
-        stats = {"stdout_lines": chatter["lines"], "message": res.message}
+        stats = {"message": res.message}
         if status != "optimal":
             return res, SolveOutcome(status, stats=stats)
         objective = (-res.fun if maximize else res.fun) + lp.offset

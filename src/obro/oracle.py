@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from obro.engine import run
-from obro.linsolve import LinearProgram, SimplexSolver, Solver
+from obro.engine import phase_error, run
+from obro.linsolve import BranchBoundSolver, LinearProgram, Solver
 from obro.master import MasterLayout, build_master, master_layout
 from obro.model import ObroProblem, validate
 from obro.pwl import SampledFunction, sample_coefficients, trapezoid_weights
@@ -187,7 +187,7 @@ def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndar
     lexicographic pattern order).  Pattern objectives carry the master's
     ``offset``, the anchor's constant, so the value is the master's bound.
     """
-    simplex = SimplexSolver()
+    simplex = BranchBoundSolver()
     lay = master_layout(prob)
     mip = build_master(prob, scenarios)
 
@@ -275,7 +275,7 @@ def refinement_study(
         try:
             result = run(prob, tol=tol, max_iter=max_iter, solver=solver)
         except Exception as exc:
-            raise type(exc)(f"step {step}: {exc}") from exc
+            raise phase_error(exc, f"step {step}") from exc
         if not result.converged:
             raise RuntimeError(f"step {step}: engine ended {result.status}")
         values.append(result.ub)

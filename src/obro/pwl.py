@@ -150,6 +150,8 @@ def make_partition(lo: float, hi: float, scheme) -> Partition:
         return Partition(np.array(_even_points(lo, hi, float(scheme))))
 
     pieces = [(float(a), float(b), float(h)) for a, b, h in scheme]
+    if not pieces:
+        raise PartitionError("need at least one piece")
     if abs(pieces[0][0] - lo) > 1e-12 * max(1.0, abs(lo)):
         raise PartitionError("first piece must start at the interval lower bound")
     if abs(pieces[-1][1] - hi) > 1e-12 * max(1.0, abs(hi)):

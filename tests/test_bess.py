@@ -77,6 +77,12 @@ class TestBuildFeeder:
         with pytest.raises(ValueError):
             build_feeder([(0, 1, 0.01, 0.01), (1, 2, 0.01, 0.01), (2, 1, 0.01, 0.01)])
 
+    def test_detached_cycle_rejected(self):
+        # every node has one feed, but 2 and 3 feed each other
+        lines = [(0, 1, 0.01, 0.01), (2, 3, 0.01, 0.01), (3, 2, 0.01, 0.01)]
+        with pytest.raises(ValueError, match="cycle detected at node 2"):
+            build_feeder(lines)
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="disconnected"):
             build_feeder([(0, 1, 0.01, 0.01), (5, 6, 0.01, 0.01)])

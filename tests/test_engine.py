@@ -1,3 +1,4 @@
+import subprocess
 from dataclasses import replace
 from pathlib import Path
 
@@ -206,6 +207,36 @@ class TestArguments:
         prob = two_pocket()
         res = run(prob, tol=1e-6, max_iter=50)
         assert all(r.wall_ms >= 0.0 for r in res.history)
+
+
+class FailingSolver(HighsSolver):
+    """HiGHS, except that ``method`` raises ``error``."""
+
+    def __init__(self, method, error):
+        setattr(self, method, self.fail)
+        self.error = error
+
+    def fail(self, program):
+        raise self.error
+
+
+class TestSolverErrors:
+    """A solver's error leaves ``run`` with the phase leading its message
+    and the original as its cause."""
+
+    def test_type_kept_when_it_takes_a_message(self):
+        boom = ValueError("boom")
+        with pytest.raises(ValueError, match="^iteration 0, subproblem: boom$") as info:
+            run(two_pocket(), solver=FailingSolver("solve_lp", boom))
+        assert info.value.__cause__ is boom
+
+    def test_other_types_become_runtime_errors(self):
+        # TimeoutExpired's constructor needs a timeout besides the command
+        timeout = subprocess.TimeoutExpired("highs", 5)
+        message = "^initial master solve: Command 'highs' timed out after 5 seconds$"
+        with pytest.raises(RuntimeError, match=message) as info:
+            run(two_pocket(), solver=FailingSolver("solve_milp", timeout))
+        assert info.value.__cause__ is timeout
 
 
 class TestFrozenProblem:

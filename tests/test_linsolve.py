@@ -1,7 +1,5 @@
 import itertools
 import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -15,13 +13,11 @@ from obro.linsolve import (
     LinearProgram,
     MixedIntegerProgram,
     Row,
-    SimplexSolver,
     SparseRows,
     primal_violation,
-    stdout_captured,
 )
 
-SOLVERS = [SimplexSolver(), HighsSolver()]
+SOLVERS = [BranchBoundSolver(), HighsSolver()]
 MILP_SOLVERS = [BranchBoundSolver(), HighsSolver()]
 
 
@@ -78,8 +74,8 @@ class TestSimplexContract:
             [Row({j: rng.normal() for j in range(6)}, "<=", 1.0) for _ in range(8)],
             np.full(6, -2.0), np.full(6, 2.0),
         )
-        a = SimplexSolver().solve_lp(lp)
-        b = SimplexSolver().solve_lp(lp)
+        a = BranchBoundSolver().solve_lp(lp)
+        b = BranchBoundSolver().solve_lp(lp)
         np.testing.assert_array_equal(a.x, b.x)
         assert a.stats["pivots"] == b.stats["pivots"]
 
@@ -88,7 +84,19 @@ class TestSimplexContract:
             "min", np.array([1.0, 1.0]),
             [Row({0: 1, 1: 1}, ">=", 1.0)], np.zeros(2), np.ones(2),
         )
-        out = SimplexSolver(pivot_limit=0).solve_lp(lp)
+        out = BranchBoundSolver(pivot_limit=0).solve_lp(lp)
+        assert out.status == "iteration-limit"
+
+    def test_pivot_limit_reaches_node_lps(self):
+        # the root relaxation needs a pivot, and branch-and-bound solves it
+        # under the solver's own pivot cap
+        lp = LinearProgram(
+            "max", np.array([1.0, 1.0]),
+            [Row({0: 1, 1: 1}, "<=", 1.5)], np.zeros(2), np.ones(2),
+        )
+        mip = MixedIntegerProgram(lp, (1,))
+        assert BranchBoundSolver().solve_milp(mip).optimal
+        out = BranchBoundSolver(pivot_limit=0).solve_milp(mip)
         assert out.status == "iteration-limit"
 
     @pytest.mark.parametrize("seed", range(25))
@@ -110,7 +118,7 @@ class TestSimplexContract:
         ]
         sense = "min" if rng.random() < 0.5 else "max"
         lp = LinearProgram(sense, rng.normal(size=n), rows, lower, upper)
-        out = SimplexSolver().solve_lp(lp)
+        out = BranchBoundSolver().solve_lp(lp)
         highs = HighsSolver().solve_lp(lp)
         assert out.status == highs.status
         if out.optimal:
@@ -167,16 +175,19 @@ class TestSolveMilp:
         assert solver.solve_milp(mip).status == "unbounded"
 
 
-@pytest.mark.parametrize("solver", [SimplexSolver(), BranchBoundSolver(), HighsSolver()],
-                         ids=["simplex", "bnb", "highs"])
+@pytest.mark.parametrize(
+    "solver, kind",
+    [(BranchBoundSolver(), "lp"), (BranchBoundSolver(), "milp"), (HighsSolver(), "milp")],
+    ids=["simplex", "bnb", "highs"],
+)
 @pytest.mark.parametrize("sense", ["min", "max"])
-def test_offset_moves_objective_not_solution(solver, sense):
+def test_offset_moves_objective_not_solution(solver, kind, sense):
     # x0 + 2 x1 over x0 + x1 <= 1.5, x1 binary, bounds [0, 1]
     plain = LinearProgram(
         sense, np.array([1.0, 2.0]), [Row({0: 1.0, 1: 1.0}, "<=", 1.5)], np.zeros(2), np.ones(2)
     )
     shifted = replace(plain, offset=-0.75)
-    if isinstance(solver, SimplexSolver):
+    if kind == "lp":
         a, b = solver.solve_lp(plain), solver.solve_lp(shifted)
     else:
         a = solver.solve_milp(MixedIntegerProgram(plain, (1,)))
@@ -201,14 +212,13 @@ def test_highs_other_status_is_not_a_limit(monkeypatch):
 
 
 def test_highs_stat_keys():
-    # an LP reports the captured output and scipy's message; a MILP adds
-    # its node count
+    # an LP reports scipy's message; a MILP adds its node count
     lp = LinearProgram(
         "max", np.ones(2), [Row({0: 1.0, 1: 1.0}, "<=", 1.5)], np.zeros(2), np.ones(2)
     )
-    assert set(HighsSolver().solve_lp(lp).stats) == {"stdout_lines", "message"}
+    assert set(HighsSolver().solve_lp(lp).stats) == {"message"}
     mip = MixedIntegerProgram(lp, (1,))
-    assert set(HighsSolver().solve_milp(mip).stats) == {"stdout_lines", "message", "nodes"}
+    assert set(HighsSolver().solve_milp(mip).stats) == {"message", "nodes"}
 
 
 def enumerate_reference(mip):
@@ -219,7 +229,7 @@ def enumerate_reference(mip):
         lo, up = lp.lower.copy(), lp.upper.copy()
         for j, v in zip(mip.binaries, bits):
             lo[j] = up[j] = v
-        out = SimplexSolver().solve_lp(replace(lp, lower=lo, upper=up))
+        out = BranchBoundSolver().solve_lp(replace(lp, lower=lo, upper=up))
         if not out.optimal:
             continue
         better = (
@@ -483,30 +493,19 @@ class TestSparseRows:
         assert wider.sparse is not sp and wider.sparse_rows().highs()[0].shape == (1, 3)
 
 
-def test_stdout_capture_counts_and_hides_fd1(capfd):
-    with stdout_captured() as chatter:
-        os.write(1, b"native chatter\nsecond line\n")
-    assert chatter["lines"] == 2
+def test_highs_writes_nothing_to_fd1(capfd):
+    # HiGHS logs to the console only when asked (scipy's ``disp``); native
+    # output would land on fd 1, which capfd reads at the descriptor
+    def lp(rows, upper):
+        return LinearProgram("max", np.ones(2), rows, np.zeros(2), np.array([1.0, upper]))
+
+    optimal = lp([Row({0: 1.0, 1: 1.0}, "<=", 1.5)], 1.0)
+    infeasible = lp([Row({0: 1.0, 1: 1.0}, ">=", 3.0)], 1.0)
+    unbounded = lp([], np.inf)
+    statuses = []
+    for prog in (optimal, infeasible, unbounded):
+        statuses.append(HighsSolver().solve_lp(prog).status)
+        statuses.append(HighsSolver().solve_milp(MixedIntegerProgram(prog, (0,))).status)
     os.write(1, b"after\n")
+    assert statuses == ["optimal"] * 2 + ["infeasible"] * 2 + ["unbounded"] * 2
     assert capfd.readouterr().out == "after\n"
-    assert HighsSolver().solve_lp(lp_max_x()).stats["stdout_lines"] == 0
-
-
-def test_stdout_capture_flushes_c_stdio():
-    # a fresh interpreter whose C stdout writes to a pipe is fully buffered,
-    # so text put there inside the block stays in the buffer unless flushed
-    code = (
-        "import ctypes\n"
-        "from obro.linsolve import stdout_captured\n"
-        "puts = ctypes.CDLL(None).puts\n"
-        "puts.argtypes, puts.restype = [ctypes.c_char_p], ctypes.c_int\n"
-        "with stdout_captured() as chatter:\n"
-        "    puts(b'buffered by C stdio')\n"
-        "print(chatter['lines'])\n"
-    )
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60
-    )
-    assert out.stdout == b"1\n"

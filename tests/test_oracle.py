@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obro.configio import load_config, problem_from_config
-from obro.linsolve import BranchBoundSolver, HighsSolver, Row, SimplexSolver
+from obro.linsolve import BranchBoundSolver, HighsSolver, Row
 from obro.master import build_master, master_layout, solve_master
 from obro.model import (
     ObroProblem,
@@ -453,7 +453,7 @@ class TestEnumerateMaster:
             for sign in (1.0, -1.0):
                 c = np.zeros(lp.n_vars)
                 c[0] = sign
-                out = SimplexSolver().solve_lp(replace(pinned, c=c))
+                out = BranchBoundSolver().solve_lp(replace(pinned, c=c))
                 assert out.status == "optimal"
                 ends.append(out.x[0])
             assert ends == [points[s], points[s + 1]]

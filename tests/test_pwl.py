@@ -55,6 +55,8 @@ class TestPartition:
             make_partition(0.0, 1.0, [(0.0, 0.4, 0.1), (0.5, 1.0, 0.1)])  # gap
         with pytest.raises(PartitionError):
             make_partition(1.0, 0.0, 0.1)
+        with pytest.raises(PartitionError, match="need at least one piece"):
+            make_partition(0.0, 1.0, [])
 
     def test_points_and_values_are_read_only_copies(self):
         points, values = np.array([0.0, 1.0]), np.array([1.0, 2.0])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from obro import bess, configio, subproblem
-from obro.linsolve import HighsSolver, SimplexSolver, SparseRows
+from obro.linsolve import BranchBoundSolver, HighsSolver, SparseRows
 from obro.model import ObroProblem, UncertainTerm, evaluate_v, reference_scenario
 from obro.pwl import (
     NeighborhoodSpec,
@@ -84,7 +84,7 @@ class TestHandDerivedOptimum:
 
     def test_lp_solver_agrees_with_highs(self):
         prob = identity_problem()
-        _, v1 = solve_subproblem(prob, np.array([1.0]), SimplexSolver())
+        _, v1 = solve_subproblem(prob, np.array([1.0]), BranchBoundSolver())
         _, v2 = solve_subproblem(prob, np.array([1.0]), HighsSolver())
         assert v1 == pytest.approx(v2, abs=1e-9)
 
