@@ -71,6 +71,8 @@ def _need(cfg: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError("expected a number", path)
+    if value != value:  # JSON's NaN passes every comparison-based check
+        raise ConfigError("expected a number, got NaN", path)
     return float(value)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from obro.linsolve import Solver
 from obro.master import solve_master
-from obro.model import ObroProblem, Scenario, reference_scenario, validate
+from obro.model import ObroProblem, reference_scenario, validate
 from obro.pwl import sup_distance
 from obro.subproblem import solve_subproblem
 
@@ -32,15 +32,19 @@ DUPLICATE_TOL = 1e-9
 FIXED_POINT_TOL = 1e-6
 
 
-def phase_error(exc: Exception, phase: str) -> Exception:
-    """``exc`` again with ``phase`` leading its message, to raise ``from
-    exc``: of the same type when that type takes the message alone, else
-    a RuntimeError."""
-    message = f"{phase}: {exc}"
+def in_phase(phase: str, fn, *args):
+    """``fn(*args)``.  An error it raises is raised again ``from`` the
+    original with ``phase`` leading its message: of the same type when
+    that type takes the message alone, else a RuntimeError."""
     try:
-        return type(exc)(message)
-    except TypeError:  # the constructor wants more than a message
-        return RuntimeError(message)
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - annotate with the phase
+        message = f"{phase}: {exc}"
+        try:
+            error = type(exc)(message)
+        except TypeError:  # the constructor wants more than a message
+            error = RuntimeError(message)
+        raise error from exc
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,16 @@ class EngineResult:
         return self.status == "converged"
 
 
-def _scenario_distance(a: Scenario, b: Scenario) -> float:
-    return max(sup_distance(fa, fb) for fa, fb in zip(a.functions, b.functions))
+def _worst_case(prob: ObroProblem, x, scenarios: list, solver, phase: str):
+    """The adversary step: the worst case at ``x``, its value, and its sup
+    distance to the nearest stored scenario (the pool always holds the
+    reference)."""
+    scen, value = in_phase(phase, solve_subproblem, prob, x, solver)
+    distance = min(
+        max(sup_distance(fa, fb) for fa, fb in zip(scen.functions, s.functions))
+        for s in scenarios
+    )
+    return scen, value, distance
 
 
 def run(
@@ -107,49 +119,37 @@ def run(
     issues = validate(prob)
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
     scenarios = [reference_scenario(prob)]
-    ub = np.inf
-    x_best = None
+    ub, x_best = np.inf, None
 
-    try:
-        x, lb = solve_master(prob, scenarios, solver)
-    except Exception as exc:  # noqa: BLE001 - annotate with the phase
-        raise phase_error(exc, "initial master solve") from exc
+    x, lb = in_phase("initial master solve", solve_master, prob, scenarios, solver)
     log.info("init: x0 ready, master bound %.6g", lb)
 
     history = []
     status, message = "max-iterations", ""
     for k in range(max_iter):
         start = time.perf_counter()
-        try:
-            scen, value = solve_subproblem(prob, x, solver)
-        except Exception as exc:
-            raise phase_error(exc, f"iteration {k}, subproblem") from exc
+        scen, value, dup = _worst_case(prob, x, scenarios, solver, f"iteration {k}, subproblem")
         if value < ub:
             ub, x_best = value, x
 
-        dup = min((_scenario_distance(scen, s) for s in scenarios), default=np.inf)
         if dup <= DUPLICATE_TOL:
             # repeated scenario: the pool did not change, so the last
             # master bound stands as the LB
             status = "converged"
             message = f"fixed point: scenario repeated within {DUPLICATE_TOL:g}"
-            log.info("k=%d fixed point, gap %.3g", k, ub - lb)
         else:
             scenarios.append(scen)
-            try:
-                x, lb = solve_master(prob, scenarios, solver)
-            except Exception as exc:
-                raise phase_error(exc, f"iteration {k}, master") from exc
-            log.info("k=%d UB %.6g LB %.6g gap %.3g", k, ub, lb, ub - lb)
+            x, lb = in_phase(f"iteration {k}, master", solve_master, prob, scenarios, solver)
             if ub - lb <= tol:
                 status = "converged"
                 message = f"gap {ub - lb:.3g} within tolerance"
+        log.info("k=%d UB %.6g LB %.6g gap %.3g", k, ub, lb, ub - lb)
         wall = 1e3 * (time.perf_counter() - start)
         history.append(IterationRecord(k, x.copy(), value, ub, lb, wall))
         if status == "converged":
@@ -213,13 +213,14 @@ def verify_saddle(
     passes when that worst case lies within ``FIXED_POINT_TOL`` (sup
     distance) of a stored scenario.
     """
-    scen_star, value_star = solve_subproblem(prob, result.x, solver)
-    inner_excess = value_star - result.ub
-    _, eta = solve_master(prob, result.scenarios, solver)
+    _, value, fp_distance = _worst_case(prob, result.x, result.scenarios, solver, "inner check")
+    inner_excess = value - result.ub
+    _, eta = in_phase("outer check", solve_master, prob, result.scenarios, solver)
     outer_shift = abs(eta - result.lb)
     if not np.array_equal(result.x_master, result.x):
-        scen_star, _ = solve_subproblem(prob, result.x_master, solver)
-    fp_distance = min(_scenario_distance(scen_star, s) for s in result.scenarios)
+        _, _, fp_distance = _worst_case(
+            prob, result.x_master, result.scenarios, solver, "fixed-point check"
+        )
     return SaddleReport(
         inner_ok=bool(inner_excess <= tol),
         inner_excess=float(inner_excess),

@@ -10,11 +10,17 @@ too large for the bundled code.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import itertools
+import logging
+import os
+import sys
+import tempfile
 import warnings
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
@@ -37,6 +43,8 @@ __all__ = [
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 INT_TOL = 1e-6
+
+log = logging.getLogger("obro.linsolve")
 
 
 @dataclass(frozen=True)
@@ -64,10 +72,10 @@ class Row:
 
 
 class SparseRows:
-    """The rows list over ``n_vars`` columns in the form HiGHS takes.
+    """The rows over ``n_vars`` columns in the form HiGHS takes.
 
     Creating one checks the rows' column indices; the form is built on
-    first use and kept.  Linear programs that hold the same rows list
+    first use and kept.  Linear programs that hold the same rows tuple
     share one instance (``LinearProgram.sparse``).  With ``base``, the
     form of a prefix of ``rows`` (the same row objects) over as many
     columns, only the rows after that prefix are checked and converted,
@@ -151,16 +159,18 @@ class LinearProgram:
     """``sense`` c.x + ``offset`` subject to ``rows`` and the bounds.
 
     ``offset`` is a constant that every backend adds to the reported
-    objective; it moves no solution.  ``sparse`` carries the HiGHS form of
+    objective; it moves no solution.  ``rows`` is kept as a tuple, so it
+    cannot grow or shrink under a cached form; changed rows come from
+    ``dataclasses.replace``.  ``sparse`` carries the HiGHS form of
     ``rows``; pass it along to share the conversion between programs
-    built on one rows list.  It is used only while its rows are this
+    built on one rows tuple.  It is used only while its rows are this
     program's ``rows`` by identity and its column count matches, and
     replaced otherwise.
     """
 
     sense: str  # "min" or "max"
     c: np.ndarray
-    rows: list
+    rows: tuple
     lower: np.ndarray
     upper: np.ndarray
     sparse: SparseRows | None = field(default=None, repr=False, compare=False)
@@ -168,6 +178,7 @@ class LinearProgram:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
+        self.rows = tuple(self.rows)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         self.offset = float(self.offset)
@@ -557,11 +568,38 @@ SimplexSolver = BranchBoundSolver
 _HIGHS_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}
 
 
+@contextmanager
+def _stdout_to_debug_log():
+    """Point fd 1 at a temporary file for the block, then log each line
+    written there at DEBUG.  fd 1 is process-wide: keep other threads
+    quiet."""
+    with tempfile.TemporaryFile() as captured:
+        sys.stdout.flush()
+        _fflush(None)
+        saved = os.dup(1)
+        try:
+            os.dup2(captured.fileno(), 1)
+            yield
+        finally:
+            _fflush(None)  # C stdio holds native output until flushed
+            os.dup2(saved, 1)
+            os.close(saved)
+        captured.seek(0)
+        for line in captured.read().decode(errors="replace").splitlines():
+            log.debug("%s", line)
+
+
+_fflush = ctypes.CDLL(None).fflush
+_fflush.argtypes, _fflush.restype = [ctypes.c_void_p], ctypes.c_int
+
+
 class HighsSolver(Solver):
     """scipy/HiGHS backend for instances beyond the bundled code.  LPs and
     MILPs alike go to `scipy.optimize.milp`; an LP has no integrality.
-    HiGHS prints nothing: scipy passes `milp`'s ``disp`` option, off by
-    default and never set here, to HiGHS as ``log_to_console``."""
+    scipy passes `milp`'s ``disp`` option, off by default and never set
+    here, to HiGHS as ``log_to_console``, so LP solves print nothing.  The
+    MIP solver has prints that option does not govern, so MILP solves run
+    with fd 1 captured into the DEBUG log."""
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
         return self._milp(lp)[1]
@@ -571,7 +609,8 @@ class HighsSolver(Solver):
         integrality[list(mip.binaries)] = 1
         # presolve's reduced-cost fixing restarts the root search many
         # times on the scenario-cut masters (see README)
-        res, out = self._milp(mip.lp, integrality, {"mip_rel_gap": 0.0, "presolve": False})
+        with _stdout_to_debug_log():
+            res, out = self._milp(mip.lp, integrality, {"mip_rel_gap": 0.0, "presolve": False})
         if out.optimal:
             for j in mip.binaries:
                 if min(out.x[j], 1.0 - out.x[j]) <= INT_TOL:

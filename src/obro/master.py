@@ -203,7 +203,7 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
     c = block.c.copy()
     for z, d in zip(lay.z_slices, anchor):
         c[z] = d
-    rows = [*block.rows, *itertools.chain.from_iterable(cuts for _, _, cuts in pool)]
+    rows = (*block.rows, *itertools.chain.from_iterable(cuts for _, _, cuts in pool))
     sparse = SparseRows(rows, lay.n_total, base=block.sparse)
     lp = LinearProgram(
         "min", c, rows, block.lower.copy(), block.upper.copy(), sparse, offset=-anchor_total

@@ -135,8 +135,10 @@ def validate(prob: ObroProblem) -> list:
     if prob.lower.shape != (n,) or prob.upper.shape != (n,):
         issues.append("bounds: arrays must match the variable count")
         return issues
-    if prob.epsilon <= 0:
+    if not prob.epsilon > 0:
         issues.append("epsilon: must be positive")
+    if not prob.terms:
+        issues.append("terms: need at least one uncertain term")
     if np.any(prob.lower > prob.upper):
         j = int(np.argmax(prob.lower > prob.upper))
         issues.append(f"bounds[{prob.var_name(j)}]: lower exceeds upper")

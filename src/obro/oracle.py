@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from obro.engine import phase_error, run
+from obro.engine import in_phase, run
 from obro.linsolve import BranchBoundSolver, LinearProgram, Solver
 from obro.master import MasterLayout, build_master, master_layout
 from obro.model import ObroProblem, validate
@@ -272,10 +272,7 @@ def refinement_study(
     values, xs = [], []
     for step in steps:
         prob = prob_builder(step)
-        try:
-            result = run(prob, tol=tol, max_iter=max_iter, solver=solver)
-        except Exception as exc:
-            raise phase_error(exc, f"step {step}") from exc
+        result = in_phase(f"step {step}", run, prob, tol, max_iter, solver)
         if not result.converged:
             raise RuntimeError(f"step {step}: engine ended {result.status}")
         values.append(result.ub)

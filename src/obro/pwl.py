@@ -124,11 +124,11 @@ class NeighborhoodSpec:
     lip_ratio: float
 
     def __post_init__(self):
-        if self.delta_max < 0:
+        if not self.delta_max >= 0:
             raise ValueError("delta_max must be nonnegative")
-        if self.dev_max < 0:
+        if not self.dev_max >= 0:
             raise ValueError("dev_max must be nonnegative")
-        if self.lip_ratio <= 1:
+        if not self.lip_ratio > 1:
             raise ValueError("lip_ratio must exceed 1")
 
     @property

@@ -100,11 +100,15 @@ MALFORMED = {
     ),
     "variable-number": ("solve", ["variables"], [5], "/variables/0"),
     "delta_max-string": ("solve", ["terms", 0, "delta_max"], "x", "/terms/0/delta_max"),
+    "epsilon-nan": ("solve", ["epsilon"], float("nan"), "/epsilon"),
+    "delta_max-nan": ("solve", ["terms", 0, "delta_max"], float("nan"), "/terms/0/delta_max"),
+    "tol-nan": ("solve", ["tol"], float("nan"), "/tol"),
     "cost-list": ("solve", ["cost"], [], "/cost"),
     "evaluations-number": ("solve", ["terms", 0, "evaluations"], 5, "/terms/0/evaluations"),
     "slots-string": ("bess", ["horizon", "slots"], "six", "/horizon/slots"),
     "bess-max_iter-string": ("bess", ["max_iter"], "many", "/max_iter"),
     "bess-tol-zero": ("bess", ["tol"], 0, "/tol"),
+    "bess-epsilon-nan": ("bess", ["weights", "epsilon"], float("nan"), "/weights/epsilon"),
     "profile-node-key": ("bess", ["profiles", "load_p", "n1"], [0.0] * 6, "/profiles/load_p/n1"),
     "profile-strings": ("bess", ["profiles", "load_p", "2"], ["low"] * 6, "/profiles/load_p/2/0"),
     "profiles-list": ("bess", ["profiles"], [], "/profiles"),

@@ -195,11 +195,13 @@ class TestArguments:
         prob = two_pocket()
         with pytest.raises(ValueError):
             run(prob, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            run(prob, tol=np.nan)
         with pytest.raises(ValueError):
             run(prob, tol=1e-2, max_iter=0)
 
     def test_invalid_problem_rejected(self):
-        for bad in ({"epsilon": -1.0}, {"names": ["x", "y"]}):
+        for bad in ({"epsilon": -1.0}, {"epsilon": np.nan}, {"names": ["x", "y"]}, {"terms": []}):
             with pytest.raises(ValueError, match="invalid problem"):
                 run(replace(two_pocket(), **bad))
 
@@ -237,6 +239,14 @@ class TestSolverErrors:
         with pytest.raises(RuntimeError, match=message) as info:
             run(two_pocket(), solver=FailingSolver("solve_milp", timeout))
         assert info.value.__cause__ is timeout
+
+    def test_saddle_check_names_its_phase(self):
+        prob = two_pocket()
+        res = run(prob, tol=1e-6, max_iter=50)
+        boom = ValueError("boom")
+        with pytest.raises(ValueError, match="^inner check: boom$") as info:
+            verify_saddle(prob, res, solver=FailingSolver("solve_lp", boom))
+        assert info.value.__cause__ is boom
 
 
 class TestFrozenProblem:

@@ -1,12 +1,17 @@
 import itertools
+import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 from scipy.optimize import OptimizeResult
 
+from obro.bess import assemble_bess_problem
 from obro.linsolve import (
     BranchBoundSolver,
     HighsSolver,
@@ -16,6 +21,11 @@ from obro.linsolve import (
     SparseRows,
     primal_violation,
 )
+from obro.master import solve_master
+from obro.model import Scenario, reference_scenario
+from obro.pwl import SampledFunction
+
+from feeders import feeder_case
 
 SOLVERS = [BranchBoundSolver(), HighsSolver()]
 MILP_SOLVERS = [BranchBoundSolver(), HighsSolver()]
@@ -482,6 +492,16 @@ class TestSparseRows:
         assert out.objective == pytest.approx(4.0)
         assert_same_form(moved.sparse_rows().highs(), per_row_form(moved))
 
+    def test_rows_cannot_grow_under_the_cached_form(self):
+        # appending to a rows list kept HiGHS on the form of the old rows
+        lp = LinearProgram("max", [1.0], [Row({0: 1.0}, "<=", 5.0)], [0.0], [10.0])
+        assert HighsSolver().solve_lp(lp).objective == pytest.approx(5.0)
+        with pytest.raises(AttributeError):
+            lp.rows.append(Row({0: 1.0}, "<=", 2.0))
+        tighter = replace(lp, rows=[*lp.rows, Row({0: 1.0}, "<=", 2.0)])
+        for solver in SOLVERS:
+            assert solver.solve_lp(tighter).objective == pytest.approx(2.0)
+
     def test_form_of_other_rows_or_columns_is_replaced(self):
         rows = [Row({0: 1.0}, "<=", 1.0)]
         sp = SparseRows(rows, 1)
@@ -494,8 +514,9 @@ class TestSparseRows:
 
 
 def test_highs_writes_nothing_to_fd1(capfd):
-    # HiGHS logs to the console only when asked (scipy's ``disp``); native
-    # output would land on fd 1, which capfd reads at the descriptor
+    # HiGHS logs to the console only when asked (scipy's ``disp``), and its
+    # MILP solves run under the fd-1 guard; native output would land on
+    # fd 1, which capfd reads at the descriptor
     def lp(rows, upper):
         return LinearProgram("max", np.ones(2), rows, np.zeros(2), np.array([1.0, upper]))
 
@@ -509,3 +530,59 @@ def test_highs_writes_nothing_to_fd1(capfd):
     os.write(1, b"after\n")
     assert statuses == ["optimal"] * 2 + ["infeasible"] * 2 + ["unbounded"] * 2
     assert capfd.readouterr().out == "after\n"
+
+
+def test_highs_mip_print_stays_off_fd1(capfd):
+    # HiGHS's MIP solver prints "HighsMipSolverData::
+    # transformNewIntegerFeasibleSolution tmpSolver.run();" whatever scipy's
+    # ``disp`` says, on the master over this pool: the reduction feeder at
+    # step 0.0008 with the 4 worst cases an in-out loop stores in its first
+    # 4 iterations (x_s = x_best + 0.5 (x - x_best), x_s's worst case kept,
+    # no cut at the master iterate x)
+    prob = assemble_bess_problem(*feeder_case("bess_reduction", 0.0008))
+    stored = json.loads((Path(__file__).parent / "data" / "highs_print_pool.json").read_text())
+    pool = [reference_scenario(prob)] + [
+        Scenario(
+            [SampledFunction(t.spec.partition, v) for t, v in zip(prob.terms, s["values"])],
+            s["deviations"],
+        )
+        for s in stored["scenarios"]
+    ]
+    _, lb = solve_master(prob, pool, HighsSolver())
+    assert lb == pytest.approx(28.037049817710397, abs=1e-6)
+    assert capfd.readouterr().out == ""
+
+
+CHATTY_MILP = """
+import ctypes, logging
+from obro.linsolve import HighsSolver, LinearProgram, MixedIntegerProgram, Row
+
+logging.basicConfig(level=logging.DEBUG, format="%(name)s %(levelname)s %(message)s")
+puts = ctypes.CDLL(None).puts
+puts.argtypes, puts.restype = [ctypes.c_char_p], ctypes.c_int
+milp = HighsSolver._milp
+
+def chatty_milp(lp, *args):
+    out = milp(lp, *args)
+    puts(b"native chatter")
+    return out
+
+HighsSolver._milp = staticmethod(chatty_milp)
+lp = LinearProgram("max", [1.0], [Row({0: 1.0}, "<=", 0.5)], [0.0], [1.0])
+print(HighsSolver().solve_milp(MixedIntegerProgram(lp, (0,))).objective)
+"""
+
+
+def test_milp_output_on_fd1_goes_to_the_debug_log():
+    # A line written after HiGHS returns sits in C stdio's buffer until the
+    # guard flushes it.  C stdio buffers a pipe fully only when Python runs
+    # buffered, so the child runs without PYTHONUNBUFFERED.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", CHATTY_MILP],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "0.0\n"
+    assert "obro.linsolve DEBUG native chatter" in out.stderr.splitlines()

@@ -74,6 +74,19 @@ class TestValidate:
         issues = validate(prob)
         assert any("epsilon" in s for s in issues), issues
 
+    def test_nan_epsilon(self):
+        # NaN fails no ``<= 0`` test; it used to reach the master
+        issues = validate(replace(one_term_problem(), epsilon=np.nan))
+        assert issues == ["epsilon: must be positive"]
+
+    def test_no_terms(self):
+        # an empty problem used to pass, then fail in the loop's first
+        # distance check
+        prob = replace(one_term_problem(), terms=[])
+        assert validate(prob) == ["terms: need at least one uncertain term"]
+        with pytest.raises(ValueError, match="^invalid problem: terms: need"):
+            run(prob)
+
     def test_infinite_eval_bounds(self):
         prob = replace(one_term_problem(), upper=np.array([np.inf]))
         assert any("finite box bounds" in s for s in validate(prob))

@@ -229,6 +229,9 @@ class TestNeighborhood:
             NeighborhoodSpec(ref, 0.1, -1.0, 2.0)
         with pytest.raises(ValueError):
             NeighborhoodSpec(ref, 0.1, 1.0, 1.0)
+        for bad in ((np.nan, 1.0, 2.0), (0.1, np.nan, 2.0), (0.1, 1.0, np.nan)):
+            with pytest.raises(ValueError, match="must"):
+                NeighborhoodSpec(ref, *bad)
 
 
 class TestSampleReference:
