@@ -185,8 +185,8 @@ def problem_from_config(cfg: dict) -> tuple:
         c[index[key]] = _number(val, f"/cost/{key}")
 
     epsilon = _number(_need(cfg, "epsilon", ""), "/epsilon")
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive", "/epsilon")
+    if not 0 < epsilon < np.inf:
+        raise ConfigError("epsilon must be positive and finite", "/epsilon")
 
     terms_cfg = _need(cfg, "terms", "")
     if not isinstance(terms_cfg, list) or not terms_cfg:
@@ -284,8 +284,8 @@ def bess_case_from_config(cfg: dict) -> tuple:
     limits = _object(cfg.get("limits", {}), "/limits")
     weights = _object(cfg.get("weights", {}), "/weights")
     epsilon = _number(weights.get("epsilon", 0.1), "/weights/epsilon")
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive", "/weights/epsilon")
+    if not 0 < epsilon < np.inf:
+        raise ConfigError("epsilon must be positive and finite", "/weights/epsilon")
 
     inputs = ScheduleInputs(
         dt=dt,

@@ -76,30 +76,16 @@ class SparseRows:
 
     Creating one checks the rows' column indices; the form is built on
     first use and kept.  Linear programs that hold the same rows tuple
-    share one instance (``LinearProgram.sparse``).  With ``base``, the
-    form of a prefix of ``rows`` (the same row objects) over as many
-    columns, only the rows after that prefix are checked and converted,
-    and stacked under ``base``'s inequality rows and its ``=`` rows.
+    share one instance (``LinearProgram.sparse``).
     """
 
-    def __init__(self, rows, n_vars: int, base: SparseRows | None = None):
-        head = 0
-        if base is not None:
-            head = len(base.rows)
-            if (
-                base.n_vars != n_vars
-                or len(rows) < head
-                or any(a is not b for a, b in zip(base.rows, rows))
-            ):
-                raise ValueError("base is not the form of a prefix of these rows")
-        for r in itertools.islice(rows, head, None):
+    def __init__(self, rows, n_vars: int):
+        for r in rows:
             if r.coeffs and max(r.coeffs) >= n_vars:
                 raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
         self.rows = rows
         self.n_vars = n_vars
-        self.base = base
         self._form = None
-        self._n_ineq = 0
 
     def highs(self):
         """``(A, lower, upper)`` with ``lower <= A @ x <= upper`` for the
@@ -113,8 +99,7 @@ class SparseRows:
     def _convert(self):
         from scipy.sparse import csr_matrix
 
-        base = self.base
-        rows = self.rows[len(base.rows) :] if base is not None else self.rows
+        rows = self.rows
         m = len(rows)
         counts = np.fromiter((len(r.coeffs) for r in rows), np.intp, m)
         nnz = int(counts.sum())
@@ -129,28 +114,13 @@ class SparseRows:
         upper = sign * rhs
         is_eq = senses == "="
         lower = np.where(is_eq, upper, -np.inf)
-        ineq, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
-        order = [ineq, eq]
-        self._n_ineq = ineq.size
-        if base is not None:
-            # the base's rows come first in the pool, inequality rows leading
-            a, lo, up = base.highs()
-            a = a.tocsr()
-            head, n_ineq = a.shape[0], base._n_ineq
-            counts = np.concatenate([np.diff(a.indptr), counts])
-            cols = np.concatenate([a.indices, cols])
-            data = np.concatenate([a.data, data])
-            lower = np.concatenate([lo, lower])
-            upper = np.concatenate([up, upper])
-            order = [np.arange(n_ineq), ineq + head, np.arange(n_ineq, head), eq + head]
-            self._n_ineq += n_ineq
-        order = np.concatenate(order)
+        order = np.concatenate([np.flatnonzero(~is_eq), np.flatnonzero(is_eq)])
         # gather each row's entries in the new row order
         starts = np.cumsum(counts) - counts
         counts = counts[order]
         indptr = np.concatenate(([0], np.cumsum(counts)))
         take = np.repeat(starts[order] - indptr[:-1], counts) + np.arange(indptr[-1])
-        a = csr_matrix((data[take], cols[take], indptr), shape=(len(order), self.n_vars))
+        a = csr_matrix((data[take], cols[take], indptr), shape=(m, self.n_vars))
         return a.tocsc(), lower[order], upper[order]
 
 

@@ -34,7 +34,6 @@ from obro.linsolve import (
     MixedIntegerProgram,
     Row,
     Solver,
-    SparseRows,
     solve_milp,
 )
 from obro.model import ObroProblem, scenario_issues, validate
@@ -82,11 +81,10 @@ def master_layout(prob: ObroProblem) -> MasterLayout:
 class MasterBlock:
     """The part of the master MILP that no scenario changes: the layout,
     the cost and bounds without the anchor's increments, the polyhedron
-    rows, incremental-block rows and coordinate links, the sorted
-    binaries and the rows' sparse form for HiGHS.  Held by the problem as
-    ``ObroProblem.master``.  ``pool`` holds the last build's scenarios,
-    each as ``(scenario, its cut, its cut rows)``; the anchor has no
-    rows."""
+    rows, incremental-block rows and coordinate links, and the sorted
+    binaries.  Held by the problem as ``ObroProblem.master``.  ``pool``
+    holds the last build's scenarios, each as ``(scenario, its cut, its
+    cut rows)``; the anchor has no rows."""
 
     layout: MasterLayout
     c: np.ndarray
@@ -94,7 +92,6 @@ class MasterBlock:
     lower: np.ndarray
     upper: np.ndarray
     binaries: tuple
-    sparse: SparseRows
     pool: list = field(default_factory=list, compare=False, repr=False)
 
 
@@ -143,7 +140,7 @@ def master_block(prob: ObroProblem) -> MasterBlock:
     for a in (c, lower, upper):
         a.flags.writeable = False  # each build copies what it changes
     rows = tuple(rows)
-    return MasterBlock(lay, c, rows, lower, upper, tuple(binaries), SparseRows(rows, n))
+    return MasterBlock(lay, c, rows, lower, upper, tuple(binaries))
 
 
 def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
@@ -204,9 +201,8 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
     for z, d in zip(lay.z_slices, anchor):
         c[z] = d
     rows = (*block.rows, *itertools.chain.from_iterable(cuts for _, _, cuts in pool))
-    sparse = SparseRows(rows, lay.n_total, base=block.sparse)
     lp = LinearProgram(
-        "min", c, rows, block.lower.copy(), block.upper.copy(), sparse, offset=-anchor_total
+        "min", c, rows, block.lower.copy(), block.upper.copy(), offset=-anchor_total
     )
     return MixedIntegerProgram(lp, block.binaries)
 

@@ -137,6 +137,8 @@ def validate(prob: ObroProblem) -> list:
         return issues
     if not prob.epsilon > 0:
         issues.append("epsilon: must be positive")
+    elif prob.epsilon == np.inf:
+        issues.append("epsilon: must be finite")
     if not prob.terms:
         issues.append("terms: need at least one uncertain term")
     if np.any(prob.lower > prob.upper):

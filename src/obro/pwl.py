@@ -128,8 +128,8 @@ class NeighborhoodSpec:
             raise ValueError("delta_max must be nonnegative")
         if not self.dev_max >= 0:
             raise ValueError("dev_max must be nonnegative")
-        if not self.lip_ratio > 1:
-            raise ValueError("lip_ratio must exceed 1")
+        if not 1 < self.lip_ratio < np.inf:
+            raise ValueError("lip_ratio must exceed 1 and be finite")
 
     @property
     def partition(self) -> Partition:

@@ -3,8 +3,9 @@
 Given the current decision, the adversary picks sample values for every
 uncertain term to maximize the interpolated objective minus the deviation
 penalty, subject to the neighborhood constraints.  Decision variables per
-term: the sampled values, one absolute-deviation slack per sample point,
-and the term's total deviation.
+term: the sampled values, boxed by their bounds to the sup radius, one
+absolute-deviation slack per sample point, and the term's total
+deviation, bounded by the budget.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ __all__ = ["build_subproblem", "solve_subproblem"]
 class SubproblemError(RuntimeError):
     """Internal inconsistency: the adversary LP must be feasible and bounded
     for any valid problem (the reference point is always feasible and the
-    sup-radius rows box every value)."""
+    sample columns' bounds box every value to the sup radius)."""
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,13 @@ def adversary_block(prob: ObroProblem) -> AdversaryBlock:
         ref = spec.reference.values
         n = part.n_points
 
+        lower[f0 : f0 + n] = ref - spec.delta_max  # the sup radius box
+        upper[f0 : f0 + n] = ref + spec.delta_max
         lower[s0 : s0 + n] = 0.0  # slacks are nonnegative
         lower[d0] = 0.0
+        upper[d0] = spec.dev_max  # the deviation budget
         c[d0] = -prob.epsilon
 
-        for p in range(n):
-            rows.append(
-                Row({f0 + p: 1.0}, "<=", ref[p] + spec.delta_max, f"{term.name}.sup+[{p}]")
-            )
-            rows.append(
-                Row({f0 + p: -1.0}, "<=", -(ref[p] - spec.delta_max), f"{term.name}.sup-[{p}]")
-            )
-        rows.append(Row({d0: 1.0}, "<=", spec.dev_max, f"{term.name}.budget"))
         for p in range(n - 1):
             cap = spec.lip_ratio * abs(ref[p] - ref[p + 1])
             rows.append(

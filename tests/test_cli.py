@@ -101,6 +101,8 @@ MALFORMED = {
     "variable-number": ("solve", ["variables"], [5], "/variables/0"),
     "delta_max-string": ("solve", ["terms", 0, "delta_max"], "x", "/terms/0/delta_max"),
     "epsilon-nan": ("solve", ["epsilon"], float("nan"), "/epsilon"),
+    "epsilon-inf": ("solve", ["epsilon"], float("inf"), "/epsilon"),
+    "lip_ratio-inf": ("solve", ["terms", 0, "lip_ratio"], float("inf"), "/terms/0"),
     "delta_max-nan": ("solve", ["terms", 0, "delta_max"], float("nan"), "/terms/0/delta_max"),
     "tol-nan": ("solve", ["tol"], float("nan"), "/tol"),
     "cost-list": ("solve", ["cost"], [], "/cost"),
@@ -109,6 +111,7 @@ MALFORMED = {
     "bess-max_iter-string": ("bess", ["max_iter"], "many", "/max_iter"),
     "bess-tol-zero": ("bess", ["tol"], 0, "/tol"),
     "bess-epsilon-nan": ("bess", ["weights", "epsilon"], float("nan"), "/weights/epsilon"),
+    "bess-epsilon-inf": ("bess", ["weights", "epsilon"], float("inf"), "/weights/epsilon"),
     "profile-node-key": ("bess", ["profiles", "load_p", "n1"], [0.0] * 6, "/profiles/load_p/n1"),
     "profile-strings": ("bess", ["profiles", "load_p", "2"], ["low"] * 6, "/profiles/load_p/2/0"),
     "profiles-list": ("bess", ["profiles"], [], "/profiles"),

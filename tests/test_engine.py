@@ -8,7 +8,7 @@ import scipy.optimize
 
 from obro import bess, configio, engine
 from obro.engine import run, verify_saddle
-from obro.linsolve import HighsSolver
+from obro.linsolve import BranchBoundSolver, HighsSolver
 from obro.master import solve_master
 from obro.model import ObroProblem, UncertainTerm
 from obro.pwl import NeighborhoodSpec, Partition, SampledFunction, sup_distance
@@ -45,6 +45,18 @@ class TestDegenerateNeighborhood:
         assert res.gap == pytest.approx(0.0, abs=1e-9)
         assert res.ub == pytest.approx(res.lb)
         assert "fixed point" in res.message
+
+    @pytest.mark.parametrize("solver", [BranchBoundSolver(), HighsSolver()], ids=["bnb", "highs"])
+    def test_unbounded_box_leaves_the_sample_columns_free(self, solver):
+        # delta_max = inf gives the sample columns no bounds; the ratio rows
+        # and the budget hold the adversary, and both backends reach one UB
+        prob = one_term([0.0, 0.5, 1.0], [0.0, 0.5, 0.5], delta=np.inf)
+        assert np.all(prob.adversary.lower[:3] == -np.inf)
+        assert np.all(prob.adversary.upper[:3] == np.inf)
+        res = run(prob, tol=1e-6, max_iter=25, solver=solver)
+        assert res.converged and len(res.history) == 3
+        assert res.ub == pytest.approx(9.375, abs=1e-9)
+        assert res.lb == pytest.approx(res.ub, abs=1e-6)
 
 
 class TestIdentityInstance:

@@ -455,23 +455,11 @@ class TestSparseRows:
         np.testing.assert_array_equal(lower, [-np.inf, -np.inf, -np.inf, -np.inf, 2.0, 1.0])
         np.testing.assert_array_equal(upper, [3.0, 1.0, 0.0, 4.0, 2.0, 1.0])
 
-    @pytest.mark.parametrize("head", [0, 2, 3, 5, 6])
-    def test_base_prefix_matches_full_conversion(self, head):
-        # a base of 2 rows has no "=" row, one of 5 leaves only a "<=" tail
-        base = SparseRows(MIXED_ROWS[:head], 5)
-        base.highs()
-        stacked = SparseRows(list(MIXED_ROWS), 5, base=base)
-        assert stacked.base is base
-        assert_same_form(stacked.highs(), SparseRows(MIXED_ROWS, 5).highs())
-
-    def test_base_must_be_the_form_of_a_prefix(self):
-        base = SparseRows(MIXED_ROWS[:2], 5)
-        equal_rows = [Row({2: 1.0, 0: -2.0}, "<=", 3.0), *MIXED_ROWS[1:]]
-        for rows, n in ((equal_rows, 5), (MIXED_ROWS, 6), (MIXED_ROWS[:1], 5)):
-            with pytest.raises(ValueError, match="prefix"):
-                SparseRows(rows, n, base=base)
+    def test_column_past_the_last_is_rejected(self):
+        with pytest.raises(ValueError, match="row 'wide' references variable 5"):
+            SparseRows([*MIXED_ROWS, Row({5: 1.0}, "<=", 0.0, "wide")], 5)
         with pytest.raises(ValueError, match="references variable 5"):
-            SparseRows([*MIXED_ROWS[:2], Row({5: 1.0}, "<=", 0.0)], 5, base=base)
+            LinearProgram("min", np.ones(5), [Row({5: 1.0}, "<=", 0.0)], np.zeros(5), np.ones(5))
 
     def test_shared_by_programs_on_one_rows_list(self):
         lp = LinearProgram("min", np.ones(5), MIXED_ROWS, np.zeros(5), np.ones(5))

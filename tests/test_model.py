@@ -79,6 +79,13 @@ class TestValidate:
         issues = validate(replace(one_term_problem(), epsilon=np.nan))
         assert issues == ["epsilon: must be positive"]
 
+    def test_infinite_epsilon(self):
+        # every adversary value was NaN, so the loop kept no incumbent
+        prob = replace(one_term_problem(), epsilon=np.inf)
+        assert validate(prob) == ["epsilon: must be finite"]
+        with pytest.raises(ValueError, match="epsilon: must be finite"):
+            run(prob)
+
     def test_no_terms(self):
         # an empty problem used to pass, then fail in the loop's first
         # distance check

@@ -232,6 +232,11 @@ class TestNeighborhood:
         for bad in ((np.nan, 1.0, 2.0), (0.1, np.nan, 2.0), (0.1, 1.0, np.nan)):
             with pytest.raises(ValueError, match="must"):
                 NeighborhoodSpec(ref, *bad)
+        # an infinite ratio bound times a flat step is NaN; infinite radius
+        # and budget mean no bound
+        with pytest.raises(ValueError, match="finite"):
+            NeighborhoodSpec(ref, 0.1, 1.0, np.inf)
+        NeighborhoodSpec(ref, np.inf, np.inf, 2.0)
 
 
 class TestSampleReference:

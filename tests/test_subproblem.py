@@ -104,9 +104,14 @@ class TestSubproblemContracts:
         lp = build_subproblem(prob, np.array([0.4]))
         n = 3
         assert lp.n_vars == 2 * n + 1
+        spec = prob.terms[0].spec
+        # the sup-radius box and the budget are the value and deviation bounds
+        ref = spec.reference.values
+        np.testing.assert_array_equal(lp.lower[:n], ref - spec.delta_max)
+        np.testing.assert_array_equal(lp.upper[:n], ref + spec.delta_max)
+        assert (lp.lower[2 * n], lp.upper[2 * n]) == (0.0, spec.dev_max)
         kinds = [r.name.split(".")[1].split("[")[0] for r in lp.rows]
-        assert kinds.count("sup+") == n and kinds.count("sup-") == n
-        assert kinds.count("budget") == 1
+        assert len(kinds) == 4 * n - 1
         assert kinds.count("ratio+") == n - 1 and kinds.count("ratio-") == n - 1
         assert kinds.count("abs+") == n and kinds.count("abs-") == n
         assert kinds.count("quadrature") == 1
@@ -253,9 +258,10 @@ class TestAdversaryBlock:
         lp = build_subproblem(pinned, np.array([0.5]))
         assert calls == [prob, pinned]
         assert pinned.adversary is not prob.adversary
-        sup = [r.rhs for r in lp.rows if ".sup+" in r.name]
-        np.testing.assert_array_equal(sup, spec.reference.values)
-        wide = [r.rhs for r in build_subproblem(prob, np.array([0.5])).rows if ".sup+" in r.name]
+        n = spec.partition.n_points
+        np.testing.assert_array_equal(lp.lower[:n], spec.reference.values)
+        np.testing.assert_array_equal(lp.upper[:n], spec.reference.values)
+        wide = build_subproblem(prob, np.array([0.5])).upper[:n]
         np.testing.assert_array_equal(wide, spec.reference.values + spec.delta_max)
         assert len(calls) == 2
         # an invalid replacement is caught by the new validation
