@@ -19,6 +19,7 @@ from obro.pwl import (
     NeighborhoodSpec,
     Partition,
     SampledFunction,
+    check_spec_parameters,
     make_partition,
 )
 
@@ -279,7 +280,12 @@ def bess_case_from_config(cfg: dict) -> tuple:
             for key in ("p_min", "p_max", "e_max", "e_0", "delta_max", "dev_max", "lip_ratio")
             if key in bc
         )
-        batteries.append(Battery(node, **fields))
+        battery = Battery(node, **fields)
+        try:
+            check_spec_parameters(battery.delta_max, battery.dev_max, battery.lip_ratio)
+        except ValueError as exc:
+            raise ConfigError(str(exc), path)
+        batteries.append(battery)
 
     limits = _object(cfg.get("limits", {}), "/limits")
     weights = _object(cfg.get("weights", {}), "/weights")

@@ -20,6 +20,7 @@ __all__ = [
     "Partition",
     "SampledFunction",
     "NeighborhoodSpec",
+    "check_spec_parameters",
     "MembershipReport",
     "make_partition",
     "interp_coefficients",
@@ -124,16 +125,25 @@ class NeighborhoodSpec:
     lip_ratio: float
 
     def __post_init__(self):
-        if not self.delta_max >= 0:
-            raise ValueError("delta_max must be nonnegative")
-        if not self.dev_max >= 0:
-            raise ValueError("dev_max must be nonnegative")
-        if not 1 < self.lip_ratio < np.inf:
-            raise ValueError("lip_ratio must exceed 1 and be finite")
+        check_spec_parameters(self.delta_max, self.dev_max, self.lip_ratio)
 
     @property
     def partition(self) -> Partition:
         return self.reference.partition
+
+
+def check_spec_parameters(delta_max: float, dev_max: float, lip_ratio: float) -> None:
+    """Raise ValueError unless the radius and budget are nonnegative, not
+    both infinite (the adversary LP is then unbounded), and the ratio bound
+    is finite and above 1."""
+    if not delta_max >= 0:
+        raise ValueError("delta_max must be nonnegative")
+    if not dev_max >= 0:
+        raise ValueError("dev_max must be nonnegative")
+    if delta_max == dev_max == np.inf:
+        raise ValueError("delta_max and dev_max must not both be infinite")
+    if not 1 < lip_ratio < np.inf:
+        raise ValueError("lip_ratio must exceed 1 and be finite")
 
 
 def make_partition(lo: float, hi: float, scheme) -> Partition:

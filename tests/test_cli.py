@@ -104,6 +104,12 @@ MALFORMED = {
     "epsilon-inf": ("solve", ["epsilon"], float("inf"), "/epsilon"),
     "lip_ratio-inf": ("solve", ["terms", 0, "lip_ratio"], float("inf"), "/terms/0"),
     "delta_max-nan": ("solve", ["terms", 0, "delta_max"], float("nan"), "/terms/0/delta_max"),
+    "delta_max-dev_max-inf": (
+        "solve", ["terms", 0],
+        {"partition": [0.0, 1.0], "reference_values": [0.0, 1.0], "delta_max": float("inf"),
+         "dev_max": float("inf"), "lip_ratio": 2.0, "evaluations": ["x"]},
+        "/terms/0",
+    ),
     "tol-nan": ("solve", ["tol"], float("nan"), "/tol"),
     "cost-list": ("solve", ["cost"], [], "/cost"),
     "evaluations-number": ("solve", ["terms", 0, "evaluations"], 5, "/terms/0/evaluations"),
@@ -122,6 +128,8 @@ MALFORMED = {
     "lines-number": ("bess", ["feeder", "lines"], 5, "/feeder/lines"),
     "line-node-list": ("bess", ["feeder", "lines", 0, "from"], [0], "/feeder/lines/0/from"),
     "battery-node-string": ("bess", ["batteries", 0, "node"], "2", "/batteries/0/node"),
+    "battery-lip_ratio-1": ("bess", ["batteries", 0, "lip_ratio"], 1.0, "/batteries/0"),
+    "battery-delta_max-negative": ("bess", ["batteries", 0, "delta_max"], -1, "/batteries/0"),
 }
 
 

@@ -290,20 +290,23 @@ class TestFrozenProblem:
                     f.values[0] = 0.0
 
 
-def reduction_case():
-    """The six-slot feeder slice at step 0.002, solved on HiGHS."""
+def reduction_case(scheme="benchmark"):
+    """The six-slot feeder slice, at step 0.002 unless ``scheme`` says
+    otherwise, solved on HiGHS."""
     feeder, inputs, schemes, options = configio.bess_case_from_config(
         configio.load_config(CONFIGS / "bess_reduction.json")
     )
-    inputs.scheme = schemes["benchmark"]
+    inputs.scheme = schemes[scheme] if isinstance(scheme, str) else scheme
     return bess.assemble_bess_problem(feeder, inputs), options, HighsSolver()
 
 
-def truncated_case():
-    prob, options = configio.problem_from_config(
-        configio.load_config(CONFIGS / "two_pocket_truncated.json")
-    )
+def config_case(name):
+    prob, options = configio.problem_from_config(configio.load_config(CONFIGS / f"{name}.json"))
     return prob, options, None
+
+
+def truncated_case():
+    return config_case("two_pocket_truncated")
 
 
 class TestCertifiedIncumbent:
@@ -319,6 +322,55 @@ class TestCertifiedIncumbent:
         assert value <= res.ub + 1e-9
         assert not np.array_equal(res.x, res.x_master)  # the iterate was not it
         assert any(r.sub_value == res.ub for r in res.history)
+
+
+class TestInOutStep:
+    """From the second iteration on, the adversary also answers at the
+    midpoint of the incumbent and the master iterate."""
+
+    @pytest.mark.parametrize("solver", [BranchBoundSolver(), HighsSolver()], ids=["bnb", "highs"])
+    def test_incumbent_from_the_in_out_point(self, solver):
+        # the first two iterates [0.875, 0, 0] and [0.875, 0, 0.875] both
+        # value above their midpoint, whose worst case closes the gap at
+        # 417/1120; the loop without the in-out step needs a third iteration
+        part = Partition(np.array([0.0, 0.875]))
+        spec = NeighborhoodSpec(SampledFunction(part, np.array([0.0, 1.05])), 0.43, 0.125, 3.0)
+        prob = ObroProblem(
+            c=np.array([-1.3, -0.75, -1.1]), rows=[],
+            lower=np.zeros(3), upper=np.full(3, 0.875),
+            epsilon=0.1, terms=[UncertainTerm("f1", spec, (0, 1, 2))],
+        )
+        res = run(prob, tol=1e-6, max_iter=50, solver=solver)
+        assert len(res.history) == 2
+        np.testing.assert_allclose(res.x, [0.875, 0.0, 0.4375], atol=1e-9)
+        assert res.ub == pytest.approx(417 / 1120, abs=1e-9)
+        assert res.history[1].in_out_value == res.ub
+        assert verify_saddle(prob, res, solver=solver).passed
+
+    @pytest.mark.parametrize(
+        "case, max_iterations",
+        [
+            (lambda: config_case("two_pocket"), 3),
+            (lambda: reduction_case("hetero"), 5),
+            (lambda: reduction_case(0.001), 4),
+        ],
+        ids=["two_pocket", "reduction-hetero", "reduction@0.001"],
+    )
+    def test_pool_invariants(self, case, max_iterations):
+        # two appends per iteration at most, and still no duplicate; the
+        # caps sit below the 4, 6 and 5 iterations these take without
+        # the in-out step
+        prob, options, solver = case()
+        res = run(prob, tol=options["tol"], max_iter=options["max_iter"], solver=solver)
+        assert res.converged and len(res.history) <= max_iterations
+        scens = res.scenarios
+        for i, a in enumerate(scens):
+            for b in scens[i + 1:]:
+                dist = max(sup_distance(fa, fb) for fa, fb in zip(a.functions, b.functions))
+                assert dist > engine.DUPLICATE_TOL
+        assert len(scens) <= 1 + 2 * len(res.history)
+        assert np.isnan(res.history[0].in_out_value)
+        assert not all(np.isnan(r.in_out_value) for r in res.history)
 
 
 @pytest.mark.parametrize("max_iter, solves", [(50, 1), (1, 2)], ids=["converged", "truncated"])

@@ -232,11 +232,15 @@ class TestNeighborhood:
         for bad in ((np.nan, 1.0, 2.0), (0.1, np.nan, 2.0), (0.1, 1.0, np.nan)):
             with pytest.raises(ValueError, match="must"):
                 NeighborhoodSpec(ref, *bad)
-        # an infinite ratio bound times a flat step is NaN; infinite radius
-        # and budget mean no bound
+        # an infinite ratio bound times a flat step is NaN; an infinite
+        # radius or budget means no bound, but not both, which would leave
+        # the adversary LP unbounded
         with pytest.raises(ValueError, match="finite"):
             NeighborhoodSpec(ref, 0.1, 1.0, np.inf)
-        NeighborhoodSpec(ref, np.inf, np.inf, 2.0)
+        with pytest.raises(ValueError, match="not both be infinite"):
+            NeighborhoodSpec(ref, np.inf, np.inf, 2.0)
+        NeighborhoodSpec(ref, np.inf, 1.0, 2.0)
+        NeighborhoodSpec(ref, 0.1, np.inf, 2.0)
 
 
 class TestSampleReference:
