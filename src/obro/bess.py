@@ -25,6 +25,7 @@ __all__ = [
     "build_feeder",
     "Battery",
     "ScheduleInputs",
+    "InputsError",
     "assemble_bess_problem",
     "voltages_for_schedule",
     "schedule_from_solution",
@@ -124,6 +125,16 @@ class Battery:
     lip_ratio: float = 1.5
 
 
+class InputsError(ValueError):
+    """A `ScheduleInputs` rule is broken.  ``field`` is the input's path in
+    a feeder config: ``horizon/dt``, ``horizon/slots``, ``limits``,
+    ``weights/voltage``, ``batteries/{i}`` or ``batteries/{i}/node``."""
+
+    def __init__(self, message: str, field: str):
+        self.field = field
+        super().__init__(message)
+
+
 @dataclass
 class ScheduleInputs:
     """Time series and limits for one scheduling horizon.
@@ -153,17 +164,37 @@ class ScheduleInputs:
         return np.zeros(self.n_slots)
 
     def validate(self, feeder: FeederModel):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        """Raise `InputsError` at the first broken rule."""
+        if not self.dt > 0:
+            raise InputsError("dt must be positive", "horizon/dt")
+        if self.n_slots < 1:
+            raise InputsError("need at least one slot", "horizon/slots")
         if not self.v_min < 1 < self.v_max:
-            raise ValueError("voltage limits must bracket 1")
-        for b in self.batteries:
+            raise InputsError("voltage limits must bracket 1", "limits")
+        if not 0 <= self.w_v < np.inf:
+            raise InputsError("voltage weight must be nonnegative and finite", "weights/voltage")
+        nodes = {}
+        for i, b in enumerate(self.batteries):
+            where = f"batteries/{i}"
             if b.node not in feeder.nodes:
-                raise ValueError(f"battery node {b.node} not in the feeder")
+                raise InputsError(f"battery node {b.node} not in the feeder", f"{where}/node")
+            if b.node in nodes:
+                raise InputsError(
+                    f"battery node {b.node} repeated (also batteries/{nodes[b.node]})",
+                    f"{where}/node",
+                )
+            nodes[b.node] = i
+            if not b.e_max > 0:
+                raise InputsError("battery capacity must be positive", where)
             if not 0 <= b.e_0 <= b.e_max:
-                raise ValueError(f"battery {b.node}: initial energy outside [0, e_max]")
-            if b.p_min >= b.p_max:
-                raise ValueError(f"battery {b.node}: p_min must be below p_max")
+                raise InputsError(f"battery {b.node}: initial energy outside [0, e_max]", where)
+            if not b.p_min < b.p_max:
+                raise InputsError(f"battery {b.node}: p_min must be below p_max", where)
+            depth = max(abs(b.p_min), abs(b.p_max)) * self.dt / b.e_max
+            if depth > 1 + 1e-12:  # degradation_reference's domain
+                raise InputsError(
+                    f"battery {b.node}: depth of discharge {depth:.3f} exceeds 1", where
+                )
 
 
 def _voltage_constants(feeder: FeederModel, inputs: ScheduleInputs) -> np.ndarray:
@@ -296,10 +327,8 @@ def parametric_baseline(
     if not 0 < b_lo <= b_hi:
         raise ValueError("need 0 < b_lo <= b_hi")
 
-    def corner_curve(p, dt, e_max):
+    def corner_curve(p, dt, e_max):  # ScheduleInputs.validate bounds d by 1
         d = abs(p) * dt / e_max
-        if d > 1 + 1e-12:
-            raise ValueError(f"depth of discharge {d:.3f} exceeds 1")
         return a_hi * d - b_lo * d * d
 
     prob = assemble_bess_problem(feeder, inputs)

@@ -9,10 +9,11 @@ carry JSON-pointer-style paths so a bad field is easy to locate.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
-from obro.bess import Battery, ScheduleInputs, build_feeder
+from obro.bess import Battery, InputsError, ScheduleInputs, build_feeder
 from obro.linsolve import Row
 from obro.model import ObroProblem, UncertainTerm
 from obro.pwl import (
@@ -75,6 +76,13 @@ def _number(value, path: str) -> float:
     if value != value:  # JSON's NaN passes every comparison-based check
         raise ConfigError("expected a number, got NaN", path)
     return float(value)
+
+
+def _finite(value, path: str) -> float:
+    value = _number(value, path)
+    if not np.isfinite(value):
+        raise ConfigError("expected a finite number", path)
+    return value
 
 
 def _integer(value, path: str) -> int:
@@ -164,7 +172,7 @@ def problem_from_config(cfg: dict) -> tuple:
         for key, val in obj.items():
             if key not in index:
                 raise ConfigError(f"unknown variable {key!r}", path)
-            out[index[key]] = _number(val, f"{path}/{key}")
+            out[index[key]] = _finite(val, f"{path}/{key}")
         return out
 
     rows = []
@@ -183,7 +191,7 @@ def problem_from_config(cfg: dict) -> tuple:
     for key, val in _object(cfg.get("cost", {}), "/cost").items():
         if key not in index:
             raise ConfigError(f"unknown variable {key!r}", "/cost")
-        c[index[key]] = _number(val, f"/cost/{key}")
+        c[index[key]] = _finite(val, f"/cost/{key}")
 
     epsilon = _number(_need(cfg, "epsilon", ""), "/epsilon")
     if not 0 < epsilon < np.inf:
@@ -296,14 +304,23 @@ def bess_case_from_config(cfg: dict) -> tuple:
     inputs = ScheduleInputs(
         dt=dt,
         n_slots=n_slots,
-        load_p=profile_table("load_p"),
-        load_q=profile_table("load_q"),
-        pv=profile_table("pv"),
+        load_p={},
+        load_q={},
+        pv={},
         batteries=batteries,
         v_min=_number(limits.get("v_min", 0.95), "/limits/v_min"),
         v_max=_number(limits.get("v_max", 1.05), "/limits/v_max"),
         w_v=_number(weights.get("voltage", 10.0), "/weights/voltage"),
         epsilon=epsilon,
+    )
+    # the profiles are read once the slot count is known to be valid
+    try:
+        inputs.validate(feeder)
+    except InputsError as exc:
+        raise ConfigError(str(exc), f"/{exc.field}")
+    inputs = replace(
+        inputs, load_p=profile_table("load_p"), load_q=profile_table("load_q"),
+        pv=profile_table("pv"),
     )
 
     schemes = {}

@@ -43,13 +43,19 @@ __all__ = [
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 INT_TOL = 1e-6
+# the bundled solver's caps: simplex pivots per LP (node LPs included),
+# branch-and-bound nodes per MILP, and the node count that first warns
+PIVOT_LIMIT = 10**6
+NODE_LIMIT = 10**6
+WARN_NODES = 10**4
 
 log = logging.getLogger("obro.linsolve")
 
 
 @dataclass(frozen=True)
 class Row:
-    """One linear constraint: coeffs . x  (sense)  rhs.
+    """One linear constraint: coeffs . x  (sense)  rhs, with sense ``<=``
+    or ``=``; a ``>=`` row is written negated.
 
     Frozen, and ``coeffs`` is a read-only view of the row's own copy of
     its nonzero coefficients, so an edit raises at the write; a changed
@@ -57,12 +63,12 @@ class Row:
     """
 
     coeffs: Mapping[int, float]
-    sense: str  # "<=", "=", ">="
+    sense: str  # "<=" or "="
     rhs: float
     name: str = ""
 
     def __post_init__(self):
-        if self.sense not in ("<=", "=", ">="):
+        if self.sense not in ("<=", "="):
             raise ValueError(f"bad row sense {self.sense!r}")
         coeffs = {int(j): float(v) for j, v in self.coeffs.items() if v != 0.0}
         object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
@@ -89,9 +95,8 @@ class SparseRows:
 
     def highs(self):
         """``(A, lower, upper)`` with ``lower <= A @ x <= upper`` for the
-        rows: ``A`` is one CSC matrix, ``<=`` rows and negated ``>=`` rows
-        first, each in list order and with lower bound ``-inf``, then
-        ``=`` rows with equal bounds."""
+        rows: ``A`` is one CSC matrix, ``<=`` rows first, in list order
+        and with lower bound ``-inf``, then ``=`` rows with equal bounds."""
         if self._form is None:
             self._form = self._convert()
         return self._form
@@ -107,12 +112,8 @@ class SparseRows:
         vals = np.fromiter(
             itertools.chain.from_iterable(r.coeffs.values() for r in rows), float, nnz
         )
-        rhs = np.fromiter((r.rhs for r in rows), float, m)
-        senses = np.array([r.sense for r in rows], dtype=object)
-        sign = np.where(senses == ">=", -1.0, 1.0)
-        data = vals * np.repeat(sign, counts)
-        upper = sign * rhs
-        is_eq = senses == "="
+        upper = np.fromiter((r.rhs for r in rows), float, m)
+        is_eq = np.fromiter((r.sense == "=" for r in rows), bool, m)
         lower = np.where(is_eq, upper, -np.inf)
         order = np.concatenate([np.flatnonzero(~is_eq), np.flatnonzero(is_eq)])
         # gather each row's entries in the new row order
@@ -120,13 +121,13 @@ class SparseRows:
         counts = counts[order]
         indptr = np.concatenate(([0], np.cumsum(counts)))
         take = np.repeat(starts[order] - indptr[:-1], counts) + np.arange(indptr[-1])
-        a = csr_matrix((data[take], cols[take], indptr), shape=(m, self.n_vars))
+        a = csr_matrix((vals[take], cols[take], indptr), shape=(m, self.n_vars))
         return a.tocsc(), lower[order], upper[order]
 
 
 @dataclass
 class LinearProgram:
-    """``sense`` c.x + ``offset`` subject to ``rows`` and the bounds.
+    """Minimize c.x + ``offset`` subject to ``rows`` and the bounds.
 
     ``offset`` is a constant that every backend adds to the reported
     objective; it moves no solution.  ``rows`` is kept as a tuple, so it
@@ -138,7 +139,6 @@ class LinearProgram:
     replaced otherwise.
     """
 
-    sense: str  # "min" or "max"
     c: np.ndarray
     rows: tuple
     lower: np.ndarray
@@ -153,8 +153,6 @@ class LinearProgram:
         self.upper = np.asarray(self.upper, dtype=float)
         self.offset = float(self.offset)
         n = self.c.size
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"objective sense must be min or max, got {self.sense!r}")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bound arrays must match the variable count")
         if np.any(self.lower > self.upper):
@@ -212,15 +210,14 @@ def primal_violation(lp: LinearProgram, x: np.ndarray) -> float:
         lhs = sum(v * x[j] for j, v in r.coeffs.items())
         if r.sense == "<=":
             worst = max(worst, lhs - r.rhs)
-        elif r.sense == ">=":
-            worst = max(worst, r.rhs - lhs)
         else:
             worst = max(worst, abs(lhs - r.rhs))
     return float(worst)
 
 
 class Solver(ABC):
-    """Interface an LP/MILP backend must provide."""
+    """Interface an LP/MILP backend must provide: each solve minimizes
+    its program."""
 
     @abstractmethod
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome: ...
@@ -235,7 +232,7 @@ class Solver(ABC):
 
 
 class _StandardForm:
-    """min-sense equality standard form of a LinearProgram.
+    """Equality standard form of a LinearProgram.
 
     Variables are shifted/mirrored/split to be nonnegative; every row
     (including finite upper bounds on shifted variables and both halves
@@ -245,8 +242,6 @@ class _StandardForm:
 
     def __init__(self, lp: LinearProgram):
         n = lp.n_vars
-        self.maximize = lp.sense == "max"
-        c = -lp.c if self.maximize else lp.c
 
         # variable transform: x = shift + sum(sign * t_col)
         self.shift = np.zeros(n)
@@ -269,10 +264,9 @@ class _StandardForm:
 
         ct = np.zeros(self.nt)
         for k, (j, s) in enumerate(self.cols):
-            ct[k] += s * c[j]
+            ct[k] += s * lp.c[j]
         self.ct = ct
-        offset = -lp.offset if self.maximize else lp.offset
-        self.obj_const = float(c @ self.shift) + offset
+        self.obj_const = float(lp.c @ self.shift) + lp.offset
 
         # per-variable t-columns for fast row transforms
         col_of = [[] for _ in range(n)]
@@ -288,9 +282,8 @@ class _StandardForm:
                 for k, s in col_of[j]:
                     a[k] += v * s
             rhs = r.rhs - const
-            if r.sense in ("<=", "="):
-                rows_t.append((a, rhs))
-            if r.sense in (">=", "="):
+            rows_t.append((a, rhs))
+            if r.sense == "=":
                 rows_t.append((-a, -rhs))
         for k, ub in bound_rows:
             a = np.zeros(self.nt)
@@ -319,15 +312,9 @@ class BranchBoundSolver(Solver):
     best-relaxation-bound order with a monotone counter breaking ties, so
     runs are repeatable.  Intended for desk-scale programs: the pivot cap
     on every LP, node LPs included, and the node cap turn numerical
-    trouble and blow-up into an explicit iteration-limit status.
+    trouble and blow-up into an explicit iteration-limit status.  The caps
+    are the module's ``PIVOT_LIMIT``, ``NODE_LIMIT`` and ``WARN_NODES``.
     """
-
-    def __init__(
-        self, pivot_limit: int = 10**6, node_limit: int = 10**6, warn_nodes: int = 10**4
-    ):
-        self.pivot_limit = pivot_limit
-        self.node_limit = node_limit
-        self.warn_nodes = warn_nodes
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
         sf = _StandardForm(lp)
@@ -394,7 +381,7 @@ class BranchBoundSolver(Solver):
                         leave, leave_var = i, basis[i]
                 pivot(z, leave, enter)
                 pivots += 1
-                if pivots > self.pivot_limit:
+                if pivots > PIVOT_LIMIT:
                     return "iteration-limit"
 
         structural = range(nt + m)  # artificials never re-enter
@@ -438,15 +425,12 @@ class BranchBoundSolver(Solver):
         for i in range(T.shape[0]):
             if basis[i] < nt:
                 t[basis[i]] = T[i, -1]
-        x = sf.to_x(t)
-        obj_min = float(sf.ct @ t) + sf.obj_const
-        objective = -obj_min if sf.maximize else obj_min
-        return SolveOutcome("optimal", objective, x, {"pivots": pivots})
+        objective = float(sf.ct @ t) + sf.obj_const
+        return SolveOutcome("optimal", objective, sf.to_x(t), {"pivots": pivots})
 
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
         lp = mip.lp
-        score = (lambda v: v) if lp.sense == "min" else (lambda v: -v)
         nodes = 0
         warned = False
         incumbent = None
@@ -464,18 +448,15 @@ class BranchBoundSolver(Solver):
         def consider(fixings):
             nonlocal nodes, incumbent, inc_score, warned
             nodes += 1
-            if nodes > self.warn_nodes and not warned:
-                warnings.warn(
-                    f"branch-and-bound past {self.warn_nodes} nodes", stacklevel=3
-                )
+            if nodes > WARN_NODES and not warned:
+                warnings.warn(f"branch-and-bound past {WARN_NODES} nodes", stacklevel=3)
                 warned = True
             out = self.solve_lp(node_lp(fixings))
             if out.status == "infeasible":
                 return None
             if out.status != "optimal":
                 return out.status
-            s = score(out.objective)
-            if s >= inc_score - 1e-9:
+            if out.objective >= inc_score - 1e-9:
                 return None
             frac = [
                 j
@@ -489,9 +470,9 @@ class BranchBoundSolver(Solver):
                 incumbent = SolveOutcome(
                     "optimal", out.objective, x, stats=dict(out.stats)
                 )
-                inc_score = s
+                inc_score = out.objective
                 return None
-            heapq.heappush(heap, (s, next(counter), fixings, out))
+            heapq.heappush(heap, (out.objective, next(counter), fixings, out))
             return None
 
         bad = consider({})
@@ -517,7 +498,7 @@ class BranchBoundSolver(Solver):
                 bad = consider({**fixings, j_star: v})
                 if bad == "iteration-limit":
                     return SolveOutcome("iteration-limit", stats={"nodes": nodes})
-            if nodes > self.node_limit:
+            if nodes > NODE_LIMIT:
                 out = incumbent or SolveOutcome("iteration-limit")
                 return replace(out, status="iteration-limit", stats={"nodes": nodes})
 
@@ -594,9 +575,8 @@ class HighsSolver(Solver):
         stats carry scipy's ``message``."""
         from scipy.optimize import Bounds, LinearConstraint, milp
 
-        maximize = lp.sense == "max"
         res = milp(
-            -lp.c if maximize else lp.c,
+            lp.c,
             integrality=integrality,
             bounds=Bounds(lp.lower, lp.upper),
             constraints=LinearConstraint(*lp.sparse_rows().highs()),
@@ -606,8 +586,7 @@ class HighsSolver(Solver):
         stats = {"message": res.message}
         if status != "optimal":
             return res, SolveOutcome(status, stats=stats)
-        objective = (-res.fun if maximize else res.fun) + lp.offset
-        return res, SolveOutcome("optimal", float(objective), res.x, stats)
+        return res, SolveOutcome("optimal", float(res.fun + lp.offset), res.x, stats)
 
 
 def default_solver() -> Solver:

@@ -201,9 +201,7 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
     for z, d in zip(lay.z_slices, anchor):
         c[z] = d
     rows = (*block.rows, *itertools.chain.from_iterable(cuts for _, _, cuts in pool))
-    lp = LinearProgram(
-        "min", c, rows, block.lower.copy(), block.upper.copy(), offset=-anchor_total
-    )
+    lp = LinearProgram(c, rows, block.lower.copy(), block.upper.copy(), offset=-anchor_total)
     return MixedIntegerProgram(lp, block.binaries)
 
 

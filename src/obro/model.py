@@ -144,9 +144,15 @@ def validate(prob: ObroProblem) -> list:
     if np.any(prob.lower > prob.upper):
         j = int(np.argmax(prob.lower > prob.upper))
         issues.append(f"bounds[{prob.var_name(j)}]: lower exceeds upper")
+    for j in np.flatnonzero(~np.isfinite(prob.c)):
+        issues.append(f"c[{prob.var_name(j)}]: must be finite")
     for i, r in enumerate(prob.rows):
         if r.coeffs and max(r.coeffs) >= n:
             issues.append(f"rows[{i}]: references variable {max(r.coeffs)} >= {n}")
+            continue
+        for j, v in r.coeffs.items():
+            if not np.isfinite(v):
+                issues.append(f"rows[{i}]: coefficient of {prob.var_name(j)} must be finite")
 
     seen = {}
     for ti, term in enumerate(prob.terms):

@@ -2,10 +2,10 @@
 
 Given the current decision, the adversary picks sample values for every
 uncertain term to maximize the interpolated objective minus the deviation
-penalty, subject to the neighborhood constraints.  Decision variables per
-term: the sampled values, boxed by their bounds to the sup radius, one
-absolute-deviation slack per sample point, and the term's total
-deviation, bounded by the budget.
+penalty, subject to the neighborhood constraints; the LP minimizes the
+negated value.  Decision variables per term: the sampled values, boxed
+by their bounds to the sup radius, one absolute-deviation slack per
+sample point, and the term's total deviation, bounded by the budget.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ class SubproblemError(RuntimeError):
 class AdversaryBlock:
     """The part of the adversary LP that no decision changes: column
     offsets per term (values block, slack block, deviation variable), the
-    rows, the bounds, the deviation penalty in the cost, and the rows' sparse
-    form for HiGHS.  Held by the problem as ``ObroProblem.adversary``."""
+    rows, the bounds, the deviation penalty in the minimized cost, and the
+    rows' sparse form for HiGHS.  Held by the problem as
+    ``ObroProblem.adversary``."""
 
     offsets: tuple
     c: np.ndarray
@@ -76,7 +77,7 @@ def adversary_block(prob: ObroProblem) -> AdversaryBlock:
         lower[s0 : s0 + n] = 0.0  # slacks are nonnegative
         lower[d0] = 0.0
         upper[d0] = spec.dev_max  # the deviation budget
-        c[d0] = -prob.epsilon
+        c[d0] = prob.epsilon
 
         for p in range(n - 1):
             cap = spec.lip_ratio * abs(ref[p] - ref[p + 1])
@@ -105,7 +106,8 @@ def adversary_block(prob: ObroProblem) -> AdversaryBlock:
 
 
 def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
-    """Assemble the adversary LP at decision ``x_k``.
+    """Assemble the adversary LP at decision ``x_k``; it minimizes the
+    negated adversary value.
 
     Only the cost depends on ``x_k``: the rows, bounds and their sparse
     form come from the problem's block, built once.  The certain cost
@@ -117,10 +119,10 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
     c = block.c.copy()
     for term, (f0, _, _) in zip(prob.terms, block.offsets):
         part = term.spec.partition
-        c[f0 : f0 + part.n_points] = sample_coefficients(
+        c[f0 : f0 + part.n_points] = -sample_coefficients(
             part, x_k[list(term.eval_indices)]
         )
-    return LinearProgram("max", c, block.rows, block.lower, block.upper, block.sparse)
+    return LinearProgram(c, block.rows, block.lower, block.upper, block.sparse)
 
 
 def solve_subproblem(
@@ -154,5 +156,5 @@ def solve_subproblem(
     issues = scenario_issues(prob, scen)
     if issues:
         raise SubproblemError("generated scenario invalid: " + "; ".join(issues))
-    value = float(out.objective + prob.c @ x_k)
+    value = float(prob.c @ x_k - out.objective)
     return scen, value

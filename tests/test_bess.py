@@ -3,6 +3,7 @@ import pytest
 
 from obro.bess import (
     Battery,
+    InputsError,
     ScheduleInputs,
     assemble_bess_problem,
     build_feeder,
@@ -160,6 +161,10 @@ class TestAssemble:
             )
         with pytest.raises(ValueError, match="bracket"):
             assemble_bess_problem(feeder, tiny_inputs(v_min=1.01))
+        # a second battery on a node used to overwrite the first's schedule
+        with pytest.raises(InputsError, match="battery node 1 repeated") as err:
+            assemble_bess_problem(feeder, tiny_inputs(batteries=[Battery(node=1)] * 2))
+        assert err.value.field == "batteries/1/node"
 
 
 class TestSyntheticCase:

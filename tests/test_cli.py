@@ -58,6 +58,12 @@ class TestConfigIo:
         with pytest.raises(ConfigError, match="unknown variable 'y'"):
             problem_from_config(cfg)
 
+    def test_infinite_row_rhs_is_accepted(self):
+        cfg = json.loads((CONFIGS / "tiny_identity.json").read_text())
+        cfg["rows"] = [{"coeffs": {"x": 1.0}, "rhs": float("inf")}]
+        prob, _ = problem_from_config(cfg)
+        assert prob.rows[0].rhs == np.inf and validate(prob) == []
+
     def test_format_float_significant_digits(self):
         assert format_float(0.1) == "0.1"
         assert format_float(1.0 / 3.0) == "0.333333333333"
@@ -130,6 +136,22 @@ MALFORMED = {
     "battery-node-string": ("bess", ["batteries", 0, "node"], "2", "/batteries/0/node"),
     "battery-lip_ratio-1": ("bess", ["batteries", 0, "lip_ratio"], 1.0, "/batteries/0"),
     "battery-delta_max-negative": ("bess", ["batteries", 0, "delta_max"], -1, "/batteries/0"),
+    "cost-minus-inf": ("solve", ["cost", "x"], float("-inf"), "/cost/x"),
+    "cost-inf": ("solve", ["cost", "x"], float("inf"), "/cost/x"),
+    "row-coefficient-inf": (
+        "solve", ["rows"], [{"coeffs": {"x": float("inf")}, "rhs": 1}], "/rows/0/coeffs/x"
+    ),
+    "voltage-weight-negative": ("bess", ["weights", "voltage"], -1, "/weights/voltage"),
+    "voltage-weight-inf": ("bess", ["weights", "voltage"], float("inf"), "/weights/voltage"),
+    "battery-node-repeated": ("bess", ["batteries", 1, "node"], 2, "/batteries/1/node"),
+    "battery-node-absent": ("bess", ["batteries", 0, "node"], 99, "/batteries/0/node"),
+    "dt-zero": ("bess", ["horizon", "dt"], 0, "/horizon/dt"),
+    "slots-zero": ("bess", ["horizon", "slots"], 0, "/horizon/slots"),
+    "v_min-above-1": ("bess", ["limits", "v_min"], 1.01, "/limits"),
+    "battery-p_min-above-p_max": ("bess", ["batteries", 0, "p_min"], 0.05, "/batteries/0"),
+    "battery-e_0-above-e_max": ("bess", ["batteries", 0, "e_0"], 1.0, "/batteries/0"),
+    "battery-e_max-zero": ("bess", ["batteries", 0, "e_max"], 0, "/batteries/0"),
+    "battery-depth-over-1": ("bess", ["batteries", 0, "p_max"], 1.0, "/batteries/0"),
 }
 
 

@@ -11,6 +11,7 @@ import pytest
 import scipy.optimize
 from scipy.optimize import OptimizeResult
 
+from obro import linsolve
 from obro.bess import assemble_bess_problem
 from obro.linsolve import (
     BranchBoundSolver,
@@ -31,9 +32,15 @@ SOLVERS = [BranchBoundSolver(), HighsSolver()]
 MILP_SOLVERS = [BranchBoundSolver(), HighsSolver()]
 
 
+def geq(coeffs, rhs, name=""):
+    """coeffs . x >= rhs, written as the negated ``<=`` row."""
+    return Row({j: -v for j, v in coeffs.items()}, "<=", -rhs, name)
+
+
 def lp_max_x():
+    # max x as min -x
     return LinearProgram(
-        "max", np.array([1.0]), [Row({0: 1.0}, "<=", 1.0)], np.array([0.0]), np.array([np.inf])
+        np.array([-1.0]), [Row({0: 1.0}, "<=", 1.0)], np.array([0.0]), np.array([np.inf])
     )
 
 
@@ -42,24 +49,23 @@ class TestSolveLp:
     def test_bounded_maximum(self, solver):
         out = solver.solve_lp(lp_max_x())
         assert out.optimal
-        assert out.objective == pytest.approx(1.0)
+        assert out.objective == pytest.approx(-1.0)
         assert out.x[0] == pytest.approx(1.0)
 
     def test_infeasible(self, solver):
         lp = LinearProgram(
-            "min", np.array([1.0]), [Row({0: 1.0}, ">=", 2.0)],
-            np.array([-np.inf]), np.array([1.0]),
+            np.array([1.0]), [geq({0: 1.0}, 2.0)], np.array([-np.inf]), np.array([1.0])
         )
         assert solver.solve_lp(lp).status == "infeasible"
 
     def test_unbounded(self, solver):
-        lp = LinearProgram("max", np.array([1.0]), [], np.array([0.0]), np.array([np.inf]))
+        lp = LinearProgram(np.array([-1.0]), [], np.array([0.0]), np.array([np.inf]))
         assert solver.solve_lp(lp).status == "unbounded"
 
     def test_equality_and_inequality_mix(self, solver):
         lp = LinearProgram(
-            "min", np.array([2.0, 3.0]),
-            [Row({0: 1, 1: 1}, ">=", 4.0), Row({0: 1, 1: -1}, "=", 1.0)],
+            np.array([2.0, 3.0]),
+            [geq({0: 1, 1: 1}, 4.0), Row({0: 1, 1: -1}, "=", 1.0)],
             np.zeros(2), np.full(2, 10.0),
         )
         out = solver.solve_lp(lp)
@@ -68,8 +74,8 @@ class TestSolveLp:
 
     def test_free_variables(self, solver):
         lp = LinearProgram(
-            "min", np.array([1.0, 0.0]),
-            [Row({0: 1, 1: 1}, ">=", -3.0), Row({1: 1.0}, "=", 1.0)],
+            np.array([1.0, 0.0]),
+            [geq({0: 1, 1: 1}, -3.0), Row({1: 1.0}, "=", 1.0)],
             np.array([-np.inf, -np.inf]), np.array([np.inf, np.inf]),
         )
         out = solver.solve_lp(lp)
@@ -80,7 +86,7 @@ class TestSimplexContract:
     def test_deterministic_primal(self):
         rng = np.random.default_rng(11)
         lp = LinearProgram(
-            "min", rng.normal(size=6),
+            rng.normal(size=6),
             [Row({j: rng.normal() for j in range(6)}, "<=", 1.0) for _ in range(8)],
             np.full(6, -2.0), np.full(6, 2.0),
         )
@@ -89,24 +95,22 @@ class TestSimplexContract:
         np.testing.assert_array_equal(a.x, b.x)
         assert a.stats["pivots"] == b.stats["pivots"]
 
-    def test_pivot_limit_reported(self):
-        lp = LinearProgram(
-            "min", np.array([1.0, 1.0]),
-            [Row({0: 1, 1: 1}, ">=", 1.0)], np.zeros(2), np.ones(2),
-        )
-        out = BranchBoundSolver(pivot_limit=0).solve_lp(lp)
+    def test_pivot_limit_reported(self, monkeypatch):
+        lp = LinearProgram(np.array([1.0, 1.0]), [geq({0: 1, 1: 1}, 1.0)], np.zeros(2), np.ones(2))
+        monkeypatch.setattr(linsolve, "PIVOT_LIMIT", 0)
+        out = BranchBoundSolver().solve_lp(lp)
         assert out.status == "iteration-limit"
 
-    def test_pivot_limit_reaches_node_lps(self):
+    def test_pivot_limit_reaches_node_lps(self, monkeypatch):
         # the root relaxation needs a pivot, and branch-and-bound solves it
         # under the solver's own pivot cap
         lp = LinearProgram(
-            "max", np.array([1.0, 1.0]),
-            [Row({0: 1, 1: 1}, "<=", 1.5)], np.zeros(2), np.ones(2),
+            np.array([-1.0, -1.0]), [Row({0: 1, 1: 1}, "<=", 1.5)], np.zeros(2), np.ones(2)
         )
         mip = MixedIntegerProgram(lp, (1,))
         assert BranchBoundSolver().solve_milp(mip).optimal
-        out = BranchBoundSolver(pivot_limit=0).solve_milp(mip)
+        monkeypatch.setattr(linsolve, "PIVOT_LIMIT", 0)
+        out = BranchBoundSolver().solve_milp(mip)
         assert out.status == "iteration-limit"
 
     @pytest.mark.parametrize("seed", range(25))
@@ -118,16 +122,14 @@ class TestSimplexContract:
         lower = np.where(rng.random(n) < 0.8, rng.uniform(-2, 0, n), -np.inf)
         upper = np.where(rng.random(n) < 0.8, rng.uniform(0.5, 3, n), np.inf)
         upper = np.maximum(upper, lower)
-        rows = [
-            Row(
-                {j: float(rng.normal()) for j in range(n) if rng.random() < 0.7},
-                str(rng.choice(["<=", ">=", "="])) if rng.random() < 0.4 else "<=",
-                float(rng.normal() * 2),
-            )
-            for _ in range(m)
-        ]
-        sense = "min" if rng.random() < 0.5 else "max"
-        lp = LinearProgram(sense, rng.normal(size=n), rows, lower, upper)
+        rows = []
+        for _ in range(m):
+            coeffs = {j: float(rng.normal()) for j in range(n) if rng.random() < 0.7}
+            sense = str(rng.choice(["<=", ">=", "="])) if rng.random() < 0.4 else "<="
+            rhs = float(rng.normal() * 2)
+            rows.append(geq(coeffs, rhs) if sense == ">=" else Row(coeffs, sense, rhs))
+        sign = 1.0 if rng.random() < 0.5 else -1.0  # -1 maximizes the drawn cost
+        lp = LinearProgram(sign * rng.normal(size=n), rows, lower, upper)
         out = BranchBoundSolver().solve_lp(lp)
         highs = HighsSolver().solve_lp(lp)
         assert out.status == highs.status
@@ -140,10 +142,7 @@ class TestSimplexContract:
 class TestSolveMilp:
     def test_forced_round_up(self, solver):
         mip = MixedIntegerProgram(
-            LinearProgram(
-                "min", np.array([1.0]), [Row({0: 1.0}, ">=", 0.3)],
-                np.zeros(1), np.ones(1),
-            ),
+            LinearProgram(np.array([1.0]), [geq({0: 1.0}, 0.3)], np.zeros(1), np.ones(1)),
             (0,),
         )
         out = solver.solve_milp(mip)
@@ -153,20 +152,19 @@ class TestSolveMilp:
     def test_tiny_knapsack(self, solver):
         mip = MixedIntegerProgram(
             LinearProgram(
-                "max", np.array([2.0, 3.0]), [Row({0: 1, 1: 1}, "<=", 1.0)],
-                np.zeros(2), np.ones(2),
+                np.array([-2.0, -3.0]), [Row({0: 1, 1: 1}, "<=", 1.0)], np.zeros(2), np.ones(2)
             ),
             (0, 1),
         )
         out = solver.solve_milp(mip)
-        assert out.objective == pytest.approx(3.0)
+        assert out.objective == pytest.approx(-3.0)
         assert out.x[1] == 1.0
 
     def test_milp_infeasible(self, solver):
         mip = MixedIntegerProgram(
             LinearProgram(
-                "min", np.array([1.0]),
-                [Row({0: 1.0}, ">=", 0.4), Row({0: 1.0}, "<=", 0.6)],
+                np.array([1.0]),
+                [geq({0: 1.0}, 0.4), Row({0: 1.0}, "<=", 0.6)],
                 np.zeros(1), np.ones(1),
             ),
             (0,),
@@ -174,10 +172,11 @@ class TestSolveMilp:
         assert solver.solve_milp(mip).status == "infeasible"
 
     def test_milp_unbounded(self, solver):
-        # max x0 + x1 with x0 >= 0 free above and binary x1 <= 0.5
+        # max x0 + x1 (min of the negation) with x0 >= 0 free above and
+        # binary x1 <= 0.5
         mip = MixedIntegerProgram(
             LinearProgram(
-                "max", np.array([1.0, 1.0]), [Row({1: 1.0}, "<=", 0.5)],
+                np.array([-1.0, -1.0]), [Row({1: 1.0}, "<=", 0.5)],
                 np.zeros(2), np.array([np.inf, 1.0]),
             ),
             (1,),
@@ -192,9 +191,11 @@ class TestSolveMilp:
 )
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_offset_moves_objective_not_solution(solver, kind, sense):
-    # x0 + 2 x1 over x0 + x1 <= 1.5, x1 binary, bounds [0, 1]
+    # min or max x0 + 2 x1 over x0 + x1 <= 1.5, x1 binary, bounds [0, 1];
+    # max minimizes the negated cost
+    sign = 1.0 if sense == "min" else -1.0
     plain = LinearProgram(
-        sense, np.array([1.0, 2.0]), [Row({0: 1.0, 1: 1.0}, "<=", 1.5)], np.zeros(2), np.ones(2)
+        sign * np.array([1.0, 2.0]), [Row({0: 1.0, 1: 1.0}, "<=", 1.5)], np.zeros(2), np.ones(2)
     )
     shifted = replace(plain, offset=-0.75)
     if kind == "lp":
@@ -205,7 +206,7 @@ def test_offset_moves_objective_not_solution(solver, kind, sense):
     assert a.optimal and b.optimal
     np.testing.assert_array_equal(a.x, b.x)
     assert b.objective == pytest.approx(a.objective - 0.75, abs=1e-12)
-    assert a.objective == pytest.approx(0.0 if sense == "min" else 2.5, abs=1e-12)
+    assert a.objective == pytest.approx(0.0 if sense == "min" else -2.5, abs=1e-12)
 
 
 def test_highs_other_status_is_not_a_limit(monkeypatch):
@@ -215,7 +216,7 @@ def test_highs_other_status_is_not_a_limit(monkeypatch):
     monkeypatch.setattr(
         scipy.optimize, "milp", lambda *a, **k: OptimizeResult(status=4, message=msg)
     )
-    lp = LinearProgram("max", np.array([1.0]), [], np.zeros(1), np.ones(1))
+    lp = LinearProgram(np.array([-1.0]), [], np.zeros(1), np.ones(1))
     out = HighsSolver().solve_milp(MixedIntegerProgram(lp, (0,)))
     assert out.status == "inconclusive"
     assert out.stats["message"] == msg
@@ -223,9 +224,7 @@ def test_highs_other_status_is_not_a_limit(monkeypatch):
 
 def test_highs_stat_keys():
     # an LP reports scipy's message; a MILP adds its node count
-    lp = LinearProgram(
-        "max", np.ones(2), [Row({0: 1.0, 1: 1.0}, "<=", 1.5)], np.zeros(2), np.ones(2)
-    )
+    lp = LinearProgram(-np.ones(2), [Row({0: 1.0, 1: 1.0}, "<=", 1.5)], np.zeros(2), np.ones(2))
     assert set(HighsSolver().solve_lp(lp).stats) == {"message"}
     mip = MixedIntegerProgram(lp, (1,))
     assert set(HighsSolver().solve_milp(mip).stats) == {"message", "nodes"}
@@ -242,12 +241,7 @@ def enumerate_reference(mip):
         out = BranchBoundSolver().solve_lp(replace(lp, lower=lo, upper=up))
         if not out.optimal:
             continue
-        better = (
-            best is None
-            or (lp.sense == "min" and out.objective < best - 1e-12)
-            or (lp.sense == "max" and out.objective > best + 1e-12)
-        )
-        if better:
+        if best is None or out.objective < best - 1e-12:
             best = out.objective
     return best
 
@@ -268,9 +262,9 @@ def test_branch_and_bound_matches_enumeration(seed):
         )
         for _ in range(int(rng.integers(1, 6)))
     ]
-    sense = "min" if rng.random() < 0.5 else "max"
+    sign = 1.0 if rng.random() < 0.5 else -1.0  # -1 maximizes the drawn cost
     mip = MixedIntegerProgram(
-        LinearProgram(sense, rng.normal(size=n), rows, np.zeros(n), upper), binaries
+        LinearProgram(sign * rng.normal(size=n), rows, np.zeros(n), upper), binaries
     )
     reference = enumerate_reference(mip)
     out = BranchBoundSolver().solve_milp(mip)
@@ -301,7 +295,7 @@ def test_twelve_binaries_match_enumeration(solver):
         for _ in range(5)
     ]
     mip = MixedIntegerProgram(
-        LinearProgram("min", rng.normal(size=n), rows, np.zeros(n), upper), binaries
+        LinearProgram(rng.normal(size=n), rows, np.zeros(n), upper), binaries
     )
     reference = enumerate_reference(mip)
     out = solver.solve_milp(mip)
@@ -312,10 +306,7 @@ def test_twelve_binaries_match_enumeration(solver):
 
 def test_bound_sandwich_and_node_accounting():
     mip = MixedIntegerProgram(
-        LinearProgram(
-            "min", np.array([1.0, 1.0, 1.0]),
-            [Row({0: 1, 1: 1, 2: 1}, ">=", 1.6)], np.zeros(3), np.ones(3),
-        ),
+        LinearProgram(np.ones(3), [geq({0: 1, 1: 1, 2: 1}, 1.6)], np.zeros(3), np.ones(3)),
         (0, 1, 2),
     )
     out = BranchBoundSolver().solve_milp(mip)
@@ -325,45 +316,49 @@ def test_bound_sandwich_and_node_accounting():
     assert 3 <= out.stats["nodes"] <= 15
 
 
-def test_node_warning_threshold():
+def test_node_warning_threshold(monkeypatch):
     rng = np.random.default_rng(5)
     n = 14
     mip = MixedIntegerProgram(
         LinearProgram(
-            "max", rng.uniform(1, 2, n),
+            -rng.uniform(1, 2, n),
             [Row({j: float(rng.uniform(1, 2)) for j in range(n)}, "<=", float(n) / 1.3)],
             np.zeros(n), np.ones(n),
         ),
         tuple(range(n)),
     )
-    with pytest.warns(UserWarning, match="branch-and-bound"):
-        BranchBoundSolver(warn_nodes=5).solve_milp(mip)
+    monkeypatch.setattr(linsolve, "WARN_NODES", 5)
+    with pytest.warns(UserWarning, match="branch-and-bound past 5 nodes"):
+        BranchBoundSolver().solve_milp(mip)
 
 
-def test_node_limit_status():
+def test_node_limit_status(monkeypatch):
     rng = np.random.default_rng(5)
     n = 12
     mip = MixedIntegerProgram(
         LinearProgram(
-            "max", rng.uniform(1, 2, n),
+            -rng.uniform(1, 2, n),
             [Row({j: float(rng.uniform(1, 2)) for j in range(n)}, "<=", float(n) / 1.3)],
             np.zeros(n), np.ones(n),
         ),
         tuple(range(n)),
     )
-    out = BranchBoundSolver(node_limit=3, warn_nodes=10**9).solve_milp(mip)
+    monkeypatch.setattr(linsolve, "NODE_LIMIT", 3)
+    monkeypatch.setattr(linsolve, "WARN_NODES", 10**9)
+    out = BranchBoundSolver().solve_milp(mip)
     assert out.status == "iteration-limit"
 
 
 def test_program_validation():
     with pytest.raises(ValueError):
-        LinearProgram("min", np.array([1.0]), [], np.array([1.0]), np.array([0.0]))
+        LinearProgram(np.array([1.0]), [], np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
-        LinearProgram("min", np.array([1.0]), [Row({3: 1.0}, "<=", 0.0)], np.zeros(1), np.ones(1))
+        LinearProgram(np.array([1.0]), [Row({3: 1.0}, "<=", 0.0)], np.zeros(1), np.ones(1))
     with pytest.raises(ValueError):
-        MixedIntegerProgram(
-            LinearProgram("min", np.array([1.0]), [], np.zeros(1), np.full(1, 2.0)), (0,)
-        )
+        MixedIntegerProgram(LinearProgram(np.array([1.0]), [], np.zeros(1), np.full(1, 2.0)), (0,))
+    # a ">=" row is written negated as "<="
+    with pytest.raises(ValueError, match="bad row sense '>='"):
+        Row({0: 1.0}, ">=", 0.0)
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=["simplex", "highs"])
@@ -372,28 +367,24 @@ def test_negative_column_index_is_rejected(solver):
     # answered x = [1, 0.5] for this program and HiGHS raised a TypeError
     with pytest.raises(ValueError, match="row 'neg' references variable -1"):
         solver.solve_lp(
-            LinearProgram(
-                "max", np.ones(2), [Row({-1: 1.0}, "<=", 0.5, "neg")], np.zeros(2), np.ones(2)
-            )
+            LinearProgram(-np.ones(2), [Row({-1: 1.0}, "<=", 0.5, "neg")], np.zeros(2), np.ones(2))
         )
 
 
 def per_row_form(lp):
     """Reference HiGHS form, one coefficient at a time through COO:
-    ``(A, lower, upper)`` with ``<=`` and negated ``>=`` rows first, then
-    ``=`` rows."""
+    ``(A, lower, upper)`` with ``<=`` rows first, then ``=`` rows."""
     from scipy.sparse import coo_matrix
 
     ineq = [r for r in lp.rows if r.sense != "="]
     eq = [r for r in lp.rows if r.sense == "="]
     rows, cols, vals, lower, upper = [], [], [], [], []
     for i, r in enumerate([*ineq, *eq]):
-        sign = -1.0 if r.sense == ">=" else 1.0
         for j, v in r.coeffs.items():
             rows.append(i)
             cols.append(j)
-            vals.append(sign * v)
-        upper.append(sign * r.rhs)
+            vals.append(v)
+        upper.append(r.rhs)
         lower.append(r.rhs if r.sense == "=" else -np.inf)
     a = coo_matrix((vals, (rows, cols)), shape=(len(upper), lp.n_vars)).tocsc()
     return a, np.array(lower, dtype=float), np.array(upper, dtype=float)
@@ -411,9 +402,9 @@ def assert_same_form(got, want):
 
 MIXED_ROWS = [
     Row({2: 1.0, 0: -2.0}, "<=", 3.0),
-    Row({1: 1.5, 3: 1.0}, ">=", -1.0),
+    geq({1: 1.5, 3: 1.0}, -1.0),
     Row({0: 1.0, 1: 1.0, 2: 1.0}, "=", 2.0),
-    Row({3: -1.0, 1: 0.5}, ">=", 0.0),
+    geq({3: -1.0, 1: 0.5}, 0.0),
     Row({2: 2.0, 3: 1.0}, "=", 1.0),
     Row({}, "<=", 4.0),
 ]
@@ -432,14 +423,14 @@ class TestSparseRows:
     )
     def test_matches_per_row_construction(self, rows):
         # column 4 appears in no row
-        lp = LinearProgram("min", np.ones(5), rows, np.zeros(5), np.full(5, 10.0))
+        lp = LinearProgram(np.ones(5), rows, np.zeros(5), np.full(5, 10.0))
         sp = SparseRows(rows, 5)
         assert_same_form(sp.highs(), per_row_form(lp))
         assert sp.highs() is sp.highs()  # built once
         assert_same_form(lp.sparse_rows().highs(), per_row_form(lp))
 
     def test_row_order_and_bounds(self):
-        # inequality rows in list order, ">=" rows negated, then "=" rows
+        # inequality rows in list order, then "=" rows
         a, lower, upper = SparseRows(MIXED_ROWS, 5).highs()
         np.testing.assert_array_equal(
             a.toarray(),
@@ -459,45 +450,45 @@ class TestSparseRows:
         with pytest.raises(ValueError, match="row 'wide' references variable 5"):
             SparseRows([*MIXED_ROWS, Row({5: 1.0}, "<=", 0.0, "wide")], 5)
         with pytest.raises(ValueError, match="references variable 5"):
-            LinearProgram("min", np.ones(5), [Row({5: 1.0}, "<=", 0.0)], np.zeros(5), np.ones(5))
+            LinearProgram(np.ones(5), [Row({5: 1.0}, "<=", 0.0)], np.zeros(5), np.ones(5))
 
     def test_shared_by_programs_on_one_rows_list(self):
-        lp = LinearProgram("min", np.ones(5), MIXED_ROWS, np.zeros(5), np.ones(5))
+        lp = LinearProgram(np.ones(5), MIXED_ROWS, np.zeros(5), np.ones(5))
         other = replace(lp, c=np.arange(5.0))
         assert other.sparse_rows() is lp.sparse_rows()
 
     def test_replaced_rows_never_reuse_the_old_form(self):
         lp = LinearProgram(
-            "max", np.array([1.0, 1.0]), [Row({0: 1.0, 1: 1.0}, "<=", 1.0)],
+            np.array([-1.0, -1.0]), [Row({0: 1.0, 1: 1.0}, "<=", 1.0)],
             np.zeros(2), np.full(2, 5.0),
         )
-        assert HighsSolver().solve_lp(lp).objective == pytest.approx(1.0)
+        assert HighsSolver().solve_lp(lp).objective == pytest.approx(-1.0)
         old = lp.sparse_rows()
         # same row count and shape, different coefficients and bound
         moved = replace(lp, rows=[Row({0: 1.0, 1: 2.0}, "<=", 4.0)])
         assert moved.sparse is not old and moved.sparse.rows is moved.rows
         out = HighsSolver().solve_lp(moved)
-        assert out.objective == pytest.approx(4.0)
+        assert out.objective == pytest.approx(-4.0)
         assert_same_form(moved.sparse_rows().highs(), per_row_form(moved))
 
     def test_rows_cannot_grow_under_the_cached_form(self):
         # appending to a rows list kept HiGHS on the form of the old rows
-        lp = LinearProgram("max", [1.0], [Row({0: 1.0}, "<=", 5.0)], [0.0], [10.0])
-        assert HighsSolver().solve_lp(lp).objective == pytest.approx(5.0)
+        lp = LinearProgram([-1.0], [Row({0: 1.0}, "<=", 5.0)], [0.0], [10.0])
+        assert HighsSolver().solve_lp(lp).objective == pytest.approx(-5.0)
         with pytest.raises(AttributeError):
             lp.rows.append(Row({0: 1.0}, "<=", 2.0))
         tighter = replace(lp, rows=[*lp.rows, Row({0: 1.0}, "<=", 2.0)])
         for solver in SOLVERS:
-            assert solver.solve_lp(tighter).objective == pytest.approx(2.0)
+            assert solver.solve_lp(tighter).objective == pytest.approx(-2.0)
 
     def test_form_of_other_rows_or_columns_is_replaced(self):
         rows = [Row({0: 1.0}, "<=", 1.0)]
         sp = SparseRows(rows, 1)
         equal_rows = LinearProgram(
-            "min", np.ones(1), [Row({0: 1.0}, "<=", 1.0)], np.zeros(1), np.ones(1), sp
+            np.ones(1), [Row({0: 1.0}, "<=", 1.0)], np.zeros(1), np.ones(1), sp
         )
         assert equal_rows.sparse is not sp and equal_rows.sparse.rows is equal_rows.rows
-        wider = LinearProgram("min", np.ones(3), rows, np.zeros(3), np.ones(3), sp)
+        wider = LinearProgram(np.ones(3), rows, np.zeros(3), np.ones(3), sp)
         assert wider.sparse is not sp and wider.sparse_rows().highs()[0].shape == (1, 3)
 
 
@@ -506,10 +497,10 @@ def test_highs_writes_nothing_to_fd1(capfd):
     # MILP solves run under the fd-1 guard; native output would land on
     # fd 1, which capfd reads at the descriptor
     def lp(rows, upper):
-        return LinearProgram("max", np.ones(2), rows, np.zeros(2), np.array([1.0, upper]))
+        return LinearProgram(-np.ones(2), rows, np.zeros(2), np.array([1.0, upper]))
 
     optimal = lp([Row({0: 1.0, 1: 1.0}, "<=", 1.5)], 1.0)
-    infeasible = lp([Row({0: 1.0, 1: 1.0}, ">=", 3.0)], 1.0)
+    infeasible = lp([geq({0: 1.0, 1: 1.0}, 3.0)], 1.0)
     unbounded = lp([], np.inf)
     statuses = []
     for prog in (optimal, infeasible, unbounded):
@@ -556,7 +547,7 @@ def chatty_milp(lp, *args):
     return out
 
 HighsSolver._milp = staticmethod(chatty_milp)
-lp = LinearProgram("max", [1.0], [Row({0: 1.0}, "<=", 0.5)], [0.0], [1.0])
+lp = LinearProgram([-1.0], [Row({0: 1.0}, "<=", 0.5)], [0.0], [1.0])
 print(HighsSolver().solve_milp(MixedIntegerProgram(lp, (0,))).objective)
 """
 

@@ -387,7 +387,7 @@ def epigraph_master(prob, scenarios):
             for k, d in enumerate(np.diff(values)):
                 coeffs[z.start + k] = coeffs.get(z.start + k, 0.0) + float(d)
         rows.append(Row(coeffs, "<=", rhs, f"cut[{li}]"))
-    lp = LinearProgram("min", c, rows, lower, static.lp.upper.copy())
+    lp = LinearProgram(c, rows, lower, static.lp.upper.copy())
     return MixedIntegerProgram(lp, static.binaries)
 
 

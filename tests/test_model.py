@@ -94,6 +94,24 @@ class TestValidate:
         with pytest.raises(ValueError, match="^invalid problem: terms: need"):
             run(prob)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_cost(self, value):
+        # -inf converged with a NaN gap; +inf crashed the loop
+        prob = replace(one_term_problem(), c=np.array([value]))
+        assert validate(prob) == ["c[x]: must be finite"]
+        with pytest.raises(ValueError, match=r"c\[x\]: must be finite"):
+            run(prob)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_coefficient(self, value):
+        # inf times a zero shift made the simplex's row constant NaN
+        prob = replace(one_term_problem(), rows=[Row({0: value}, "<=", 1.0)])
+        assert validate(prob) == ["rows[0]: coefficient of x must be finite"]
+
+    def test_infinite_row_rhs_is_accepted(self):
+        rows = [Row({0: 1.0}, "<=", np.inf), Row({0: -1.0}, "<=", np.inf)]
+        assert validate(replace(one_term_problem(), rows=rows)) == []
+
     def test_infinite_eval_bounds(self):
         prob = replace(one_term_problem(), upper=np.array([np.inf]))
         assert any("finite box bounds" in s for s in validate(prob))
