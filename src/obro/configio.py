@@ -91,8 +91,8 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _numbers(values, path: str) -> list:
-    return [_number(v, f"{path}/{k}") for k, v in enumerate(_list(values, path))]
+def _numbers(values, path: str, read=_number) -> list:
+    return [read(v, f"{path}/{k}") for k, v in enumerate(_list(values, path))]
 
 
 def _scheme(cfg: dict, path: str):
@@ -100,7 +100,7 @@ def _scheme(cfg: dict, path: str):
     of ``[lo, hi, step]`` triples, as ``make_partition`` takes them; None
     when it has neither."""
     if "step" in cfg:
-        return _number(cfg["step"], f"{path}/step")
+        return _finite(cfg["step"], f"{path}/step")
     if "pieces" not in cfg:
         return None
     path = f"{path}/pieces"
@@ -108,7 +108,7 @@ def _scheme(cfg: dict, path: str):
         raise ConfigError("expected at least one piece", path)
     pieces = []
     for k, piece in enumerate(cfg["pieces"]):
-        triple = _numbers(piece, f"{path}/{k}")
+        triple = _numbers(piece, f"{path}/{k}", _finite)
         if len(triple) != 3:
             raise ConfigError("expected [lo, hi, step]", f"{path}/{k}")
         pieces.append(tuple(triple))
@@ -138,8 +138,8 @@ def _partition_from(cfg, path: str) -> Partition:
             raise ConfigError(str(exc), path)
     if not isinstance(cfg, dict):
         raise ConfigError("expected a point list or a scheme object", path)
-    lo = _number(_need(cfg, "lo", path), f"{path}/lo")
-    hi = _number(_need(cfg, "hi", path), f"{path}/hi")
+    lo = _finite(_need(cfg, "lo", path), f"{path}/lo")
+    hi = _finite(_need(cfg, "hi", path), f"{path}/hi")
     scheme = _scheme(cfg, path)
     if scheme is None:
         raise ConfigError("scheme needs either 'step' or 'pieces'", path)
@@ -241,11 +241,11 @@ def bess_case_from_config(cfg: dict) -> tuple:
             (
                 _integer(_need(ln, "from", path), f"{path}/from"),
                 _integer(_need(ln, "to", path), f"{path}/to"),
-                _number(_need(ln, "r", path), f"{path}/r"),
-                _number(_need(ln, "x", path), f"{path}/x"),
+                _finite(_need(ln, "r", path), f"{path}/r"),
+                _finite(_need(ln, "x", path), f"{path}/x"),
             )
         )
-    v_s = _number(fcfg.get("substation_voltage", 1.0), "/feeder/substation_voltage")
+    v_s = _finite(fcfg.get("substation_voltage", 1.0), "/feeder/substation_voltage")
     substation = _integer(fcfg.get("substation", 0), "/feeder/substation")
     try:
         feeder = build_feeder(lines, v_s=v_s, substation=substation)
@@ -254,7 +254,7 @@ def bess_case_from_config(cfg: dict) -> tuple:
 
     hcfg = _need(cfg, "horizon", "")
     n_slots = _integer(_need(hcfg, "slots", "/horizon"), "/horizon/slots")
-    dt = _number(_need(hcfg, "dt", "/horizon"), "/horizon/dt")
+    dt = _finite(_need(hcfg, "dt", "/horizon"), "/horizon/dt")
 
     profiles = _object(cfg.get("profiles", {}), "/profiles")
 
@@ -266,7 +266,7 @@ def bess_case_from_config(cfg: dict) -> tuple:
                 node = int(node_key)
             except ValueError:
                 raise ConfigError("node key must be an integer", path)
-            table[node] = _numbers(series, path)
+            table[node] = _numbers(series, path, _finite)
             if len(table[node]) != n_slots:
                 raise ConfigError(f"need {n_slots} values", path)
         return table
@@ -284,8 +284,14 @@ def bess_case_from_config(cfg: dict) -> tuple:
             if key in shared
         }
         fields.update(
+            (key, _finite(bc[key], f"{path}/{key}"))
+            for key in ("p_min", "p_max", "e_max", "e_0")
+            if key in bc
+        )
+        # delta_max and dev_max accept Infinity, which means no bound
+        fields.update(
             (key, _number(bc[key], f"{path}/{key}"))
-            for key in ("p_min", "p_max", "e_max", "e_0", "delta_max", "dev_max", "lip_ratio")
+            for key in ("delta_max", "dev_max", "lip_ratio")
             if key in bc
         )
         battery = Battery(node, **fields)

@@ -37,6 +37,7 @@ from obro.linsolve import (
     solve_milp,
 )
 from obro.model import ObroProblem, scenario_issues, validate
+from obro.pwl import trapezoid_deviation
 
 __all__ = ["MasterLayout", "master_layout", "build_master", "solve_master"]
 
@@ -163,13 +164,15 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
     lay, pool = block.layout, block.pool
 
     def cut(scen):
-        # cut_{s,t} = sum(increments . z) - rhs[t] over term t's blocks;
+        # cut_{s,t} = sum(increments[t] . z) - rhs[t] over term t's blocks;
         # total is the whole cut's constant, summed in the same order
-        increments = [np.diff(scen.functions[ti].values) for ti, _ in lay.eval_keys]
-        rhs = [prob.epsilon * d for d in scen.deviations]
-        total = prob.epsilon * sum(scen.deviations)
+        funcs = scen.functions
+        devs = [trapezoid_deviation(f, t.spec.reference) for t, f in zip(prob.terms, funcs)]
+        increments = [np.diff(f.values) for f in funcs]
+        rhs = [prob.epsilon * d for d in devs]
+        total = prob.epsilon * sum(devs)
         for ti, _ in lay.eval_keys:
-            first = float(scen.functions[ti].values[0])
+            first = float(funcs[ti].values[0])
             rhs[ti] -= first
             total -= first
         return increments, rhs, total
@@ -188,8 +191,9 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
         if li:
             anchor, anchor_rhs, _ = pool[0][1]
             coeffs = [{eta: -1.0} for eta in lay.etas]  # Row drops increments equal to the anchor's
-            for (ti, _), z, d, d0 in zip(lay.eval_keys, lay.z_slices, increments, anchor):
-                coeffs[ti].update(zip(range(z.start, z.stop), (d - d0).tolist()))
+            delta = [(d - d0).tolist() for d, d0 in zip(increments, anchor)]
+            for (ti, _), z in zip(lay.eval_keys, lay.z_slices):
+                coeffs[ti].update(zip(range(z.start, z.stop), delta[ti]))
             rows = tuple(
                 Row(row, "<=", r - r0, f"{term.name}.cut[{li}]")
                 for term, row, r, r0 in zip(prob.terms, coeffs, rhs, anchor_rhs)
@@ -198,8 +202,8 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
 
     anchor, _, anchor_total = pool[0][1]
     c = block.c.copy()
-    for z, d in zip(lay.z_slices, anchor):
-        c[z] = d
+    for (ti, _), z in zip(lay.eval_keys, lay.z_slices):
+        c[z] = anchor[ti]
     rows = (*block.rows, *itertools.chain.from_iterable(cuts for _, _, cuts in pool))
     lp = LinearProgram(c, rows, block.lower.copy(), block.upper.copy(), offset=-anchor_total)
     return MixedIntegerProgram(lp, block.binaries)

@@ -19,6 +19,7 @@ from obro.pwl import (
     NeighborhoodSpec,
     check_neighborhood,
     interpolate,
+    trapezoid_deviation,
 )
 
 __all__ = [
@@ -99,28 +100,18 @@ class ObroProblem:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One generated worst-case function per term, with its deviation value.
-
-    Deviations are stored at generation time so master problems reuse them
-    without re-integrating.
-    """
+    """One generated worst-case function per term; each deviation is taken
+    by quadrature where it is used."""
 
     functions: tuple
-    deviations: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "functions", tuple(self.functions))
-        object.__setattr__(self, "deviations", tuple(float(d) for d in self.deviations))
-        if len(self.functions) != len(self.deviations):
-            raise ValueError("one deviation value per function required")
 
 
 def reference_scenario(prob: ObroProblem) -> Scenario:
     """The nominal scenario: every term at its reference, zero deviation."""
-    return Scenario(
-        functions=tuple(t.spec.reference for t in prob.terms),
-        deviations=(0.0,) * len(prob.terms),
-    )
+    return Scenario(tuple(t.spec.reference for t in prob.terms))
 
 
 def validate(prob: ObroProblem) -> list:
@@ -187,12 +178,10 @@ def scenario_issues(prob: ObroProblem, scen: Scenario) -> list:
     issues = []
     if len(scen.functions) != len(prob.terms):
         return [f"scenario has {len(scen.functions)} functions, need {len(prob.terms)}"]
-    for ti, (term, f, d) in enumerate(zip(prob.terms, scen.functions, scen.deviations)):
+    for ti, (term, f) in enumerate(zip(prob.terms, scen.functions)):
         report = check_neighborhood(f, term.spec, tol=FEAS_TOL)
         if not report.passed:
             issues.append(f"terms[{ti}]: {report}")
-        if abs(d - report.deviation) > 1e-9:
-            issues.append(f"terms[{ti}]: stored deviation disagrees with quadrature")
     return issues
 
 
@@ -200,16 +189,17 @@ def evaluate_v(prob: ObroProblem, scen: Scenario, x: np.ndarray) -> float:
     """Value of the objective functional at (scenario, decision).
 
     c.x plus the scenario functions interpolated at every evaluation
-    coordinate, minus epsilon times the stored total deviations.  A
-    decision outside the polyhedron by more than ``FEAS_TOL`` is an error.
+    coordinate, minus epsilon times each function's trapezoidal deviation
+    from its reference.  A decision outside the polyhedron by more than
+    ``FEAS_TOL`` is an error.
     """
     x = np.asarray(x, dtype=float)
     viol = primal_violation(prob, x)
     if viol > FEAS_TOL:
         raise ValueError(f"decision vector infeasible by {viol:.3e}")
     total = float(prob.c @ x)
-    for term, f, dev in zip(prob.terms, scen.functions, scen.deviations):
+    for term, f in zip(prob.terms, scen.functions):
         for e in term.eval_indices:
             total += interpolate(f, x[e])
-        total -= prob.epsilon * dev
+        total -= prob.epsilon * trapezoid_deviation(f, term.spec.reference)
     return total

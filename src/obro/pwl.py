@@ -11,7 +11,6 @@ rate-of-change ratio bound).
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,10 @@ DEFAULT_TOL = 1e-9
 # How far an evaluation coordinate may overshoot the partition range before
 # it is an error rather than solver round-off (clamped silently below this).
 RANGE_SLACK = 1e-6
+
+# Most sample points a segmentation scheme may give; the shipped schemes
+# have at most 51.
+MAX_POINTS = 10**6
 
 
 class PartitionError(ValueError):
@@ -152,42 +155,53 @@ def make_partition(lo: float, hi: float, scheme) -> Partition:
     ``scheme`` is either a positive step (even segmentation; the final
     segment is shortened when the step does not divide the interval) or a
     list of ``(sub_lo, sub_hi, step)`` pieces tiling [lo, hi] with no gaps
-    or overlaps, each piece gridded evenly with its own step.
+    or overlaps, each piece gridded evenly with its own step.  Bounds and
+    steps must be finite, and the scheme may give at most ``MAX_POINTS``
+    points, counted before any is built.
     """
+    if np.isscalar(scheme):
+        pieces = [(float(lo), float(hi), float(scheme))]
+    else:
+        pieces = [(float(a), float(b), float(h)) for a, b, h in scheme]
+    if not (np.all(np.isfinite([lo, hi])) and np.all(np.isfinite(pieces))):
+        raise PartitionError("bounds and steps must be finite")
     if not lo < hi:
         raise PartitionError(f"need lo < hi, got [{lo}, {hi}]")
-    if np.isscalar(scheme):
-        return Partition(np.array(_even_points(lo, hi, float(scheme))))
-
-    pieces = [(float(a), float(b), float(h)) for a, b, h in scheme]
     if not pieces:
         raise PartitionError("need at least one piece")
     if abs(pieces[0][0] - lo) > 1e-12 * max(1.0, abs(lo)):
         raise PartitionError("first piece must start at the interval lower bound")
     if abs(pieces[-1][1] - hi) > 1e-12 * max(1.0, abs(hi)):
         raise PartitionError("last piece must end at the interval upper bound")
+    for k in range(1, len(pieces)):
+        a, prev = pieces[k][0], pieces[k - 1][1]
+        if abs(a - prev) > 1e-12 * max(1.0, abs(a)):
+            raise PartitionError(f"piece {k} starts at {a}, previous ends at {prev}")
+    grids = [_even_steps(a, b, h) for a, b, h in pieces]
+    if sum(n + 1 + short for n, short in grids) - (len(pieces) - 1) > MAX_POINTS:
+        raise PartitionError(f"scheme gives more than {MAX_POINTS} points")
     points: list[float] = []
-    for k, (a, b, h) in enumerate(pieces):
-        if k > 0 and abs(a - pieces[k - 1][1]) > 1e-12 * max(1.0, abs(a)):
-            raise PartitionError(
-                f"piece {k} starts at {a}, previous ends at {pieces[k - 1][1]}"
-            )
-        sub = _even_points(a, b, h)
+    for k, ((a, b, h), (n_full, short)) in enumerate(zip(pieces, grids)):
+        sub = [a + p * h for p in range(int(n_full) + 1)]
+        if short:
+            sub.append(b)  # short final segment
+        else:
+            sub[-1] = b  # step divides the piece; snap the rounded endpoint
         points.extend(sub if k == 0 else sub[1:])
     points[0], points[-1] = lo, hi
     return Partition(np.array(points))
 
 
-def _even_points(lo: float, hi: float, step: float) -> list[float]:
+def _even_steps(lo: float, hi: float, step: float) -> tuple:
+    """Full steps of the even grid of [lo, hi], as a float so that a
+    vanishing step counts as inf rather than building a list, and whether
+    a short final segment follows them."""
     if step <= 0:
         raise PartitionError(f"step must be positive, got {step}")
-    n_full = int(math.floor((hi - lo) / step + 1e-9))
-    pts = [lo + p * step for p in range(n_full + 1)]
-    if pts[-1] >= hi - 1e-9 * max(1.0, abs(hi - lo)):
-        pts[-1] = hi  # step divides the interval; snap the rounded endpoint
-    else:
-        pts.append(hi)  # short final segment
-    return pts
+    if hi < lo:
+        raise PartitionError(f"piece [{lo}, {hi}] runs backwards")
+    n_full = np.floor((hi - lo) / step + 1e-9)
+    return n_full, bool(lo + n_full * step < hi - 1e-9 * max(1.0, abs(hi - lo)))
 
 
 def interp_coefficients(part: Partition, x: float):
@@ -264,15 +278,13 @@ class MembershipReport:
 
     Violation magnitudes are already net of the allowed bound (0 means
     exactly on the boundary); a family passes when its violation does not
-    exceed the check tolerance.  ``deviation`` is the trapezoidal
-    deviation from the reference that the budget was checked against.
+    exceed the check tolerance.
     """
 
     sup_ok: bool
     sup_violation: float
     dev_ok: bool
     dev_violation: float
-    deviation: float
     ratio_ok: bool
     ratio_violation: float
 
@@ -305,8 +317,7 @@ def check_neighborhood(
     _require_same_partition(f, ref)
     diff = np.abs(f.values - ref.values)
     sup_violation = float(max(np.max(diff) - spec.delta_max, 0.0))
-    deviation = trapezoid_deviation(f, ref)
-    dev_violation = float(max(deviation - spec.dev_max, 0.0))
+    dev_violation = float(max(trapezoid_deviation(f, ref) - spec.dev_max, 0.0))
     step_f = np.abs(np.diff(f.values))
     step_ref = np.abs(np.diff(ref.values))
     ratio_violation = float(max(np.max(step_f - spec.lip_ratio * step_ref), 0.0))
@@ -315,7 +326,6 @@ def check_neighborhood(
         sup_violation=sup_violation,
         dev_ok=dev_violation <= tol,
         dev_violation=dev_violation,
-        deviation=deviation,
         ratio_ok=ratio_violation <= tol,
         ratio_violation=ratio_violation,
     )

@@ -141,7 +141,6 @@ def solve_subproblem(
 
     offsets = prob.adversary.offsets
     functions = []
-    deviations = []
     for term, (f0, s0, d0) in zip(prob.terms, offsets):
         n = term.spec.partition.n_points
         f = SampledFunction(term.spec.partition, out.x[f0 : f0 + n])
@@ -151,8 +150,7 @@ def solve_subproblem(
                 f"deviation variable drifted from quadrature by {abs(dev - out.x[d0]):.2e}"
             )
         functions.append(f)
-        deviations.append(dev)
-    scen = Scenario(tuple(functions), tuple(deviations))
+    scen = Scenario(tuple(functions))
     issues = scenario_issues(prob, scen)
     if issues:
         raise SubproblemError("generated scenario invalid: " + "; ".join(issues))

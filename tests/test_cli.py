@@ -152,6 +152,42 @@ MALFORMED = {
     "battery-e_0-above-e_max": ("bess", ["batteries", 0, "e_0"], 1.0, "/batteries/0"),
     "battery-e_max-zero": ("bess", ["batteries", 0, "e_max"], 0, "/batteries/0"),
     "battery-depth-over-1": ("bess", ["batteries", 0, "p_max"], 1.0, "/batteries/0"),
+    "line-r-inf": ("bess", ["feeder", "lines", 0, "r"], float("inf"), "/feeder/lines/0/r"),
+    "line-x-inf": ("bess", ["feeder", "lines", 0, "x"], float("inf"), "/feeder/lines/0/x"),
+    "substation_voltage-inf": (
+        "bess", ["feeder", "substation_voltage"], float("inf"), "/feeder/substation_voltage"
+    ),
+    "dt-inf": ("bess", ["horizon", "dt"], float("inf"), "/horizon/dt"),
+    "profile-value-inf": (
+        "bess", ["profiles", "load_p", "2"], [float("inf")] + [0.0] * 5, "/profiles/load_p/2/0"
+    ),
+    "battery-p_min-minus-inf": (
+        "bess", ["batteries", 0, "p_min"], float("-inf"), "/batteries/0/p_min"
+    ),
+    "battery-p_max-inf": ("bess", ["batteries", 0, "p_max"], float("inf"), "/batteries/0/p_max"),
+    "battery-e_max-inf": ("bess", ["batteries", 0, "e_max"], float("inf"), "/batteries/0/e_max"),
+    "battery-e_0-inf": ("bess", ["batteries", 0, "e_0"], float("inf"), "/batteries/0/e_0"),
+    "partition-lo-minus-inf": (
+        "solve", ["terms", 0, "partition"], {"lo": float("-inf"), "hi": 1.0, "step": 0.5},
+        "/terms/0/partition/lo",
+    ),
+    "partition-hi-inf": (
+        "solve", ["terms", 0, "partition"], {"lo": 0.0, "hi": float("inf"), "step": 0.5},
+        "/terms/0/partition/hi",
+    ),
+    "partition-step-inf": (
+        "solve", ["terms", 0, "partition"], {"lo": 0.0, "hi": 1.0, "step": float("inf")},
+        "/terms/0/partition/step",
+    ),
+    "piece-step-inf": (
+        "bess", ["schemes", "hetero", "pieces"],
+        [[0.0, 0.019, float("inf")], [0.019, 0.038, 0.002]], "/schemes/hetero/pieces/0/2",
+    ),
+    # counted before any point is built: 1e300 points would exhaust memory
+    "partition-step-tiny": (
+        "solve", ["terms", 0, "partition"], {"lo": 0.0, "hi": 1.0, "step": 1e-300},
+        "/terms/0/partition",
+    ),
 }
 
 

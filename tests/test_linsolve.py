@@ -521,10 +521,7 @@ def test_highs_mip_print_stays_off_fd1(capfd):
     prob = assemble_bess_problem(*feeder_case("bess_reduction", 0.0008))
     stored = json.loads((Path(__file__).parent / "data" / "highs_print_pool.json").read_text())
     pool = [reference_scenario(prob)] + [
-        Scenario(
-            [SampledFunction(t.spec.partition, v) for t, v in zip(prob.terms, s["values"])],
-            s["deviations"],
-        )
+        Scenario([SampledFunction(t.spec.partition, v) for t, v in zip(prob.terms, s["values"])])
         for s in stored["scenarios"]
     ]
     _, lb = solve_master(prob, pool, HighsSolver())

@@ -46,7 +46,7 @@ def make_problem(points, ref_values, delta=1.0, dev=10.0, lip=3.0, epsilon=0.1, 
 def scenario_from_values(prob, values, term=0):
     spec = prob.terms[term].spec
     f = SampledFunction(spec.partition, np.asarray(values, float))
-    return Scenario((f,), (trapezoid_deviation(f, spec.reference),))
+    return Scenario((f,))
 
 
 class TestReferenceOnlyMaster:
@@ -75,7 +75,8 @@ class TestVShapedCuts:
         # eta >= x and eta >= (1 - x) - eps * trapezoid(1, 1)
         prob = make_problem([0.0, 1.0], [0.0, 1.0], delta=1.0, lip=3.0, epsilon=epsilon)
         scen = scenario_from_values(prob, [1.0, 0.0])
-        assert scen.deviations[0] == pytest.approx(1.0)
+        dev = trapezoid_deviation(scen.functions[0], prob.terms[0].spec.reference)
+        assert dev == pytest.approx(1.0)
         return prob, [reference_scenario(prob), scen]
 
     def test_crossing_point(self):
@@ -171,10 +172,7 @@ class TestPerTermRows:
         for x in ([0.1, 0.9, 0.2], [0.8, 0.3, 0.6], [0.5, 0.5, 0.9]):
             scens.append(solve_subproblem(prob, np.array(x))[0])
         # term f1 of the first scenario with term f2 of the anchor
-        scens.append(Scenario(
-            (scens[1].functions[0], scens[0].functions[1]),
-            (scens[1].deviations[0], scens[0].deviations[1]),
-        ))
+        scens.append(Scenario((scens[1].functions[0], scens[0].functions[1])))
         return scens
 
     def test_layout_puts_later_excess_columns_last(self):
@@ -380,7 +378,9 @@ def epigraph_master(prob, scenarios):
     for li, scen in enumerate(scenarios):
         coeffs = {j: float(v) for j, v in enumerate(prob.c) if v != 0.0}
         coeffs[eta] = coeffs.get(eta, 0.0) - 1.0
-        rhs = prob.epsilon * sum(scen.deviations)
+        rhs = prob.epsilon * sum(
+            trapezoid_deviation(f, t.spec.reference) for t, f in zip(prob.terms, scen.functions)
+        )
         for (ti, _), z in zip(lay.eval_keys, lay.z_slices):
             values = scen.functions[ti].values
             rhs -= float(values[0])
@@ -395,10 +395,7 @@ def mixed_scenarios(scenarios):
     """Every combination of one stored function per term, as whole
     scenarios: the product of the per-term pools."""
     return [
-        Scenario(
-            tuple(s.functions[ti] for ti, s in enumerate(combo)),
-            tuple(s.deviations[ti] for ti, s in enumerate(combo)),
-        )
+        Scenario(tuple(s.functions[ti] for ti, s in enumerate(combo)))
         for combo in itertools.product(scenarios, repeat=len(scenarios[0].functions))
     ]
 
@@ -484,7 +481,8 @@ class TestAnchoredMaster:
         # the objective is the anchor's cut: c on x, its increments on z
         assert lp.c[0] == 0.3 and lp.c[lay.etas[0]] == 1.0
         np.testing.assert_array_equal(lp.c[z], np.diff(anchor.functions[0].values))
-        assert lp.offset == pytest.approx(1.2 - prob.epsilon * anchor.deviations[0], abs=1e-15)
+        dev = trapezoid_deviation(anchor.functions[0], prob.terms[0].spec.reference)
+        assert lp.offset == pytest.approx(1.2 - prob.epsilon * dev, abs=1e-15)
 
     def test_enumeration_agrees_with_offset(self):
         # the anchor's first value and deviation make a nonzero constant

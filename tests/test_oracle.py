@@ -203,10 +203,7 @@ class TestGridAgainstDefinition:
             for p, v in enumerate(f.values):
                 assert np.any(spec.reference.values[p] + grid == v)
             assert check_neighborhood(f, spec).passed
-        scen = Scenario(
-            tuple(funcs),
-            tuple(trapezoid_deviation(f, t.spec.reference) for f, t in zip(funcs, prob.terms)),
-        )
+        scen = Scenario(tuple(funcs))
         assert evaluate_v(prob, scen, x) == pytest.approx(value, abs=1e-12)
 
     def test_tie_goes_to_earliest_grid_index(self):
@@ -422,7 +419,7 @@ class TestEnumerateMaster:
         # cuts eta >= x and eta >= 1 - x - eps cross at (1 - eps)/2
         prob = one_term([0.0, 1.0], [0.0, 1.0], delta=1.0, lip=3.0)
         f = SampledFunction(prob.terms[0].spec.partition, np.array([1.0, 0.0]))
-        scen = Scenario((f,), (trapezoid_deviation(f, prob.terms[0].spec.reference),))
+        scen = Scenario((f,))
         scens = [reference_scenario(prob), scen]
         v_enum, x_enum = enumerate_master(prob, scens)
         assert x_enum[0] == pytest.approx(0.45, abs=1e-9)
@@ -435,7 +432,7 @@ class TestEnumerateMaster:
     def test_multi_segment_grid(self):
         prob = one_term([0.0, 0.4, 1.0], [1.0, 0.3, 0.8], delta=0.5, lip=4.0)
         f = SampledFunction(prob.terms[0].spec.partition, np.array([0.8, 0.7, 1.2]))
-        scen = Scenario((f,), (trapezoid_deviation(f, prob.terms[0].spec.reference),))
+        scen = Scenario((f,))
         scens = [reference_scenario(prob), scen]
         v_enum, _ = enumerate_master(prob, scens)
         for solver in (None, HighsSolver()):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obro import pwl
 from obro.pwl import (
     NeighborhoodSpec,
     Partition,
@@ -57,6 +58,42 @@ class TestPartition:
             make_partition(1.0, 0.0, 0.1)
         with pytest.raises(PartitionError, match="need at least one piece"):
             make_partition(0.0, 1.0, [])
+
+    @pytest.mark.parametrize(
+        "lo, hi, scheme",
+        [
+            (0.0, np.inf, 0.5),
+            (-np.inf, 1.0, 0.5),
+            (0.0, 1.0, np.inf),
+            (0.0, 1.0, np.nan),
+            (0.0, 1.0, [(0.0, 0.5, np.inf), (0.5, 1.0, 0.1)]),
+            (0.0, 1.0, [(0.0, np.inf, 0.1), (np.inf, 1.0, 0.1)]),
+        ],
+    )
+    def test_rejects_non_finite_bounds_and_steps(self, lo, hi, scheme):
+        with pytest.raises(PartitionError, match="must be finite"):
+            make_partition(lo, hi, scheme)
+
+    def test_rejects_backward_piece(self):
+        # the pieces tile [0, 1] end to end, but the middle one runs back
+        with pytest.raises(PartitionError, match="runs backwards"):
+            make_partition(0.0, 1.0, [(0.0, 0.5, 0.1), (0.5, 0.3, 0.1), (0.3, 1.0, 0.1)])
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, 1e-7])
+    def test_point_cap_counts_before_building(self, step):
+        # 1e-300 would ask for 1e300 points and 5e-324 for inf of them
+        with pytest.raises(PartitionError, match="more than 1000000 points"):
+            make_partition(0.0, 1.0, step)
+
+    def test_point_cap_is_inclusive_and_sums_pieces(self, monkeypatch):
+        monkeypatch.setattr(pwl, "MAX_POINTS", 11)
+        assert make_partition(0.0, 1.0, 0.1).n_points == 11
+        with pytest.raises(PartitionError, match="more than 11 points"):
+            make_partition(0.0, 1.0, 0.09)  # 12 grid points, then the end at 1
+        # 6 + 6 points sharing the breakpoint
+        assert make_partition(0.0, 1.0, [(0.0, 0.5, 0.1), (0.5, 1.0, 0.1)]).n_points == 11
+        with pytest.raises(PartitionError, match="more than 11 points"):
+            make_partition(0.0, 1.0, [(0.0, 0.5, 0.1), (0.5, 1.0, 0.08)])
 
     def test_points_and_values_are_read_only_copies(self):
         points, values = np.array([0.0, 1.0]), np.array([1.0, 2.0])

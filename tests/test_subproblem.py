@@ -12,6 +12,7 @@ from obro.pwl import (
     Partition,
     SampledFunction,
     check_neighborhood,
+    trapezoid_deviation,
 )
 from obro.subproblem import build_subproblem, solve_subproblem
 
@@ -94,7 +95,8 @@ class TestDegenerateNeighborhood:
         prob = identity_problem(delta=0.0)
         scen, value = solve_subproblem(prob, np.array([0.7]))
         np.testing.assert_allclose(scen.functions[0].values, [0.0, 1.0], atol=1e-12)
-        assert scen.deviations[0] == pytest.approx(0.0, abs=1e-12)
+        dev = trapezoid_deviation(scen.functions[0], prob.terms[0].spec.reference)
+        assert dev == pytest.approx(0.0, abs=1e-12)
         assert value == pytest.approx(0.7)
 
 
@@ -158,8 +160,61 @@ class TestSubproblemContracts:
         # budget row must bind: deviation == dev_max at the solution
         prob = identity_problem(dev=0.01)
         scen, value = solve_subproblem(prob, np.array([1.0]))
-        assert scen.deviations[0] == pytest.approx(0.01, abs=1e-9)
+        dev = trapezoid_deviation(scen.functions[0], prob.terms[0].spec.reference)
+        assert dev == pytest.approx(0.01, abs=1e-9)
         assert value < 1.095
+
+
+class DriftingSolver(BranchBoundSolver):
+    """Returns the adversary's optimum with every deviation column 1e-3
+    above the quadrature of its samples."""
+
+    def __init__(self, prob):
+        self.prob = prob
+
+    def solve_lp(self, lp):
+        out = super().solve_lp(lp)
+        x = out.x.copy()
+        for _, _, d0 in self.prob.adversary.offsets:
+            x[d0] += 1e-3
+        return replace(out, x=x)
+
+
+class LiftingSolver(BranchBoundSolver):
+    """Returns every sample lifted twice the sup radius above its
+    reference, with the deviation column at the lifted samples'
+    quadrature, so the drift check passes and only membership fails."""
+
+    def __init__(self, prob):
+        self.prob = prob
+
+    def solve_lp(self, lp):
+        out = super().solve_lp(lp)
+        x = out.x.copy()
+        for term, (f0, _, d0) in zip(self.prob.terms, self.prob.adversary.offsets):
+            ref = term.spec.reference
+            lifted = SampledFunction(ref.partition, ref.values + 2 * term.spec.delta_max)
+            x[f0 : f0 + ref.partition.n_points] = lifted.values
+            x[d0] = trapezoid_deviation(lifted, ref)
+        return replace(out, x=x)
+
+
+class TestOutputChecks:
+    def test_drifted_deviation_column_is_an_error(self):
+        prob = identity_problem(points=(0.0, 0.5, 1.0))
+        with pytest.raises(
+            subproblem.SubproblemError,
+            match=r"^deviation variable drifted from quadrature by 1\.00e-03$",
+        ):
+            solve_subproblem(prob, np.array([0.6]), DriftingSolver(prob))
+
+    def test_scenario_outside_the_neighborhood_is_an_error(self):
+        prob = identity_problem(points=(0.0, 0.5, 1.0))
+        with pytest.raises(
+            subproblem.SubproblemError,
+            match=r"^generated scenario invalid: terms\[0\]: sup bound: violated by 1\.000e-01;",
+        ):
+            solve_subproblem(prob, np.array([0.6]), LiftingSolver(prob))
 
 
 @pytest.mark.parametrize("seed", range(8))
