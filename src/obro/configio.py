@@ -334,7 +334,14 @@ def bess_case_from_config(cfg: dict) -> tuple:
         path = f"/schemes/{name}"
         scheme = _scheme(_object(sc, path), path)
         if scheme is None and "a" in sc and "b" in sc:  # parametric baseline
-            scheme = {k: _numbers(sc[k], f"{path}/{k}") for k in ("a", "b")}
+            scheme = {}
+            for k in ("a", "b"):
+                span = _numbers(sc[k], f"{path}/{k}", _finite)
+                if len(span) != 2:
+                    raise ConfigError("expected [lo, hi]", f"{path}/{k}")
+                if not 0 < span[0] <= span[1]:
+                    raise ConfigError("need 0 < lo <= hi", f"{path}/{k}")
+                scheme[k] = span
         if scheme is None:
             raise ConfigError("scheme needs 'step', 'pieces', or 'a'/'b' ranges", path)
         schemes[name] = scheme

@@ -559,7 +559,8 @@ class HighsSolver(Solver):
         integrality = np.zeros(mip.lp.n_vars)
         integrality[list(mip.binaries)] = 1
         # presolve's reduced-cost fixing restarts the root search many
-        # times on the scenario-cut masters (see README)
+        # times on the scenario-cut masters (see README); with it off, the
+        # master block leaves out the rows the column bounds imply
         with _stdout_to_debug_log():
             res, out = self._milp(mip.lp, integrality, {"mip_rel_gap": 0.0, "presolve": False})
         if out.optimal:

@@ -82,10 +82,11 @@ def master_layout(prob: ObroProblem) -> MasterLayout:
 class MasterBlock:
     """The part of the master MILP that no scenario changes: the layout,
     the cost and bounds without the anchor's increments, the polyhedron
-    rows, incremental-block rows and coordinate links, and the sorted
-    binaries.  Held by the problem as ``ObroProblem.master``.  ``pool``
-    holds the last build's scenarios, each as ``(scenario, its cut, its
-    cut rows)``; the anchor has no rows."""
+    rows the column box can violate, incremental-block rows and
+    coordinate links, and the sorted binaries.  Held by the problem as
+    ``ObroProblem.master``.  ``pool`` holds the last build's scenarios,
+    each as ``(scenario, its cut, its cut rows)``; the anchor has no
+    rows."""
 
     layout: MasterLayout
     c: np.ndarray
@@ -98,7 +99,11 @@ class MasterBlock:
 
 def master_block(prob: ObroProblem) -> MasterBlock:
     """Validate the problem and build its block; `ObroProblem.master`
-    calls this once per problem."""
+    calls this once per problem.  A ``<=`` polyhedron row whose maximum
+    over the box ``[prob.lower, prob.upper]`` is within its rhs holds
+    everywhere and is left out, since HiGHS runs the masters with
+    presolve off and would carry it; a coefficient on an unbounded side
+    makes that maximum +inf."""
     issues = validate(prob)
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
@@ -120,6 +125,9 @@ def master_block(prob: ObroProblem) -> MasterBlock:
     rows = [
         Row(r.coeffs, r.sense, r.rhs, r.name or f"poly[{i}]")
         for i, r in enumerate(prob.rows)
+        if r.sense == "=" or sum(
+            a * (prob.upper[j] if a > 0 else prob.lower[j]) for j, a in r.coeffs.items()
+        ) > r.rhs
     ]
 
     for (ti, e), z, y in zip(lay.eval_keys, lay.z_slices, lay.y_slices):

@@ -9,6 +9,7 @@ the interpolated function values, and a deviation penalty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,6 +133,8 @@ def validate(prob: ObroProblem) -> list:
         issues.append("epsilon: must be finite")
     if not prob.terms:
         issues.append("terms: need at least one uncertain term")
+    for j in np.flatnonzero(np.isnan(prob.lower) | np.isnan(prob.upper)):
+        issues.append(f"bounds[{prob.var_name(j)}]: must not be NaN")
     if np.any(prob.lower > prob.upper):
         j = int(np.argmax(prob.lower > prob.upper))
         issues.append(f"bounds[{prob.var_name(j)}]: lower exceeds upper")
@@ -141,6 +144,8 @@ def validate(prob: ObroProblem) -> list:
         if r.coeffs and max(r.coeffs) >= n:
             issues.append(f"rows[{i}]: references variable {max(r.coeffs)} >= {n}")
             continue
+        if math.isnan(r.rhs):
+            issues.append(f"rows[{i}]: rhs must not be NaN")
         for j, v in r.coeffs.items():
             if not np.isfinite(v):
                 issues.append(f"rows[{i}]: coefficient of {prob.var_name(j)} must be finite")

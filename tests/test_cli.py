@@ -183,6 +183,15 @@ MALFORMED = {
         "bess", ["schemes", "hetero", "pieces"],
         [[0.0, 0.019, float("inf")], [0.019, 0.038, 0.002]], "/schemes/hetero/pieces/0/2",
     ),
+    "parametric-a-inf": (
+        "bess", ["schemes", "parametric", "a"], [9.0, float("inf")], "/schemes/parametric/a/1"
+    ),
+    "parametric-a-three": (
+        "bess", ["schemes", "parametric", "a"], [9.0, 9.5, 10.0], "/schemes/parametric/a"
+    ),
+    "parametric-a-reversed": (
+        "bess", ["schemes", "parametric", "a"], [10.0, 9.0], "/schemes/parametric/a"
+    ),
     # counted before any point is built: 1e300 points would exhaust memory
     "partition-step-tiny": (
         "solve", ["terms", 0, "partition"], {"lo": 0.0, "hi": 1.0, "step": 1e-300},

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from obro import configio, master
+from obro.bess import assemble_bess_problem
 from obro.engine import run, verify_saddle
 from obro.linsolve import (
     BranchBoundSolver,
@@ -26,6 +27,8 @@ from obro.model import (
 from obro.oracle import enumerate_master
 from obro.pwl import NeighborhoodSpec, Partition, SampledFunction, trapezoid_deviation
 from obro.subproblem import solve_subproblem
+
+from feeders import feeder_case
 
 
 def make_problem(points, ref_values, delta=1.0, dev=10.0, lip=3.0, epsilon=0.1, c=None):
@@ -339,6 +342,58 @@ class TestMasterBlock:
         # the saddle check's master re-solve reuses the whole pool
         assert verify_saddle(prob, result).outer_ok
         assert same_objects(checked, result.scenarios) and same_objects(validated, [prob])
+
+
+class TestImpliedRows:
+    """The master block leaves out the polyhedron rows that every point of
+    the column box satisfies."""
+
+    def problem(self, rows):
+        # x0 is evaluated on [0, 1]; x1 is an auxiliary in [0, inf)
+        base = make_problem([0.0, 0.5, 1.0], [0.0, 0.6, 0.8], c=[0.0, -0.1])
+        return replace(
+            base, rows=rows, lower=np.zeros(2), upper=np.array([1.0, np.inf]), names=None
+        )
+
+    def rows(self):
+        return [
+            Row({0: 1.0}, "<=", 2.0, "implied"),
+            Row({0: 1.0, 1: -1.0}, "<=", np.inf, "infinite_rhs"),
+            Row({1: 1.0}, "<=", 5.0, "unbounded_side"),
+            Row({0: -1.0}, "<=", -0.3, "binding"),
+            # as a <= row this one would be implied: it pins x1 to its lower bound
+            Row({1: -1.0}, "=", 0.0, "equality"),
+        ]
+
+    def test_block_keeps_only_rows_the_box_can_violate(self):
+        prob = self.problem(self.rows())
+        poly = [r.name for r in prob.master.rows if "@" not in r.name]
+        assert poly == ["unbounded_side", "binding", "equality"]
+        assert len(prob.rows) == 5
+
+    @pytest.mark.parametrize("solver", [BranchBoundSolver(), HighsSolver()], ids=["bb", "highs"])
+    def test_same_optimum_as_without_the_implied_rows(self, solver):
+        full = self.problem(self.rows())
+        lean = self.problem(self.rows()[2:])
+        x, bound = solve_master(full, [reference_scenario(full)], solver)
+        x_lean, bound_lean = solve_master(lean, [reference_scenario(lean)], solver)
+        assert x[0] == pytest.approx(0.3, abs=1e-9) and x[1] == pytest.approx(0.0, abs=1e-9)
+        assert np.array_equal(x, x_lean) and bound == bound_lean
+
+    def test_feeder_rows_match_their_box_maxima(self):
+        prob = assemble_bess_problem(*feeder_case("bess_8node"))
+        rows = prob.rows
+        a = np.zeros((len(rows), prob.n_vars))
+        for i, r in enumerate(rows):
+            a[i, list(r.coeffs)] = list(r.coeffs.values())
+        with np.errstate(invalid="ignore"):
+            corner = np.where(a > 0, a * prob.upper, np.where(a < 0, a * prob.lower, 0.0))
+        violable = corner.sum(axis=1) > np.array([r.rhs for r in rows])
+        names = {r.name for r in rows}
+        kept = [r.name for r in prob.master.rows if r.name in names]
+        assert kept == [r.name for r, v in zip(rows, violable) if v]
+        assert (len(rows), len(kept)) == (864, 290)
+        assert prob.rows is rows
 
 
 class TestErrors:

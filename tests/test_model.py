@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from obro import master, model, pwl, subproblem
+from obro.bess import assemble_bess_problem
 from obro.configio import load_config, problem_from_config
 from obro.engine import run
 from obro.linsolve import Row
@@ -25,6 +26,8 @@ from obro.pwl import (
     interp_coefficients,
     trapezoid_deviation,
 )
+
+from feeders import feeder_case
 
 
 def identity_spec(points=(0.0, 1.0), delta=0.1, dev=10.0, lip=2.0):
@@ -107,6 +110,27 @@ class TestValidate:
         # inf times a zero shift made the simplex's row constant NaN
         prob = replace(one_term_problem(), rows=[Row({0: value}, "<=", 1.0)])
         assert validate(prob) == ["rows[0]: coefficient of x must be finite"]
+
+    def test_nan_row_rhs(self):
+        # it passed, then the bundled master read unbounded and HiGHS's
+        # polyhedron empty
+        config = Path(__file__).resolve().parent.parent / "configs" / "two_term_coupled.json"
+        prob, _ = problem_from_config(load_config(config))
+        prob = replace(prob, rows=[replace(prob.rows[0], rhs=np.nan)])
+        assert validate(prob) == ["rows[0]: rhs must not be NaN"]
+        with pytest.raises(ValueError, match=r"rows\[0\]: rhs must not be NaN"):
+            run(prob)
+
+    def test_nan_bound_on_free_column(self):
+        # only evaluated columns needed finite bounds; a NaN lower bound on
+        # a voltage auxiliary made the master's polyhedron read empty
+        prob = assemble_bess_problem(*feeder_case("bess_reduction", "sparse"))
+        lower = prob.lower.copy()
+        lower[prob.names.index("u[2][0]")] = np.nan
+        prob = replace(prob, lower=lower)
+        assert validate(prob) == ["bounds[u[2][0]]: must not be NaN"]
+        with pytest.raises(ValueError, match=r"bounds\[u\[2\]\[0\]\]: must not be NaN"):
+            prob.master
 
     def test_infinite_row_rhs_is_accepted(self):
         rows = [Row({0: 1.0}, "<=", np.inf), Row({0: -1.0}, "<=", np.inf)]
