@@ -42,7 +42,7 @@ from obro.model import (
     reference_scenario,
 )
 from obro.subproblem import build_subproblem, solve_subproblem
-from obro.master import build_master, master_layout, solve_master
+from obro.master import build_master, solve_master
 from obro.engine import (
     IterationRecord,
     EngineResult,

@@ -30,6 +30,7 @@ from obro.oracle import (
     GridBudgetError,
     brute_force_subproblem,
     enumerate_master,
+    grid_radius,
     levels_within_budget,
 )
 
@@ -207,7 +208,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    step = max(2 * t.spec.delta_max / (levels - 1) for t in prob.terms)
+    step = max(2 * grid_radius(t.spec) / (levels - 1) for t in prob.terms)
     lipschitz = sum(
         len(t.eval_indices) + prob.epsilon * (t.spec.partition.hi - t.spec.partition.lo)
         for t in prob.terms

@@ -133,10 +133,10 @@ class LinearProgram:
     objective; it moves no solution.  ``rows`` is kept as a tuple, so it
     cannot grow or shrink under a cached form; changed rows come from
     ``dataclasses.replace``.  ``sparse`` carries the HiGHS form of
-    ``rows``; pass it along to share the conversion between programs
-    built on one rows tuple.  It is used only while its rows are this
-    program's ``rows`` by identity and its column count matches, and
-    replaced otherwise.
+    ``rows``, created with the program; a program built from another's
+    ``rows`` and ``sparse`` shares its conversion.  It is used only while
+    its rows are this program's ``rows`` by identity and its column count
+    matches, and replaced otherwise.
     """
 
     c: np.ndarray

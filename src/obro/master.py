@@ -39,7 +39,7 @@ from obro.linsolve import (
 from obro.model import ObroProblem, scenario_issues, validate
 from obro.pwl import trapezoid_deviation
 
-__all__ = ["MasterLayout", "master_layout", "build_master", "solve_master"]
+__all__ = ["build_master", "solve_master"]
 
 
 class MasterError(RuntimeError):
@@ -47,53 +47,26 @@ class MasterError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class MasterLayout:
-    """Column map of the master MILP: decision vector, the first term's
-    excess column, then per evaluation coordinate a block of segment
-    fractions ``z`` and a block of ordering binaries ``y``, then the
-    other terms' excess columns.  ``etas`` lists the excess columns in
-    term order (the excess of a term's worst stored function over the
-    first scenario's); a single-term master ends with its last block."""
-
-    n_x: int
-    etas: tuple
-    z_slices: tuple  # (term, eval) -> slice, flattened in term order
-    y_slices: tuple
-    eval_keys: tuple  # (term index, eval var index)
-    n_total: int
-
-
-def master_layout(prob: ObroProblem) -> MasterLayout:
-    n_x = prob.n_vars
-    base = n_x + 1
-    zs, ys, keys = [], [], []
-    for ti, term in enumerate(prob.terms):
-        ns = term.spec.partition.n_segments
-        for e in term.eval_indices:
-            zs.append(slice(base, base + ns))
-            ys.append(slice(base + ns, base + 2 * ns - 1))
-            base += 2 * ns - 1
-            keys.append((ti, e))
-    etas = (n_x, *range(base, base + len(prob.terms) - 1))
-    return MasterLayout(n_x, etas, tuple(zs), tuple(ys), tuple(keys), base + len(etas) - 1)
-
-
-@dataclass(frozen=True)
 class MasterBlock:
-    """The part of the master MILP that no scenario changes: the layout,
-    the cost and bounds without the anchor's increments, the polyhedron
-    rows the column box can violate, incremental-block rows and
-    coordinate links, and the sorted binaries.  Held by the problem as
-    ``ObroProblem.master``.  ``pool`` holds the last build's scenarios,
-    each as ``(scenario, its cut, its cut rows)``; the anchor has no
-    rows."""
+    """The part of the master MILP that no scenario changes, held by the
+    problem as ``ObroProblem.master``.  ``mip`` is the master without
+    cuts, whose cost lacks the anchor's increments: its columns are the
+    decision vector, the first term's excess column, then per evaluation
+    coordinate a block of segment fractions ``z`` and a block of ordering
+    binaries ``y``, then the other terms' excess columns; its rows are the
+    polyhedron rows the column box can violate, the incremental-block rows
+    and the coordinate links.  ``etas`` lists the excess columns in term
+    order (the excess of a term's worst stored function over the first
+    scenario's), and ``z_slices``, ``y_slices`` and ``eval_keys`` (term
+    index, evaluation variable) follow the evaluation coordinates in term
+    order.  ``pool`` holds the last build's scenarios, each as
+    ``(scenario, its cut, its cut rows)``; the anchor has no rows."""
 
-    layout: MasterLayout
-    c: np.ndarray
-    rows: tuple
-    lower: np.ndarray
-    upper: np.ndarray
-    binaries: tuple
+    etas: tuple
+    z_slices: tuple
+    y_slices: tuple
+    eval_keys: tuple
+    mip: MixedIntegerProgram
     pool: list = field(default_factory=list, compare=False, repr=False)
 
 
@@ -108,18 +81,28 @@ def master_block(prob: ObroProblem) -> MasterBlock:
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
 
-    lay = master_layout(prob)
-    n = lay.n_total
+    n_x = prob.n_vars
+    base = n_x + 1
+    zs, ys, keys = [], [], []
+    for ti, term in enumerate(prob.terms):
+        ns = term.spec.partition.n_segments
+        for e in term.eval_indices:
+            zs.append(slice(base, base + ns))
+            ys.append(slice(base + ns, base + 2 * ns - 1))
+            base += 2 * ns - 1
+            keys.append((ti, e))
+    etas = (n_x, *range(base, base + len(prob.terms) - 1))
+    n = base + len(etas) - 1
     c = np.zeros(n)
-    c[: lay.n_x] = prob.c
-    c[list(lay.etas)] = 1.0
+    c[:n_x] = prob.c
+    c[list(etas)] = 1.0
     lower = np.full(n, -np.inf)
     upper = np.full(n, np.inf)
-    lower[: lay.n_x] = prob.lower
-    upper[: lay.n_x] = prob.upper
-    lower[lay.n_x :] = 0.0  # eta_t >= 0 stands for the first scenario's cut
-    upper[lay.n_x + 1 :] = 1.0
-    upper[list(lay.etas)] = np.inf
+    lower[:n_x] = prob.lower
+    upper[:n_x] = prob.upper
+    lower[n_x:] = 0.0  # eta_t >= 0 stands for the first scenario's cut
+    upper[n_x + 1 :] = 1.0
+    upper[list(etas)] = np.inf
     binaries = []
 
     rows = [
@@ -130,7 +113,7 @@ def master_block(prob: ObroProblem) -> MasterBlock:
         ) > r.rhs
     ]
 
-    for (ti, e), z, y in zip(lay.eval_keys, lay.z_slices, lay.y_slices):
+    for (ti, e), z, y in zip(keys, zs, ys):
         term = prob.terms[ti]
         points = term.spec.partition.points
         tag = f"{term.name}@{prob.var_name(e)}"
@@ -147,9 +130,9 @@ def master_block(prob: ObroProblem) -> MasterBlock:
         rows.append(Row(link, "=", -float(points[0]), f"{tag}.coordinate"))
 
     for a in (c, lower, upper):
-        a.flags.writeable = False  # each build copies what it changes
-    rows = tuple(rows)
-    return MasterBlock(lay, c, rows, lower, upper, tuple(binaries))
+        a.flags.writeable = False  # shared by every master built from the block
+    mip = MixedIntegerProgram(LinearProgram(c, rows, lower, upper), binaries)
+    return MasterBlock(etas, tuple(zs), tuple(ys), tuple(keys), mip)
 
 
 def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
@@ -157,19 +140,19 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
     anchored on ``scenarios[0]``: a master over K scenarios and T terms
     has (K - 1)·T cut rows, one per later scenario and term with no
     de-duplication, and its objective carries the anchor's constant as
-    the program's ``offset``.  Its columns follow ``master_layout(prob)``.
+    the program's ``offset``.  Its columns are those of ``prob.master``.
 
-    The rows, bounds and binaries that no scenario changes come from the
-    problem's block, built and validated once (``ObroProblem.master``).
-    The block keeps the cut rows of the last pool: the longest prefix of
-    ``scenarios`` identical to it, anchor included, reuses them, and each
-    later scenario is checked once, when it enters, and adds its rows.
-    The program gets its own cost and bound arrays.
+    The rows, bounds and binaries that no scenario changes are those of
+    the problem's block, built and validated once (``ObroProblem.master``),
+    and the program shares its read-only bounds.  The block keeps the cut
+    rows of the last pool: the longest prefix of ``scenarios`` identical
+    to it, anchor included, reuses them, and each later scenario is
+    checked once, when it enters, and adds its rows.
     """
     if not scenarios:
         raise ValueError("need at least one scenario")
     block = prob.master
-    lay, pool = block.layout, block.pool
+    pool = block.pool
 
     def cut(scen):
         # cut_{s,t} = sum(increments[t] . z) - rhs[t] over term t's blocks;
@@ -179,7 +162,7 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
         increments = [np.diff(f.values) for f in funcs]
         rhs = [prob.epsilon * d for d in devs]
         total = prob.epsilon * sum(devs)
-        for ti, _ in lay.eval_keys:
+        for ti, _ in block.eval_keys:
             first = float(funcs[ti].values[0])
             rhs[ti] -= first
             total -= first
@@ -198,9 +181,9 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
         rows = ()
         if li:
             anchor, anchor_rhs, _ = pool[0][1]
-            coeffs = [{eta: -1.0} for eta in lay.etas]  # Row drops increments equal to the anchor's
+            coeffs = [{eta: -1.0} for eta in block.etas]  # Row drops increments equal to the anchor's
             delta = [(d - d0).tolist() for d, d0 in zip(increments, anchor)]
-            for (ti, _), z in zip(lay.eval_keys, lay.z_slices):
+            for (ti, _), z in zip(block.eval_keys, block.z_slices):
                 coeffs[ti].update(zip(range(z.start, z.stop), delta[ti]))
             rows = tuple(
                 Row(row, "<=", r - r0, f"{term.name}.cut[{li}]")
@@ -209,12 +192,13 @@ def build_master(prob: ObroProblem, scenarios: list) -> MixedIntegerProgram:
         pool.append((scen, (increments, rhs, total), rows))
 
     anchor, _, anchor_total = pool[0][1]
-    c = block.c.copy()
-    for (ti, _), z in zip(lay.eval_keys, lay.z_slices):
+    static = block.mip.lp
+    c = static.c.copy()
+    for (ti, _), z in zip(block.eval_keys, block.z_slices):
         c[z] = anchor[ti]
-    rows = (*block.rows, *itertools.chain.from_iterable(cuts for _, _, cuts in pool))
-    lp = LinearProgram(c, rows, block.lower.copy(), block.upper.copy(), offset=-anchor_total)
-    return MixedIntegerProgram(lp, block.binaries)
+    rows = (*static.rows, *itertools.chain.from_iterable(cuts for _, _, cuts in pool))
+    lp = LinearProgram(c, rows, static.lower, static.upper, offset=-anchor_total)
+    return MixedIntegerProgram(lp, block.mip.binaries)
 
 
 def solve_master(

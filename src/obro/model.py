@@ -200,7 +200,7 @@ def evaluate_v(prob: ObroProblem, scen: Scenario, x: np.ndarray) -> float:
     """
     x = np.asarray(x, dtype=float)
     viol = primal_violation(prob, x)
-    if viol > FEAS_TOL:
+    if not viol <= FEAS_TOL:  # a NaN decision has a NaN violation
         raise ValueError(f"decision vector infeasible by {viol:.3e}")
     total = float(prob.c @ x)
     for term, f in zip(prob.terms, scen.functions):

@@ -23,7 +23,7 @@ import numpy as np
 
 from obro.engine import in_phase, run
 from obro.linsolve import BranchBoundSolver, LinearProgram, Solver
-from obro.master import MasterLayout, build_master, master_layout
+from obro.master import MasterBlock, build_master
 from obro.model import ObroProblem, validate
 from obro.pwl import SampledFunction, sample_coefficients, trapezoid_weights
 
@@ -31,6 +31,7 @@ __all__ = [
     "GridBudgetError",
     "brute_force_subproblem",
     "enumerate_master",
+    "grid_radius",
     "grid_work",
     "levels_within_budget",
     "pin_segments",
@@ -47,6 +48,15 @@ _SWEEP_BLOCK = 2**15  # grid points per vector pass of the grid oracle
 
 class GridBudgetError(RuntimeError):
     pass
+
+
+def grid_radius(spec) -> float:
+    """Half-width of the grid each sample value of a term with
+    neighborhood ``spec`` ranges over: the sup radius when finite, else
+    the farthest one sample alone can move within the deviation budget."""
+    if np.isfinite(spec.delta_max):
+        return spec.delta_max
+    return spec.dev_max / trapezoid_weights(spec.partition.points).min()
 
 
 def grid_work(prob: ObroProblem, levels: int) -> int:
@@ -73,12 +83,12 @@ def brute_force_subproblem(
 ) -> tuple[float, list]:
     """Grid search over the adversary's sample values, term by term.
 
-    Each sample value ranges over ``levels`` evenly spaced offsets inside
-    its sup-radius box; combinations violating the deviation budget or the
-    ratio bound are discarded.  The problem separates over terms, so terms
-    are enumerated independently and their best values summed.  Always a
-    lower bound on the LP optimum; within the objective's Lipschitz
-    constant times the grid step of it.
+    Each sample value ranges over ``levels`` evenly spaced offsets within
+    ``grid_radius`` of its reference; combinations violating the
+    deviation budget or the ratio bound are discarded.  The problem
+    separates over terms, so terms are enumerated independently and
+    their best values summed.  Always a lower bound on the LP optimum;
+    within the objective's Lipschitz constant times the grid step of it.
 
     Per term, the offsets of samples 1..n-1 (the tail) are enumerated once
     with their deviation and objective share, a tail that breaks a ratio
@@ -113,7 +123,8 @@ def brute_force_subproblem(
         coeff = sample_coefficients(part, x[list(term.eval_indices)])
 
         if spec.delta_max > 0:
-            offsets = np.linspace(-spec.delta_max, spec.delta_max, levels)
+            radius = grid_radius(spec)
+            offsets = np.linspace(-radius, radius, levels)
         else:
             offsets = np.zeros(1)
         weights = trapezoid_weights(part.points)
@@ -188,10 +199,10 @@ def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndar
     ``offset``, the anchor's constant, so the value is the master's bound.
     """
     simplex = BranchBoundSolver()
-    lay = master_layout(prob)
     mip = build_master(prob, scenarios)
+    block = prob.master
 
-    seg_counts = [z.stop - z.start for z in lay.z_slices]
+    seg_counts = [z.stop - z.start for z in block.z_slices]
     n_patterns = int(np.prod(seg_counts)) if seg_counts else 1
     if n_patterns > PATTERN_BUDGET:
         raise GridBudgetError(
@@ -200,23 +211,23 @@ def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndar
 
     best = None
     for pattern in itertools.product(*(range(s) for s in seg_counts)):
-        out = simplex.solve_lp(pin_segments(mip.lp, lay, pattern))
+        out = simplex.solve_lp(pin_segments(mip.lp, block, pattern))
         if out.status != "optimal":
             continue
         if best is None or out.objective < best[0] - 1e-12:
-            best = (float(out.objective), out.x[: lay.n_x].copy())
+            best = (float(out.objective), out.x[: prob.n_vars].copy())
     if best is None:
         raise RuntimeError("every segment pattern infeasible")
     return best[0], best[1]
 
 
-def pin_segments(lp: LinearProgram, lay: MasterLayout, pattern) -> LinearProgram:
+def pin_segments(lp: LinearProgram, block: MasterBlock, pattern) -> LinearProgram:
     """The master LP with evaluation coordinate ``i`` pinned to segment
     ``pattern[i]``: earlier fractions full, later ones empty, binaries to
     match, and only the segment's own fraction free."""
     lo = lp.lower.copy()
     up = lp.upper.copy()
-    for z, y, s in zip(lay.z_slices, lay.y_slices, pattern):
+    for z, y, s in zip(block.z_slices, block.y_slices, pattern):
         lo[z.start : z.start + s] = up[z.start : z.start + s] = 1.0
         lo[z.start + s + 1 : z.stop] = up[z.start + s + 1 : z.stop] = 0.0
         lo[y.start : y.start + s] = up[y.start : y.start + s] = 1.0

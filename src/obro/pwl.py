@@ -211,10 +211,10 @@ def interp_coefficients(part: Partition, x: float):
     points[p + 1]`` with the coefficients in [0, 1] summing to one.  An ``x``
     equal to an interior sample point resolves to the segment on its left
     (alpha_hi = 1).  Coordinates within ``RANGE_SLACK`` outside the range
-    are clamped; beyond that is an error.
+    are clamped; beyond that, or NaN, is an error.
     """
     pts = part.points
-    if x < pts[0] - RANGE_SLACK or x > pts[-1] + RANGE_SLACK:
+    if not pts[0] - RANGE_SLACK <= x <= pts[-1] + RANGE_SLACK:
         raise PartitionError(f"{x} outside partition range [{pts[0]}, {pts[-1]}]")
     x = min(max(float(x), float(pts[0])), float(pts[-1]))
     i = bisect.bisect_left(pts, x)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from obro.linsolve import LinearProgram, Row, Solver, SparseRows, solve_lp
+from obro.linsolve import LinearProgram, Row, Solver, solve_lp
 from obro.model import ObroProblem, Scenario, scenario_issues, validate
 from obro.pwl import (
     SampledFunction,
@@ -35,17 +35,13 @@ class SubproblemError(RuntimeError):
 @dataclass(frozen=True)
 class AdversaryBlock:
     """The part of the adversary LP that no decision changes: column
-    offsets per term (values block, slack block, deviation variable), the
-    rows, the bounds, the deviation penalty in the minimized cost, and the
-    rows' sparse form for HiGHS.  Held by the problem as
+    offsets per term (values block, slack block, deviation variable) and
+    the program every build starts from, ``lp``, whose read-only cost is
+    the deviation penalty alone.  Held by the problem as
     ``ObroProblem.adversary``."""
 
     offsets: tuple
-    c: np.ndarray
-    rows: tuple
-    lower: np.ndarray
-    upper: np.ndarray
-    sparse: SparseRows
+    lp: LinearProgram
 
 
 def adversary_block(prob: ObroProblem) -> AdversaryBlock:
@@ -101,8 +97,7 @@ def adversary_block(prob: ObroProblem) -> AdversaryBlock:
 
     for a in (c, lower, upper):
         a.flags.writeable = False  # shared by every LP built from the block
-    rows = tuple(rows)
-    return AdversaryBlock(tuple(offsets), c, rows, lower, upper, SparseRows(rows, base))
+    return AdversaryBlock(tuple(offsets), LinearProgram(c, rows, lower, upper))
 
 
 def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
@@ -110,19 +105,20 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
     negated adversary value.
 
     Only the cost depends on ``x_k``: the rows, bounds and their sparse
-    form come from the problem's block, built once.  The certain cost
+    form are the block's program's, built once.  The certain cost
     c.x_k is a constant and stays out of the LP; callers re-add it when
     reporting values.
     """
     block = prob.adversary
+    lp = block.lp
     x_k = np.asarray(x_k, dtype=float)
-    c = block.c.copy()
+    c = lp.c.copy()
     for term, (f0, _, _) in zip(prob.terms, block.offsets):
         part = term.spec.partition
         c[f0 : f0 + part.n_points] = -sample_coefficients(
             part, x_k[list(term.eval_indices)]
         )
-    return LinearProgram(c, block.rows, block.lower, block.upper, block.sparse)
+    return LinearProgram(c, lp.rows, lp.lower, lp.upper, lp.sparse)
 
 
 def solve_subproblem(

@@ -343,8 +343,9 @@ class TestCmdBess:
 
 
 class TestCmdVerify:
-    def test_degenerate_config_all_pass(self, capsys):
-        code = main(["verify", str(CONFIGS / "degenerate_delta0.json")])
+    @pytest.mark.parametrize("name", ["degenerate_delta0", "two_term_coupled"])
+    def test_config_all_pass(self, capsys, name):
+        code = main(["verify", str(CONFIGS / f"{name}.json")])
         out = capsys.readouterr().out
         assert code == 0
         assert "FAIL" not in out
@@ -354,6 +355,18 @@ class TestCmdVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "FAIL" not in out
+
+    def test_infinite_sup_radius_all_pass(self, tmp_path, capsys):
+        # the grid spans the farthest one sample can move within dev_max;
+        # it used to span linspace(-inf, inf) and find no feasible point
+        cfg = json.loads((CONFIGS / "two_pocket.json").read_text())
+        cfg["terms"][0].update(delta_max=float("inf"), dev_max=0.05)
+        path = tmp_path / "unboxed.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["verify", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(out.splitlines()) == 7 and "FAIL" not in out
 
     def test_default_levels_follow_grid_budget(self, capsys):
         # the 4-sample term needs 101**4 points at 101 levels, over the

@@ -51,8 +51,8 @@ class TestDegenerateNeighborhood:
         # delta_max = inf gives the sample columns no bounds; the ratio rows
         # and the budget hold the adversary, and both backends reach one UB
         prob = one_term([0.0, 0.5, 1.0], [0.0, 0.5, 0.5], delta=np.inf)
-        assert np.all(prob.adversary.lower[:3] == -np.inf)
-        assert np.all(prob.adversary.upper[:3] == np.inf)
+        assert np.all(prob.adversary.lp.lower[:3] == -np.inf)
+        assert np.all(prob.adversary.lp.upper[:3] == np.inf)
         res = run(prob, tol=1e-6, max_iter=25, solver=solver)
         assert res.converged and len(res.history) == 3
         assert res.ub == pytest.approx(9.375, abs=1e-9)

@@ -16,7 +16,7 @@ from obro.linsolve import (
     Row,
     solve_milp,
 )
-from obro.master import build_master, master_layout, solve_master
+from obro.master import build_master, solve_master
 from obro.model import (
     ObroProblem,
     Scenario,
@@ -121,11 +121,11 @@ class TestIncrementalStructure:
     def test_layout_blocks(self):
         for n in (2, 3, 5):
             prob = make_problem(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n))
-            lay = master_layout(prob)
-            assert lay.n_x == 1 and lay.etas[0] == 1
-            assert lay.z_slices == (slice(2, n + 1),)
-            assert lay.y_slices == (slice(n + 1, 2 * n - 1),)
-            assert lay.n_total == 2 * n - 1
+            block = prob.master
+            assert prob.n_vars == 1 and block.etas[0] == 1
+            assert block.z_slices == (slice(2, n + 1),)
+            assert block.y_slices == (slice(n + 1, 2 * n - 1),)
+            assert block.mip.lp.n_vars == 2 * n - 1
             mip = build_master(prob, [reference_scenario(prob)])
             assert mip.binaries == tuple(range(n + 1, 2 * n - 1))  # none when n == 2
 
@@ -139,9 +139,9 @@ class TestIncrementalStructure:
         from obro.linsolve import solve_milp
 
         out = solve_milp(build_master(prob, scens), solver)
-        lay = master_layout(prob)
-        z = out.x[lay.z_slices[0]]
-        y = out.x[lay.y_slices[0]]
+        block = prob.master
+        z = out.x[block.z_slices[0]]
+        y = out.x[block.y_slices[0]]
         assert out.x[0] == pytest.approx(0.475, abs=1e-9)
         np.testing.assert_allclose(z, [1.0, 0.9, 0.0], atol=1e-9)
         np.testing.assert_array_equal(y, [1.0, 0.0])
@@ -180,34 +180,34 @@ class TestPerTermRows:
 
     def test_layout_puts_later_excess_columns_last(self):
         prob = two_term_problem()
-        lay = master_layout(prob)
-        assert lay.etas == (lay.n_x, lay.n_total - 1)
+        block = prob.master
+        assert block.etas == (prob.n_vars, block.mip.lp.n_vars - 1)
         # blocks of f1 at x0 and x2, then f2 at x1, right after etas[0]
-        assert [z.start for z in lay.z_slices] == [4, 7, 10]
-        assert lay.y_slices[-1].stop == lay.n_total - 1
+        assert [z.start for z in block.z_slices] == [4, 7, 10]
+        assert block.y_slices[-1].stop == block.mip.lp.n_vars - 1
         mip = build_master(prob, [reference_scenario(prob)])
-        assert (mip.lp.lower[list(lay.etas)] == 0.0).all()
-        assert (mip.lp.upper[list(lay.etas)] == np.inf).all()
-        assert (mip.lp.c[list(lay.etas)] == 1.0).all()
+        assert (mip.lp.lower[list(block.etas)] == 0.0).all()
+        assert (mip.lp.upper[list(block.etas)] == np.inf).all()
+        assert (mip.lp.c[list(block.etas)] == 1.0).all()
 
     def test_one_row_per_scenario_and_term(self):
         prob = two_term_problem()
-        lay = master_layout(prob)
+        block = prob.master
         scens = self.scenarios(prob)
         static = len(build_master(prob, scens[:1]).lp.rows)
         own = [set(), set()]
-        for (ti, _), z in zip(lay.eval_keys, lay.z_slices):
+        for (ti, _), z in zip(block.eval_keys, block.z_slices):
             own[ti].update(range(z.start, z.stop))
         for k in range(1, len(scens) + 1):
             cuts = build_master(prob, scens[:k]).lp.rows[static:]
             assert len(cuts) == 2 * (k - 1)
             for i, row in enumerate(cuts):
                 ti = i % 2
-                assert row.coeffs[lay.etas[ti]] == -1.0
-                assert set(row.coeffs) <= own[ti] | {lay.etas[ti]}
+                assert row.coeffs[block.etas[ti]] == -1.0
+                assert set(row.coeffs) <= own[ti] | {block.etas[ti]}
         assert all(len(row.coeffs) > 1 for row in cuts[:-1])
         # the mixed scenario repeats the anchor's f2: that row keeps only eta_1
-        assert cuts[-1].coeffs == {lay.etas[1]: -1.0}
+        assert cuts[-1].coeffs == {block.etas[1]: -1.0}
         assert cuts[-1].rhs == 0.0
         # and f1 of the first generated scenario: the same row as before
         assert cuts[-2].coeffs == cuts[0].coeffs and cuts[-2].rhs == cuts[0].rhs
@@ -285,7 +285,7 @@ class TestMasterBlock:
         checked = counting(monkeypatch, "scenario_issues")
         prob, scens = self.pool()
         old = build_master(prob, scens).lp.rows
-        static = len(prob.master.rows)
+        static = len(prob.master.mip.lp.rows)
         assert len(checked) == len(scens)
         # a new reference scenario equals the old anchor, as in a new run
         for pool in ([reference_scenario(prob), *scens[1:]], scens[2:]):
@@ -304,7 +304,7 @@ class TestMasterBlock:
             build_master(prob, [*scens, bad])
         with pytest.raises(ValueError, match="scenario 2 invalid"):
             build_master(prob, [*scens, bad])
-        assert len(build_master(prob, scens).lp.rows) == len(prob.master.rows) + 1
+        assert len(build_master(prob, scens).lp.rows) == len(prob.master.mip.lp.rows) + 1
 
     @pytest.mark.parametrize("k", [1, 5], ids=["no-cut", "cuts"])
     def test_sparse_form_matches_full_conversion(self, k):
@@ -312,20 +312,23 @@ class TestMasterBlock:
 
         prob, scens = self.pool()
         lp = build_master(prob, scens[:k]).lp
-        assert len(lp.rows) - len(prob.master.rows) == 2 * (k - 1)
+        assert len(lp.rows) - len(prob.master.mip.lp.rows) == 2 * (k - 1)
         assert_same_form(lp.sparse_rows().highs(), per_row_form(lp))
 
     def test_programs_cannot_change_the_block(self):
         prob, scens = self.pool()
         want = build_master(replace(prob), scens).lp
         lp = build_master(prob, scens).lp
-        for a in (lp.c, lp.lower, lp.upper):
-            a[:] = 0.5
+        lp.c[:] = 0.5  # each build's own cost
+        for a in (lp.lower, lp.upper):  # the block's, shared by every build
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
         again = build_master(prob, scens).lp
         for got, ref in ((again.c, want.c), (again.lower, want.lower), (again.upper, want.upper)):
             assert got.tobytes() == ref.tobytes()
-        block = prob.master
-        for a in (block.c, block.lower, block.upper):
+        static = prob.master.mip.lp
+        assert again.lower is static.lower and again.upper is static.upper
+        for a in (static.c, static.lower, static.upper):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
@@ -367,7 +370,7 @@ class TestImpliedRows:
 
     def test_block_keeps_only_rows_the_box_can_violate(self):
         prob = self.problem(self.rows())
-        poly = [r.name for r in prob.master.rows if "@" not in r.name]
+        poly = [r.name for r in prob.master.mip.lp.rows if "@" not in r.name]
         assert poly == ["unbounded_side", "binding", "equality"]
         assert len(prob.rows) == 5
 
@@ -390,7 +393,7 @@ class TestImpliedRows:
             corner = np.where(a > 0, a * prob.upper, np.where(a < 0, a * prob.lower, 0.0))
         violable = corner.sum(axis=1) > np.array([r.rhs for r in rows])
         names = {r.name for r in rows}
-        kept = [r.name for r in prob.master.rows if r.name in names]
+        kept = [r.name for r in prob.master.mip.lp.rows if r.name in names]
         assert kept == [r.name for r, v in zip(rows, violable) if v]
         assert (len(rows), len(kept)) == (864, 290)
         assert prob.rows is rows
@@ -422,10 +425,10 @@ def epigraph_master(prob, scenarios):
     one dense row ``eta >= cut_s`` per whole scenario.  The static rows
     come from ``build_master`` over one scenario, which adds no cut row;
     the other terms' excess columns appear in no row and stay at 0."""
-    lay = master_layout(prob)
-    eta = lay.etas[0]
+    block = prob.master
+    eta = block.etas[0]
     static = build_master(prob, scenarios[:1])
-    c = np.zeros(lay.n_total)
+    c = np.zeros(block.mip.lp.n_vars)
     c[eta] = 1.0
     lower = static.lp.lower.copy()
     lower[eta] = -np.inf
@@ -436,7 +439,7 @@ def epigraph_master(prob, scenarios):
         rhs = prob.epsilon * sum(
             trapezoid_deviation(f, t.spec.reference) for t, f in zip(prob.terms, scen.functions)
         )
-        for (ti, _), z in zip(lay.eval_keys, lay.z_slices):
+        for (ti, _), z in zip(block.eval_keys, block.z_slices):
             values = scen.functions[ti].values
             rhs -= float(values[0])
             for k, d in enumerate(np.diff(values)):
@@ -520,21 +523,21 @@ class TestAnchoredMaster:
         prob = make_problem([0.0, 0.5, 1.0], [1.0, 0.2, 0.9], delta=0.5, c=[0.3])
         anchor = scenario_from_values(prob, [1.2, 0.2, 0.6])
         other = scenario_from_values(prob, [0.6, 0.2, 0.6])
-        lay = master_layout(prob)
+        block = prob.master
         static = build_master(prob, [anchor]).lp
         for k in (1, 2, 3):
             lp = build_master(prob, [anchor, other, anchor][:k]).lp
             cuts = lp.rows[len(static.rows) :]
             assert len(cuts) == k - 1
-            assert (lp.lower[lay.etas[0]], lp.upper[lay.etas[0]]) == (0.0, np.inf)
-        z = lay.z_slices[0]
+            assert (lp.lower[block.etas[0]], lp.upper[block.etas[0]]) == (0.0, np.inf)
+        z = block.z_slices[0]
         # c cancels, and so does the second increment, which both share
-        assert cuts[0].coeffs == {lay.etas[0]: -1.0, z.start: (0.2 - 0.6) - (0.2 - 1.2)}
+        assert cuts[0].coeffs == {block.etas[0]: -1.0, z.start: (0.2 - 0.6) - (0.2 - 1.2)}
         # a repeat of the anchor leaves only the excess column
-        assert cuts[1].coeffs == {lay.etas[0]: -1.0}
+        assert cuts[1].coeffs == {block.etas[0]: -1.0}
         assert cuts[1].rhs == 0.0
         # the objective is the anchor's cut: c on x, its increments on z
-        assert lp.c[0] == 0.3 and lp.c[lay.etas[0]] == 1.0
+        assert lp.c[0] == 0.3 and lp.c[block.etas[0]] == 1.0
         np.testing.assert_array_equal(lp.c[z], np.diff(anchor.functions[0].values))
         dev = trapezoid_deviation(anchor.functions[0], prob.terms[0].spec.reference)
         assert lp.offset == pytest.approx(1.2 - prob.epsilon * dev, abs=1e-15)

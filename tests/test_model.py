@@ -9,6 +9,7 @@ from obro import master, model, pwl, subproblem
 from obro.bess import assemble_bess_problem
 from obro.configio import load_config, problem_from_config
 from obro.engine import run
+from obro.oracle import brute_force_subproblem
 from obro.linsolve import Row
 from obro.model import (
     ObroProblem,
@@ -26,6 +27,7 @@ from obro.pwl import (
     interp_coefficients,
     trapezoid_deviation,
 )
+from obro.subproblem import solve_subproblem
 
 from feeders import feeder_case
 
@@ -205,7 +207,7 @@ class TestFrozenProblem:
         assert prob.adversary is adversary and prob.master is held
         assert [p is prob for p in validated] == [True, True, False, False]
         assert all(p is cheap for p in validated[2:])
-        assert (prob.master.c[0], cheap.master.c[0]) == (0.0, -2.0)
+        assert (prob.master.mip.lp.c[0], cheap.master.mip.lp.c[0]) == (0.0, -2.0)
 
     def test_rows_cannot_be_edited_in_place(self):
         # An edited row used to leave the master built by the first run
@@ -265,6 +267,19 @@ class TestEvaluateV:
         prob = replace(one_term_problem(), rows=[Row({0: 1.0}, "<=", 0.4)])
         with pytest.raises(ValueError, match="infeasible"):
             evaluate_v(prob, reference_scenario(prob), np.array([0.6]))
+
+    def test_nan_decision_rejected(self):
+        # a NaN decision used to be valued NaN by evaluate_v and by the
+        # adversary LP, and to leave the grid oracle with no feasible point
+        config = Path(__file__).resolve().parent.parent / "configs" / "two_pocket.json"
+        prob, _ = problem_from_config(load_config(config))
+        x = np.array([np.nan])
+        with pytest.raises(ValueError, match="decision vector infeasible by nan"):
+            evaluate_v(prob, reference_scenario(prob), x)
+        with pytest.raises(pwl.PartitionError, match="nan outside partition range"):
+            solve_subproblem(prob, x)
+        with pytest.raises(pwl.PartitionError, match="nan outside partition range"):
+            brute_force_subproblem(prob, x, 5)
 
     def test_piecewise_linearity_within_segment(self):
         # V at the reference scenario must be linear in the coordinate

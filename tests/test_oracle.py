@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from obro.configio import load_config, problem_from_config
 from obro.linsolve import BranchBoundSolver, HighsSolver, Row
-from obro.master import build_master, master_layout, solve_master
+from obro.master import build_master, solve_master
 from obro.model import (
     ObroProblem,
     Scenario,
@@ -442,10 +445,10 @@ class TestEnumerateMaster:
     @pytest.mark.parametrize("points", [[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0]])
     def test_pinned_pattern_spans_its_segment(self, points):
         prob = one_term(points, points, delta=0.5)
-        lay = master_layout(prob)
+        block = prob.master
         lp = build_master(prob, [reference_scenario(prob)]).lp
         for s in range(len(points) - 1):
-            pinned = pin_segments(lp, lay, (s,))
+            pinned = pin_segments(lp, block, (s,))
             ends = []
             for sign in (1.0, -1.0):
                 c = np.zeros(lp.n_vars)
@@ -588,3 +591,29 @@ class TestRefinementStudy:
         lines = table.to_csv().strip().splitlines()
         assert lines[0] == "step,value,x_distance_to_previous,value_distance_to_previous"
         assert len(lines) == 3
+
+
+BUNDLED_ONLY = """
+import sys
+import obro
+from obro.configio import load_config, problem_from_config
+prob, options = problem_from_config(load_config("configs/two_pocket.json"))
+result = obro.run(prob, options["tol"], options["max_iter"])
+assert obro.verify_saddle(prob, result).outer_ok
+obro.enumerate_master(prob, result.scenarios)
+obro.brute_force_subproblem(prob, result.x, 5)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_bundled_solve_and_oracles_leave_scipy_unimported():
+    # scipy is imported only by the HiGHS backend, so a run on the bundled
+    # solver and both oracles starts without its import time
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", BUNDLED_ONLY],
+        env=env, cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

@@ -138,6 +138,15 @@ class TestInterpolation:
         with pytest.raises(PartitionError):
             interp_coefficients(part, -0.5)
 
+    def test_nan_raises(self):
+        # every comparison with NaN is false, so it passed a test for
+        # being outside the range and came back as NaN weights
+        part = Partition(np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(PartitionError, match="nan outside partition range"):
+            interp_coefficients(part, np.nan)
+        with pytest.raises(PartitionError):
+            pwl.sample_coefficients(part, [0.2, np.nan])
+
     def test_solver_roundoff_is_clamped(self):
         part = Partition(np.array([0.0, 1.0]))
         p, a_lo, a_hi = interp_coefficients(part, 1.0 + 1e-9)

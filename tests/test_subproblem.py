@@ -265,7 +265,7 @@ class TestAdversaryBlock:
         for x in (prob.lower, prob.upper, inside):
             cached = build_subproblem(prob, x)
             fresh = build_subproblem(replace(prob), x)  # a new object holds no block
-            assert cached.rows is prob.adversary.rows
+            assert cached.rows is prob.adversary.lp.rows
             assert fresh.rows is not cached.rows
             assert cached.c.tobytes() == fresh.c.tobytes()
             assert cached.lower.tobytes() == fresh.lower.tobytes()
