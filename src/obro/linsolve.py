@@ -1,11 +1,11 @@
 """Desk-scale LP and MILP solving behind a pluggable solver interface.
 
 The bundled backend favors transparency over speed: a dense two-phase
-simplex with Bland's anti-cycling rule for LPs, and best-bound
-branch-and-bound on binary variables for MILPs.  It is deterministic:
-identical inputs produce identical primal vectors.  A HiGHS-backed
-adapter (via scipy.optimize) exposes the same interface for instances
-too large for the bundled code.
+bounded-variable simplex with Bland's anti-cycling rule for LPs, one
+tableau row per program row, and best-bound branch-and-bound on binary
+variables for MILPs.  It is deterministic: identical inputs produce
+identical primal vectors.  A HiGHS-backed adapter (via scipy.optimize)
+exposes the same interface for instances too large for the bundled code.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import ctypes
 import heapq
 import itertools
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -89,6 +91,10 @@ class SparseRows:
         for r in rows:
             if r.coeffs and max(r.coeffs) >= n_vars:
                 raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
+            if math.isnan(r.rhs):
+                raise ValueError(f"row {r.name!r}: rhs must not be NaN")
+            if any(map(math.isnan, r.coeffs.values())):
+                raise ValueError(f"row {r.name!r}: coefficient must not be NaN")
         self.rows = rows
         self.n_vars = n_vars
         self._form = None
@@ -155,8 +161,16 @@ class LinearProgram:
         n = self.c.size
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bound arrays must match the variable count")
-        if np.any(self.lower > self.upper):
-            j = int(np.argmax(self.lower > self.upper))
+        if math.isnan(self.c.dot(self.c)):  # a sum of squares is NaN only from a NaN
+            raise ValueError("c must not be NaN")
+        if math.isnan(self.offset):
+            raise ValueError("offset must not be NaN")
+        ordered = self.lower <= self.upper  # false at a NaN bound too
+        if not ordered.all():
+            j = int(np.argmin(ordered))
+            for name in ("lower", "upper"):
+                if math.isnan(getattr(self, name)[j]):
+                    raise ValueError(f"{name}[{j}] must not be NaN")
             raise ValueError(f"variable {j}: lower bound above upper")
         self.sparse_rows()  # checks the row indices once per rows list
 
@@ -232,40 +246,45 @@ class Solver(ABC):
 
 
 class _StandardForm:
-    """Equality standard form of a LinearProgram.
+    """Bounded-variable standard form of a LinearProgram.
 
-    Variables are shifted/mirrored/split to be nonnegative; every row
-    (including finite upper bounds on shifted variables and both halves
-    of equality rows) becomes `a.t <= rhs`, then gains a slack.  Rows with
-    negative rhs are negated and receive a phase-1 artificial.
+    Variables are shifted onto a finite lower bound or mirrored onto a
+    finite upper one (a free variable is split in two), so every column
+    of t is nonnegative.  A column with both bounds finite keeps its
+    width ``up - lo`` in ``width`` as an implicit upper bound, 0 for a
+    fixed variable; the others' width is infinite.  Each row stays one
+    row `a.t (sense) rhs` over t, with its rhs net of the shift.
     """
 
     def __init__(self, lp: LinearProgram):
         n = lp.n_vars
+        lower, upper, c = lp.lower.tolist(), lp.upper.tolist(), lp.c.tolist()
 
         # variable transform: x = shift + sum(sign * t_col)
-        self.shift = np.zeros(n)
+        shift = [0.0] * n
         self.cols = []  # list of (orig var, sign)
-        bound_rows = []  # (t column, ub) for finite shifted ranges
+        widths = []
         for j in range(n):
-            lo, up = lp.lower[j], lp.upper[j]
-            if np.isfinite(lo):
-                self.shift[j] = lo
+            lo, up = lower[j], upper[j]
+            if math.isfinite(lo):
+                shift[j] = lo
                 self.cols.append((j, 1.0))
-                if np.isfinite(up):
-                    bound_rows.append((len(self.cols) - 1, up - lo))
-            elif np.isfinite(up):
-                self.shift[j] = up
+                widths.append(up - lo)
+            elif math.isfinite(up):
+                shift[j] = up
                 self.cols.append((j, -1.0))
+                widths.append(np.inf)
             else:
-                self.cols.append((j, 1.0))
-                self.cols.append((j, -1.0))
+                self.cols += [(j, 1.0), (j, -1.0)]
+                widths += [np.inf, np.inf]
+        self.shift = np.array(shift)
         self.nt = len(self.cols)
+        self.width = np.array(widths)
 
-        ct = np.zeros(self.nt)
+        ct = [0.0] * self.nt
         for k, (j, s) in enumerate(self.cols):
-            ct[k] += s * lp.c[j]
-        self.ct = ct
+            ct[k] += s * c[j]
+        self.ct = np.array(ct)
         self.obj_const = float(lp.c @ self.shift) + lp.offset
 
         # per-variable t-columns for fast row transforms
@@ -273,22 +292,15 @@ class _StandardForm:
         for k, (j, s) in enumerate(self.cols):
             col_of[j].append((k, s))
 
-        rows_t = []  # (dense coeffs over t, rhs)
+        rows_t = []  # (dense coeffs over t, rhs, sense)
         for r in lp.rows:
-            a = np.zeros(self.nt)
+            a = [0.0] * self.nt
             const = 0.0
             for j, v in r.coeffs.items():
-                const += v * self.shift[j]
+                const += v * shift[j]
                 for k, s in col_of[j]:
                     a[k] += v * s
-            rhs = r.rhs - const
-            rows_t.append((a, rhs))
-            if r.sense == "=":
-                rows_t.append((-a, -rhs))
-        for k, ub in bound_rows:
-            a = np.zeros(self.nt)
-            a[k] = 1.0
-            rows_t.append((a, ub))
+            rows_t.append((np.array(a), r.rhs - const, r.sense))
 
         self.rows_t = rows_t
         self.m = len(rows_t)
@@ -301,19 +313,27 @@ class _StandardForm:
 
 
 class BranchBoundSolver(Solver):
-    """The bundled backend: a dense two-phase tableau simplex with Bland's
-    rule for LPs, and best-bound branch-and-bound on binary variables for
-    MILPs, whose every node relaxation is solved by that simplex.
+    """The bundled backend: a dense two-phase bounded-variable tableau
+    simplex with Bland's rule for LPs, and best-bound branch-and-bound on
+    binary variables for MILPs, whose every node relaxation is solved by
+    that simplex.
 
-    Bland's rule (lowest-index entering column, lowest-index basic
-    variable on ratio ties) makes the pivot sequence cycle-free and fully
-    deterministic.  Branching takes the most-fractional binary (smallest
-    index on ties), fixing it to 0 then 1; nodes are explored in
-    best-relaxation-bound order with a monotone counter breaking ties, so
-    runs are repeatable.  Intended for desk-scale programs: the pivot cap
-    on every LP, node LPs included, and the node cap turn numerical
-    trouble and blow-up into an explicit iteration-limit status.  The caps
-    are the module's ``PIVOT_LIMIT``, ``NODE_LIMIT`` and ``WARN_NODES``.
+    The tableau has one row per program row (Dantzig's upper-bounding
+    technique).  A column's width is an implicit bound, and a nonbasic
+    column stays at 0, complemented (t -> width - t) when at its width.
+    Each step goes to the first bound met: a basic variable falls to 0,
+    or rises to its width (complemented, then pivoted out), or the
+    entering column reaches its own width and flips, which counts as a
+    pivot.  Bland's rule (lowest-index entering column, lowest index on
+    ratio ties, a complemented column ranked as its bound) makes the
+    pivot sequence cycle-free and fully deterministic.  Branching takes
+    the most-fractional binary (smallest index on ties), fixing it to 0
+    then 1; nodes are explored in best-relaxation-bound order with a
+    monotone counter breaking ties, so runs are repeatable.  Intended
+    for desk-scale programs: the pivot cap on every LP, node LPs
+    included, and the node cap turn numerical trouble and blow-up into
+    an explicit iteration-limit status.  The caps are the module's
+    ``PIVOT_LIMIT``, ``NODE_LIMIT`` and ``WARN_NODES``.
     """
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
@@ -321,90 +341,101 @@ class BranchBoundSolver(Solver):
         m, nt = sf.m, sf.nt
         pivots = 0
 
-        # tableau: [t vars | slacks | artificials | rhs]
-        art_rows = [i for i, (_, rhs) in enumerate(sf.rows_t) if rhs < 0]
-        na = len(art_rows)
-        width = nt + m + na + 1
+        # tableau: [t vars | "<=" slacks | artificials | rhs], each row
+        # negated when its rhs is negative; "=" rows and negated "<=" rows
+        # start on an artificial
+        ns = sum(sense == "<=" for _, _, sense in sf.rows_t)
+        na = sum(sense == "=" or rhs < 0 for _, rhs, sense in sf.rows_t)
+        width = nt + ns + na + 1
         T = np.zeros((m, width))
-        basis = np.empty(m, dtype=int)
-        for i, (a, rhs) in enumerate(sf.rows_t):
-            flip = -1.0 if rhs < 0 else 1.0
-            T[i, :nt] = flip * a
-            T[i, nt + i] = flip
-            T[i, -1] = flip * rhs
-            basis[i] = nt + i
-        for k, i in enumerate(art_rows):
-            T[i, nt + m + k] = 1.0
-            basis[i] = nt + m + k
+        basis = [0] * m
+        slack, art = nt, nt + ns
+        for i, (a, rhs, sense) in enumerate(sf.rows_t):
+            sign = -1.0 if rhs < 0 else 1.0
+            T[i, :nt] = sign * a
+            T[i, -1] = sign * rhs
+            if sense == "<=":
+                T[i, slack] = sign
+                basis[i], slack = slack, slack + 1
+            if sense == "=" or rhs < 0:
+                T[i, art] = 1.0
+                basis[i], art = art, art + 1
+        ub = sf.width.tolist() + [np.inf] * (ns + na)
+        # artificials never re-enter, and a width-0 column cannot move
+        movable = [u > 0 for u in ub[: nt + ns]] + [False] * (na + 1)
+        # Bland's order: t columns, slacks, complemented t columns, then
+        # artificials; `twin` holds the index a column takes complemented
+        rank = list(range(nt + ns)) + list(range(2 * nt + ns, nt + width - 1))
+        twin = [k + nt + ns for k in range(nt)] + rank[nt:]
 
         def price_out(costs):
-            z = np.zeros(width)
-            z[: costs.size] = costs
-            for i in range(T.shape[0]):
-                cb = costs[basis[i]] if basis[i] < costs.size else 0.0
-                if cb != 0.0:
-                    z -= cb * T[i]
-            z[-1] = 0.0
+            z = np.append(costs, 0.0)
+            for i, j in enumerate(basis):
+                if costs[j] != 0.0:
+                    z -= costs[j] * T[i]
             return z
 
         def pivot(z, row, col):
-            piv = T[row, col]
-            T[row] /= piv
-            for i in range(T.shape[0]):
-                if i != row and T[i, col] != 0.0:
-                    T[i] -= T[i, col] * T[row]
+            T[row] /= T[row, col]
+            for i, a in enumerate(T[:, col].tolist()):
+                if i != row and a != 0.0:
+                    T[i] -= a * T[row]
             if z[col] != 0.0:
                 z -= z[col] * T[row]
             basis[row] = col
 
-        def run_phase(z, allowed):
+        def complement(z, col):  # t -> width - t
+            T[:, -1] -= ub[col] * T[:, col]
+            T[:, col] *= -1.0
+            z[col] = -z[col]
+            rank[col], twin[col] = twin[col], rank[col]
+
+        def run_phase(z):
             nonlocal pivots
             while True:
-                enter = -1
-                for j in allowed:
-                    if z[j] < -PIVOT_TOL:
-                        enter = j
-                        break
-                if enter < 0:
+                cand = [j for j in (z < -PIVOT_TOL).nonzero()[0].tolist() if movable[j]]
+                if not cand:
                     return "optimal"
-                ratios = np.full(T.shape[0], np.inf)
-                mask = T[:, enter] > PIVOT_TOL
-                ratios[mask] = T[mask, -1] / T[mask, enter]
-                best = np.min(ratios) if ratios.size else np.inf
-                if not np.isfinite(best):
+                enter = min(cand, key=rank.__getitem__)
+                # each bound the step can meet: (step, Bland index, row,
+                # whether the basic variable rises to its width); the
+                # entering column meeting its own width (row -1) flips it
+                steps = [(ub[enter], twin[enter], -1, False)] if ub[enter] < np.inf else []
+                rhs = T[:, -1].tolist()
+                for i, a in enumerate(T[:, enter].tolist()):
+                    if a > PIVOT_TOL:
+                        steps.append((rhs[i] / a, rank[basis[i]], i, False))
+                    elif a < -PIVOT_TOL and ub[basis[i]] < np.inf:
+                        steps.append(((ub[basis[i]] - rhs[i]) / -a, twin[basis[i]], i, True))
+                if not steps:
                     return "unbounded"
-                leave, leave_var = -1, None
-                for i in range(T.shape[0]):
-                    if ratios[i] <= best + 1e-9 and (
-                        leave < 0 or basis[i] < leave_var
-                    ):
-                        leave, leave_var = i, basis[i]
-                pivot(z, leave, enter)
+                best = min(steps)[0] + 1e-9
+                _, _, leave, rises = min((s for s in steps if s[0] <= best), key=itemgetter(1))
+                if leave < 0:
+                    complement(z, enter)
+                else:
+                    if rises:
+                        complement(z, basis[leave])
+                    pivot(z, leave, enter)
                 pivots += 1
                 if pivots > PIVOT_LIMIT:
                     return "iteration-limit"
 
-        structural = range(nt + m)  # artificials never re-enter
-
         if na:
-            costs1 = np.zeros(nt + m + na)
-            costs1[nt + m :] = 1.0
+            costs1 = np.zeros(width - 1)
+            costs1[nt + ns :] = 1.0
             z1 = price_out(costs1)
-            status = run_phase(z1, structural)
+            status = run_phase(z1)
             if status != "optimal":
                 return SolveOutcome("iteration-limit", stats={"pivots": pivots})
-            phase1_obj = sum(
-                T[i, -1] for i in range(T.shape[0]) if basis[i] >= nt + m
-            )
-            if phase1_obj > FEAS_TOL:
+            if sum(T[i, -1] for i, j in enumerate(basis) if j >= nt + ns) > FEAS_TOL:
                 return SolveOutcome("infeasible", stats={"pivots": pivots})
             # drive leftover artificials out; drop dependent rows
             drop = set()
+            order = sorted(range(nt + ns), key=rank.__getitem__)
             for i in range(T.shape[0]):
-                if basis[i] >= nt + m:
-                    col = next(
-                        (j for j in structural if abs(T[i, j]) > PIVOT_TOL), None
-                    )
+                if basis[i] >= nt + ns:
+                    col = next((j for j in order if abs(T[i, j]) > PIVOT_TOL), None)
                     if col is None:
                         drop.add(i)
                     else:
@@ -413,18 +444,17 @@ class BranchBoundSolver(Solver):
             if drop:
                 keep = [i for i in range(T.shape[0]) if i not in drop]
                 T = T[keep]
-                basis = basis[keep]
+                basis = [basis[i] for i in keep]
 
-        costs2 = np.zeros(nt + m + na)
-        costs2[:nt] = sf.ct
-        status = run_phase(price_out(costs2), structural)
+        costs2 = np.zeros(width - 1)
+        costs2[:nt] = np.where(np.array(rank[:nt]) >= nt, -sf.ct, sf.ct)
+        status = run_phase(price_out(costs2))
         if status != "optimal":
             return SolveOutcome(status, stats={"pivots": pivots})
 
-        t = np.zeros(nt)
-        for i in range(T.shape[0]):
-            if basis[i] < nt:
-                t[basis[i]] = T[i, -1]
+        t = np.zeros(width - 1)
+        t[basis] = T[:, -1]
+        t = np.where(np.array(rank[:nt]) >= nt, sf.width - t[:nt], t[:nt])
         objective = float(sf.ct @ t) + sf.obj_const
         return SolveOutcome("optimal", objective, sf.to_x(t), {"pivots": pivots})
 

@@ -197,6 +197,8 @@ def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndar
     by the bundled simplex; the best pattern wins (first one on ties, in
     lexicographic pattern order).  Pattern objectives carry the master's
     ``offset``, the anchor's constant, so the value is the master's bound.
+    An infeasible pattern is skipped; any other unsolved one raises
+    RuntimeError, since a capped LP may hold the best pattern.
     """
     simplex = BranchBoundSolver()
     mip = build_master(prob, scenarios)
@@ -212,8 +214,10 @@ def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndar
     best = None
     for pattern in itertools.product(*(range(s) for s in seg_counts)):
         out = simplex.solve_lp(pin_segments(mip.lp, block, pattern))
-        if out.status != "optimal":
+        if out.status == "infeasible":
             continue
+        if not out.optimal:
+            raise RuntimeError(f"segment pattern {pattern} ended {out.status}")
         if best is None or out.objective < best[0] - 1e-12:
             best = (float(out.objective), out.x[: prob.n_vars].copy())
     if best is None:

@@ -138,6 +138,48 @@ class TestSimplexContract:
             assert primal_violation(lp, out.x) <= 1e-7
 
 
+def bounded_lp(rng):
+    """An LP with integer data: each column boxed, fixed, bounded below
+    only, bounded above only or free, and "<=" and "=" rows with rhs of
+    either sign, one of them repeated."""
+    n, m = int(rng.integers(1, 6)), int(rng.integers(0, 5))
+    kind = rng.integers(0, 5, n)  # boxed, fixed, lower only, upper only, free
+    lo = rng.integers(-3, 3, n).astype(float)
+    up = np.where(kind == 1, lo, lo + rng.integers(1, 4, n))
+    lower = np.where(kind <= 2, lo, -np.inf)
+    upper = np.where((kind <= 1) | (kind == 3), up, np.inf)
+    rows = []
+    for _ in range(m):
+        coeffs = {j: float(v) for j in range(n) if (v := rng.integers(-3, 4))}
+        rows.append(Row(coeffs, "=" if rng.random() < 0.3 else "<=", float(rng.integers(-4, 5))))
+    if rows:
+        rows.append(rows[int(rng.integers(len(rows)))])
+    return LinearProgram(rng.integers(-3, 4, n).astype(float), rows, lower, upper)
+
+
+class TestBoundedRatioTest:
+    def test_random_against_highs(self):
+        rng = np.random.default_rng(2024)
+        for draw in range(200):
+            lp = bounded_lp(rng)
+            assert linsolve._StandardForm(lp).m == len(lp.rows), draw  # one tableau row each
+            out, highs = BranchBoundSolver().solve_lp(lp), HighsSolver().solve_lp(lp)
+            assert out.status == highs.status, draw
+            if out.optimal:
+                assert out.objective == pytest.approx(highs.objective, abs=1e-6), draw
+                assert primal_violation(lp, out.x) <= 1e-7, draw
+
+    def test_box_is_solved_by_one_flip(self, monkeypatch):
+        # no rows: x0 enters and meets its own upper bound, a flip that
+        # changes no basis but counts as a pivot
+        lp = LinearProgram(np.array([-1.0, 1.0]), [], np.zeros(2), np.ones(2))
+        out = BranchBoundSolver().solve_lp(lp)
+        assert out.optimal and out.stats["pivots"] == 1
+        np.testing.assert_array_equal(out.x, [1.0, 0.0])
+        monkeypatch.setattr(linsolve, "PIVOT_LIMIT", 0)
+        assert BranchBoundSolver().solve_lp(lp).status == "iteration-limit"
+
+
 @pytest.mark.parametrize("solver", MILP_SOLVERS, ids=["bnb", "highs"])
 class TestSolveMilp:
     def test_forced_round_up(self, solver):
@@ -359,6 +401,29 @@ def test_program_validation():
     # a ">=" row is written negated as "<="
     with pytest.raises(ValueError, match="bad row sense '>='"):
         Row({0: 1.0}, ">=", 0.0)
+
+
+@pytest.mark.parametrize("name", ["c", "lower", "upper", "offset"])
+def test_nan_program_data_is_rejected(name):
+    # a NaN bound read unbounded on the bundled simplex and infeasible on
+    # HiGHS, and a NaN cost optimal with objective NaN against an error
+    data = {"c": np.ones(2), "lower": np.zeros(2), "upper": np.ones(2), "offset": 0.0}
+    data[name] = np.nan if name == "offset" else np.array([data[name][0], np.nan])
+    index = "" if name in ("c", "offset") else r"\[1\]"
+    with pytest.raises(ValueError, match=rf"^{name}{index} must not be NaN"):
+        LinearProgram(data["c"], [], data["lower"], data["upper"], offset=data["offset"])
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (Row({0: 1.0}, "<=", np.nan, "r"), "row 'r': rhs must not be NaN"),
+        (Row({0: np.nan}, "=", 1.0, "r"), "row 'r': coefficient must not be NaN"),
+    ],
+)
+def test_nan_row_data_is_rejected(row, message):
+    with pytest.raises(ValueError, match=message):
+        LinearProgram(np.ones(1), [row], np.zeros(1), np.ones(1))
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=["simplex", "highs"])

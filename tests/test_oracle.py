@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obro import linsolve
 from obro.configio import load_config, problem_from_config
+from obro.engine import run
 from obro.linsolve import BranchBoundSolver, HighsSolver, Row
 from obro.master import build_master, solve_master
 from obro.model import (
@@ -483,6 +485,18 @@ class TestEnumerateMaster:
         v_enum, _ = enumerate_master(prob, scens)
         _, eta = solve_master(prob, scens)
         assert v_enum == pytest.approx(eta, abs=1e-6)
+
+    def test_capped_pattern_raises(self, monkeypatch):
+        # a pattern LP stopped by the pivot cap is not infeasible: skipping
+        # it prices two_pocket's final pool from the other patterns only,
+        # above the master bound
+        prob, options = problem_from_config(load_config(CONFIGS / "two_pocket.json"))
+        result = run(prob, tol=options["tol"], max_iter=options["max_iter"])
+        v_enum, _ = enumerate_master(prob, result.scenarios)
+        assert v_enum == pytest.approx(result.lb, abs=1e-12)
+        monkeypatch.setattr(linsolve, "PIVOT_LIMIT", 4)
+        with pytest.raises(RuntimeError, match=r"segment pattern \(1,\) ended iteration-limit"):
+            enumerate_master(prob, result.scenarios)
 
 
 def two_term_pools(count=8):
