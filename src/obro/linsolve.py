@@ -245,82 +245,20 @@ class Solver(ABC):
 # ---------------------------------------------------------------------------
 
 
-class _StandardForm:
-    """Bounded-variable standard form of a LinearProgram.
-
-    Variables are shifted onto a finite lower bound or mirrored onto a
-    finite upper one (a free variable is split in two), so every column
-    of t is nonnegative.  A column with both bounds finite keeps its
-    width ``up - lo`` in ``width`` as an implicit upper bound, 0 for a
-    fixed variable; the others' width is infinite.  Each row stays one
-    row `a.t (sense) rhs` over t, with its rhs net of the shift.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        n = lp.n_vars
-        lower, upper, c = lp.lower.tolist(), lp.upper.tolist(), lp.c.tolist()
-
-        # variable transform: x = shift + sum(sign * t_col)
-        shift = [0.0] * n
-        self.cols = []  # list of (orig var, sign)
-        widths = []
-        for j in range(n):
-            lo, up = lower[j], upper[j]
-            if math.isfinite(lo):
-                shift[j] = lo
-                self.cols.append((j, 1.0))
-                widths.append(up - lo)
-            elif math.isfinite(up):
-                shift[j] = up
-                self.cols.append((j, -1.0))
-                widths.append(np.inf)
-            else:
-                self.cols += [(j, 1.0), (j, -1.0)]
-                widths += [np.inf, np.inf]
-        self.shift = np.array(shift)
-        self.nt = len(self.cols)
-        self.width = np.array(widths)
-
-        ct = [0.0] * self.nt
-        for k, (j, s) in enumerate(self.cols):
-            ct[k] += s * c[j]
-        self.ct = np.array(ct)
-        self.obj_const = float(lp.c @ self.shift) + lp.offset
-
-        # per-variable t-columns for fast row transforms
-        col_of = [[] for _ in range(n)]
-        for k, (j, s) in enumerate(self.cols):
-            col_of[j].append((k, s))
-
-        rows_t = []  # (dense coeffs over t, rhs, sense)
-        for r in lp.rows:
-            a = [0.0] * self.nt
-            const = 0.0
-            for j, v in r.coeffs.items():
-                const += v * shift[j]
-                for k, s in col_of[j]:
-                    a[k] += v * s
-            rows_t.append((np.array(a), r.rhs - const, r.sense))
-
-        self.rows_t = rows_t
-        self.m = len(rows_t)
-
-    def to_x(self, t: np.ndarray) -> np.ndarray:
-        x = self.shift.copy()
-        for k, (j, s) in enumerate(self.cols):
-            x[j] += s * t[k]
-        return x
-
-
 class BranchBoundSolver(Solver):
     """The bundled backend: a dense two-phase bounded-variable tableau
     simplex with Bland's rule for LPs, and best-bound branch-and-bound on
     binary variables for MILPs, whose every node relaxation is solved by
     that simplex.
 
-    The tableau has one row per program row (Dantzig's upper-bounding
-    technique).  A column's width is an implicit bound, and a nonbasic
-    column stays at 0, complemented (t -> width - t) when at its width.
+    Each variable becomes nonnegative tableau columns t: it is shifted
+    onto a finite lower bound or mirrored onto a finite upper one, and a
+    free variable is split into a + and a - column.  A column with both
+    bounds finite keeps its width ``up - lo`` (0 for a fixed variable) as
+    an implicit bound; the others' width is infinite.  Each program row
+    stays one tableau row, its rhs net of the shift (Dantzig's
+    upper-bounding technique).  A nonbasic column stays at 0,
+    complemented (t -> width - t) when at its width.
     Each step goes to the first bound met: a basic variable falls to 0,
     or rises to its width (complemented, then pivoted out), or the
     entering column reaches its own width and flips, which counts as a
@@ -337,30 +275,56 @@ class BranchBoundSolver(Solver):
     """
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
-        sf = _StandardForm(lp)
-        m, nt = sf.m, sf.nt
+        # x[j] = shift[j] + sum(sign * t[k]) over the (k, sign) in col_of[j];
+        # cols holds each t column's (variable, sign) and widths its width
+        shift = [0.0] * lp.n_vars
+        cols, widths, col_of = [], [], []
+        for j, (lo, up) in enumerate(zip(lp.lower.tolist(), lp.upper.tolist())):
+            k = len(cols)
+            if math.isfinite(lo):
+                shift[j] = lo
+                col_of.append(((k, 1.0),))
+                widths.append(up - lo)
+            elif math.isfinite(up):
+                shift[j] = up
+                col_of.append(((k, -1.0),))
+                widths.append(np.inf)
+            else:
+                col_of.append(((k, 1.0), (k + 1, -1.0)))
+                widths += [np.inf, np.inf]
+            cols += [(j, s) for _, s in col_of[j]]
+        nt = len(cols)
+        rows = lp.rows
+        rhs = []  # net of the shift; a loop, as sum() compensates from Python 3.12
+        for r in rows:
+            const = 0.0
+            for j, v in r.coeffs.items():
+                const += v * shift[j]
+            rhs.append(r.rhs - const)
         pivots = 0
 
         # tableau: [t vars | "<=" slacks | artificials | rhs], each row
         # negated when its rhs is negative; "=" rows and negated "<=" rows
         # start on an artificial
-        ns = sum(sense == "<=" for _, _, sense in sf.rows_t)
-        na = sum(sense == "=" or rhs < 0 for _, rhs, sense in sf.rows_t)
+        ns = sum(r.sense == "<=" for r in rows)
+        na = sum(r.sense == "=" or b < 0 for r, b in zip(rows, rhs))
         width = nt + ns + na + 1
-        T = np.zeros((m, width))
-        basis = [0] * m
+        T = np.zeros((len(rows), width))
+        basis = [0] * len(rows)
         slack, art = nt, nt + ns
-        for i, (a, rhs, sense) in enumerate(sf.rows_t):
-            sign = -1.0 if rhs < 0 else 1.0
-            T[i, :nt] = sign * a
-            T[i, -1] = sign * rhs
-            if sense == "<=":
+        for i, (r, b) in enumerate(zip(rows, rhs)):
+            sign = -1.0 if b < 0 else 1.0
+            for j, v in r.coeffs.items():
+                for k, s in col_of[j]:
+                    T[i, k] = sign * (v * s)
+            T[i, -1] = sign * b
+            if r.sense == "<=":
                 T[i, slack] = sign
                 basis[i], slack = slack, slack + 1
-            if sense == "=" or rhs < 0:
+            if r.sense == "=" or b < 0:
                 T[i, art] = 1.0
                 basis[i], art = art, art + 1
-        ub = sf.width.tolist() + [np.inf] * (ns + na)
+        ub = widths + [np.inf] * (ns + na)
         # artificials never re-enter, and a width-0 column cannot move
         movable = [u > 0 for u in ub[: nt + ns]] + [False] * (na + 1)
         # Bland's order: t columns, slacks, complemented t columns, then
@@ -446,18 +410,22 @@ class BranchBoundSolver(Solver):
                 T = T[keep]
                 basis = [basis[i] for i in keep]
 
+        c = lp.c.tolist()
+        ct = np.array([s * c[j] for j, s in cols])
         costs2 = np.zeros(width - 1)
-        costs2[:nt] = np.where(np.array(rank[:nt]) >= nt, -sf.ct, sf.ct)
+        costs2[:nt] = np.where(np.array(rank[:nt]) >= nt, -ct, ct)
         status = run_phase(price_out(costs2))
         if status != "optimal":
             return SolveOutcome(status, stats={"pivots": pivots})
 
         t = np.zeros(width - 1)
         t[basis] = T[:, -1]
-        t = np.where(np.array(rank[:nt]) >= nt, sf.width - t[:nt], t[:nt])
-        objective = float(sf.ct @ t) + sf.obj_const
-        return SolveOutcome("optimal", objective, sf.to_x(t), {"pivots": pivots})
-
+        t = np.where(np.array(rank[:nt]) >= nt, np.array(widths) - t[:nt], t[:nt])
+        x = np.array(shift)
+        objective = float(ct @ t) + (float(lp.c @ x) + lp.offset)
+        for (j, s), tk in zip(cols, t):
+            x[j] += s * tk
+        return SolveOutcome("optimal", objective, x, {"pivots": pivots})
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
         lp = mip.lp
@@ -583,7 +551,12 @@ class HighsSolver(Solver):
     with fd 1 captured into the DEBUG log."""
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
-        return self._milp(lp)[1]
+        out = self._milp(lp)[1]
+        if out.status == "infeasible":
+            # presolve can call an unbounded LP infeasible; without it HiGHS
+            # tells the two apart
+            out = self._milp(lp, options={"presolve": False})[1]
+        return out
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
         integrality = np.zeros(mip.lp.n_vars)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from obro.linsolve import primal_violation
+from obro.linsolve import FEAS_TOL, primal_violation
 from obro.pwl import (
     NeighborhoodSpec,
     check_neighborhood,
@@ -31,8 +31,6 @@ __all__ = [
     "evaluate_v",
     "reference_scenario",
 ]
-
-FEAS_TOL = 1e-7
 
 
 @dataclass(frozen=True)

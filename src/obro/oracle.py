@@ -17,6 +17,7 @@ objective is lower by more than 1e-12.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -205,7 +206,7 @@ def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndar
     block = prob.master
 
     seg_counts = [z.stop - z.start for z in block.z_slices]
-    n_patterns = int(np.prod(seg_counts)) if seg_counts else 1
+    n_patterns = math.prod(seg_counts)  # exact: np.prod wraps around in int64
     if n_patterns > PATTERN_BUDGET:
         raise GridBudgetError(
             f"pattern budget exceeded: {n_patterns} > {PATTERN_BUDGET:.0e}"

@@ -218,6 +218,16 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, command, keys, valu
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+def test_short_profile_is_a_config_error(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "bess_reduction.json").read_text())
+    cfg["profiles"]["load_p"]["2"].pop()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["bess", str(bad), "--scheme", "hetero", "--out", str(tmp_path)]) == 1
+    slots = cfg["horizon"]["slots"]
+    assert capsys.readouterr().err == f"error: /profiles/load_p/2: need {slots} values\n"
+
+
 class TestCmdSolve:
     def test_converged_outputs(self, tmp_path):
         code = main(["solve", str(CONFIGS / "tiny_identity.json"), "--out", str(tmp_path)])

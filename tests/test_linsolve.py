@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,6 +61,21 @@ class TestSolveLp:
 
     def test_unbounded(self, solver):
         lp = LinearProgram(np.array([-1.0]), [], np.array([0.0]), np.array([np.inf]))
+        assert solver.solve_lp(lp).status == "unbounded"
+
+    def test_unbounded_with_rows(self, solver):
+        # feasible at (0, 0, -2, 3, 1) and unbounded along (0, -0.5, 0, 0, -1);
+        # HiGHS's presolve calls it infeasible
+        lp = LinearProgram(
+            np.array([3.0, 2.0, -3.0, -1.0, 1.0]),
+            [
+                Row({0: -3, 1: 3, 2: 1, 3: -3, 4: 3}, "<=", 4.0),
+                Row({0: -2, 1: -3, 2: 2, 3: -1, 4: 2}, "<=", -2.0),
+                Row({0: 1, 1: 2, 2: -1, 3: -2, 4: -1}, "<=", -4.0),
+            ],
+            np.array([-np.inf, -np.inf, -2.0, 0.0, -np.inf]),
+            np.array([np.inf, np.inf, -2.0, 3.0, 1.0]),
+        )
         assert solver.solve_lp(lp).status == "unbounded"
 
     def test_equality_and_inequality_mix(self, solver):
@@ -160,14 +176,18 @@ def bounded_lp(rng):
 class TestBoundedRatioTest:
     def test_random_against_highs(self):
         rng = np.random.default_rng(2024)
+        pivots, statuses = 0, Counter()
         for draw in range(200):
             lp = bounded_lp(rng)
-            assert linsolve._StandardForm(lp).m == len(lp.rows), draw  # one tableau row each
             out, highs = BranchBoundSolver().solve_lp(lp), HighsSolver().solve_lp(lp)
             assert out.status == highs.status, draw
             if out.optimal:
                 assert out.objective == pytest.approx(highs.objective, abs=1e-6), draw
                 assert primal_violation(lp, out.x) <= 1e-7, draw
+            pivots += out.stats["pivots"]
+            statuses[out.status] += 1
+        # the pivot path: elementwise tableau arithmetic, so no BLAS in it
+        assert (pivots, statuses) == (317, {"optimal": 67, "infeasible": 64, "unbounded": 69})
 
     def test_box_is_solved_by_one_flip(self, monkeypatch):
         # no rows: x0 enters and meets its own upper bound, a flip that

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obro import linsolve
+from obro import linsolve, oracle
 from obro.configio import load_config, problem_from_config
 from obro.engine import run
 from obro.linsolve import BranchBoundSolver, HighsSolver, Row
@@ -497,6 +497,32 @@ class TestEnumerateMaster:
         monkeypatch.setattr(linsolve, "PIVOT_LIMIT", 4)
         with pytest.raises(RuntimeError, match=r"segment pattern \(1,\) ended iteration-limit"):
             enumerate_master(prob, result.scenarios)
+
+    def test_infeasible_pattern_is_skipped(self):
+        # x <= 0.4 leaves segment 1 of [0, 0.5, 1] empty
+        prob = one_term([0.0, 0.5, 1.0], [0.0, 1.0, 2.0], delta=0.5)
+        prob = replace(prob, c=np.array([-3.0]), rows=[Row({0: 1.0}, "<=", 0.4)])
+        scens = [reference_scenario(prob)]
+        v_enum, x_enum = enumerate_master(prob, scens)
+        x_m, eta = solve_master(prob, scens)
+        assert (v_enum, x_enum[0]) == pytest.approx((-0.4, 0.4), abs=1e-12)
+        assert (eta, x_m[0]) == pytest.approx((-0.4, 0.4), abs=1e-12)
+
+    def test_pattern_count_does_not_wrap(self, monkeypatch):
+        # 64 coordinates of 2 segments: 2**64 patterns, 0 in int64
+        part = Partition(np.array([0.0, 0.5, 1.0]))
+        spec = NeighborhoodSpec(SampledFunction(part, np.array([0.0, 0.5, 1.0])), 0.1, 10.0, 2.0)
+        prob = ObroProblem(
+            c=np.zeros(64), rows=[], lower=np.zeros(64), upper=np.ones(64), epsilon=0.1,
+            terms=[UncertainTerm("f1", spec, tuple(range(64)))],
+        )
+
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(oracle, "pin_segments", no_enumeration)
+        with pytest.raises(GridBudgetError, match="pattern budget exceeded"):
+            enumerate_master(prob, [reference_scenario(prob)])
 
 
 def two_term_pools(count=8):
