@@ -84,7 +84,8 @@ class SparseRows:
 
     Creating one checks the rows' column indices; the form is built on
     first use and kept.  Linear programs that hold the same rows tuple
-    share one instance (``LinearProgram.sparse``).
+    share one instance (``LinearProgram.sparse``).  ``start`` holds the
+    bundled simplex's phase-1 end state under one set of bounds, or None.
     """
 
     def __init__(self, rows, n_vars: int):
@@ -98,6 +99,7 @@ class SparseRows:
         self.rows = rows
         self.n_vars = n_vars
         self._form = None
+        self.start = None
 
     def highs(self):
         """``(A, lower, upper)`` with ``lower <= A @ x <= upper`` for the
@@ -172,6 +174,9 @@ class LinearProgram:
                 if math.isnan(getattr(self, name)[j]):
                     raise ValueError(f"{name}[{j}] must not be NaN")
             raise ValueError(f"variable {j}: lower bound above upper")
+        closed = (self.lower < np.inf) & (self.upper > -np.inf)  # some value is admitted
+        if not closed.all():
+            raise ValueError(f"variable {int(np.argmin(closed))}: bounds admit no finite value")
         self.sparse_rows()  # checks the row indices once per rows list
 
     @property
@@ -272,65 +277,84 @@ class BranchBoundSolver(Solver):
     included, and the node cap turn numerical trouble and blow-up into
     an explicit iteration-limit status.  The caps are the module's
     ``PIVOT_LIMIT``, ``NODE_LIMIT`` and ``WARN_NODES``.
+
+    Phase 1 reads only the rows and the bounds, so its end state is kept
+    in the rows' `SparseRows.start`, keyed by the bounds' bytes; a program
+    on those rows with equal bounds, such as each adversary LP of one
+    problem, copies it and starts at phase 2, ending bit-identical to a
+    cold solve.  ``stats["pivots"]`` counts the whole path, the replayed
+    phase 1 included, and ``PIVOT_LIMIT`` caps it as in a cold solve.
     """
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
-        # x[j] = shift[j] + sum(sign * t[k]) over the (k, sign) in col_of[j];
-        # cols holds each t column's (variable, sign) and widths its width
-        shift = [0.0] * lp.n_vars
-        cols, widths, col_of = [], [], []
-        for j, (lo, up) in enumerate(zip(lp.lower.tolist(), lp.upper.tolist())):
-            k = len(cols)
-            if math.isfinite(lo):
-                shift[j] = lo
-                col_of.append(((k, 1.0),))
-                widths.append(up - lo)
-            elif math.isfinite(up):
-                shift[j] = up
-                col_of.append(((k, -1.0),))
-                widths.append(np.inf)
-            else:
-                col_of.append(((k, 1.0), (k + 1, -1.0)))
-                widths += [np.inf, np.inf]
-            cols += [(j, s) for _, s in col_of[j]]
-        nt = len(cols)
-        rows = lp.rows
-        rhs = []  # net of the shift; a loop, as sum() compensates from Python 3.12
-        for r in rows:
-            const = 0.0
-            for j, v in r.coeffs.items():
-                const += v * shift[j]
-            rhs.append(r.rhs - const)
-        pivots = 0
+        sp = lp.sparse_rows()
+        bounds = (lp.lower.tobytes(), lp.upper.tobytes())  # by value: arrays can be edited
+        start = sp.start[1] if sp.start and sp.start[0] == bounds else None
+        if start:
+            # phase 1 reads only the rows and the bounds: replay its end state
+            T, basis, rank, twin, cols, shift, widths, ns, phase1, pivots = start
+            if phase1 > PIVOT_LIMIT:
+                return SolveOutcome("iteration-limit", stats={"pivots": PIVOT_LIMIT + 1})
+            T, basis, rank, twin = T.copy(), list(basis), list(rank), list(twin)
+            nt, width = len(cols), T.shape[1]
+            na = width - 1 - nt - ns
+        else:
+            # x[j] = shift[j] + sum(sign * t[k]) over the (k, sign) in col_of[j];
+            # cols holds each t column's (variable, sign) and widths its width
+            shift = [0.0] * lp.n_vars
+            cols, widths, col_of = [], [], []
+            for j, (lo, up) in enumerate(zip(lp.lower.tolist(), lp.upper.tolist())):
+                k = len(cols)
+                if math.isfinite(lo):
+                    shift[j] = lo
+                    col_of.append(((k, 1.0),))
+                    widths.append(up - lo)
+                elif math.isfinite(up):
+                    shift[j] = up
+                    col_of.append(((k, -1.0),))
+                    widths.append(np.inf)
+                else:
+                    col_of.append(((k, 1.0), (k + 1, -1.0)))
+                    widths += [np.inf, np.inf]
+                cols += [(j, s) for _, s in col_of[j]]
+            nt = len(cols)
+            rows = lp.rows
+            rhs = []  # net of the shift; a loop, as sum() compensates from Python 3.12
+            for r in rows:
+                const = 0.0
+                for j, v in r.coeffs.items():
+                    const += v * shift[j]
+                rhs.append(r.rhs - const)
+            pivots = phase1 = 0
 
-        # tableau: [t vars | "<=" slacks | artificials | rhs], each row
-        # negated when its rhs is negative; "=" rows and negated "<=" rows
-        # start on an artificial
-        ns = sum(r.sense == "<=" for r in rows)
-        na = sum(r.sense == "=" or b < 0 for r, b in zip(rows, rhs))
-        width = nt + ns + na + 1
-        T = np.zeros((len(rows), width))
-        basis = [0] * len(rows)
-        slack, art = nt, nt + ns
-        for i, (r, b) in enumerate(zip(rows, rhs)):
-            sign = -1.0 if b < 0 else 1.0
-            for j, v in r.coeffs.items():
-                for k, s in col_of[j]:
-                    T[i, k] = sign * (v * s)
-            T[i, -1] = sign * b
-            if r.sense == "<=":
-                T[i, slack] = sign
-                basis[i], slack = slack, slack + 1
-            if r.sense == "=" or b < 0:
-                T[i, art] = 1.0
-                basis[i], art = art, art + 1
+            # tableau: [t vars | "<=" slacks | artificials | rhs], each row
+            # negated when its rhs is negative; "=" rows and negated "<=" rows
+            # start on an artificial
+            ns = sum(r.sense == "<=" for r in rows)
+            na = sum(r.sense == "=" or b < 0 for r, b in zip(rows, rhs))
+            width = nt + ns + na + 1
+            T = np.zeros((len(rows), width))
+            basis = [0] * len(rows)
+            slack, art = nt, nt + ns
+            for i, (r, b) in enumerate(zip(rows, rhs)):
+                sign = -1.0 if b < 0 else 1.0
+                for j, v in r.coeffs.items():
+                    for k, s in col_of[j]:
+                        T[i, k] = sign * (v * s)
+                T[i, -1] = sign * b
+                if r.sense == "<=":
+                    T[i, slack] = sign
+                    basis[i], slack = slack, slack + 1
+                if r.sense == "=" or b < 0:
+                    T[i, art] = 1.0
+                    basis[i], art = art, art + 1
+            # Bland's order: t columns, slacks, complemented t columns, then
+            # artificials; `twin` holds the index a column takes complemented
+            rank = list(range(nt + ns)) + list(range(2 * nt + ns, nt + width - 1))
+            twin = [k + nt + ns for k in range(nt)] + rank[nt:]
         ub = widths + [np.inf] * (ns + na)
         # artificials never re-enter, and a width-0 column cannot move
         movable = [u > 0 for u in ub[: nt + ns]] + [False] * (na + 1)
-        # Bland's order: t columns, slacks, complemented t columns, then
-        # artificials; `twin` holds the index a column takes complemented
-        rank = list(range(nt + ns)) + list(range(2 * nt + ns, nt + width - 1))
-        twin = [k + nt + ns for k in range(nt)] + rank[nt:]
 
         def price_out(costs):
             z = np.append(costs, 0.0)
@@ -385,11 +409,12 @@ class BranchBoundSolver(Solver):
                 if pivots > PIVOT_LIMIT:
                     return "iteration-limit"
 
-        if na:
+        if na and start is None:
             costs1 = np.zeros(width - 1)
             costs1[nt + ns :] = 1.0
             z1 = price_out(costs1)
             status = run_phase(z1)
+            phase1 = pivots
             if status != "optimal":
                 return SolveOutcome("iteration-limit", stats={"pivots": pivots})
             if sum(T[i, -1] for i, j in enumerate(basis) if j >= nt + ns) > FEAS_TOL:
@@ -409,6 +434,9 @@ class BranchBoundSolver(Solver):
                 keep = [i for i in range(T.shape[0]) if i not in drop]
                 T = T[keep]
                 basis = [basis[i] for i in keep]
+        if start is None:
+            state = T.copy(), tuple(basis), tuple(rank), tuple(twin), cols, shift, widths
+            sp.start = bounds, (*state, ns, phase1, pivots)
 
         c = lp.c.tolist()
         ct = np.array([s * c[j] for j, s in cols])

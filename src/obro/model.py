@@ -133,6 +133,10 @@ def validate(prob: ObroProblem) -> list:
         issues.append("terms: need at least one uncertain term")
     for j in np.flatnonzero(np.isnan(prob.lower) | np.isnan(prob.upper)):
         issues.append(f"bounds[{prob.var_name(j)}]: must not be NaN")
+    for j in np.flatnonzero(prob.lower == np.inf):
+        issues.append(f"bounds[{prob.var_name(j)}]: lower must be below +inf")
+    for j in np.flatnonzero(prob.upper == -np.inf):
+        issues.append(f"bounds[{prob.var_name(j)}]: upper must be above -inf")
     if np.any(prob.lower > prob.upper):
         j = int(np.argmax(prob.lower > prob.upper))
         issues.append(f"bounds[{prob.var_name(j)}]: lower exceeds upper")

@@ -152,6 +152,7 @@ MALFORMED = {
     "battery-e_0-above-e_max": ("bess", ["batteries", 0, "e_0"], 1.0, "/batteries/0"),
     "battery-e_max-zero": ("bess", ["batteries", 0, "e_max"], 0, "/batteries/0"),
     "battery-depth-over-1": ("bess", ["batteries", 0, "p_max"], 1.0, "/batteries/0"),
+    "line-r-zero": ("bess", ["feeder", "lines", 0, "r"], 0.0, "/feeder"),
     "line-r-inf": ("bess", ["feeder", "lines", 0, "r"], float("inf"), "/feeder/lines/0/r"),
     "line-x-inf": ("bess", ["feeder", "lines", 0, "x"], float("inf"), "/feeder/lines/0/x"),
     "substation_voltage-inf": (
@@ -250,6 +251,26 @@ class TestCmdSolve:
         code = main(["solve", str(path), "--out", str(tmp_path)])
         assert code == 1
         assert "epsilon must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bound, cost, issue",
+        [
+            (float("inf"), 0.0, "bounds[y]: lower must be below +inf"),
+            (float("-inf"), -1.0, "bounds[y]: upper must be above -inf"),
+        ],
+    )
+    def test_bounds_admitting_no_value(self, tmp_path, capsys, bound, cost, issue):
+        # both were read as a free column: +inf converged with y = 0, and
+        # -inf ended "master MILP ended unbounded"
+        cfg = json.loads((CONFIGS / "tiny_identity.json").read_text())
+        cfg["variables"].append({"name": "y", "lower": bound, "upper": bound})
+        cfg["rows"] = [{"coeffs": {"x": 1.0, "y": 1.0}, "rhs": 5.0}]
+        cfg["cost"] = {"y": cost}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {issue}\n"
+        assert not (tmp_path / "solution.csv").exists()
 
     def test_max_iterations_exit_code(self, tmp_path):
         code = main(

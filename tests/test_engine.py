@@ -392,6 +392,41 @@ def test_saddle_check_solves_adversary_per_distinct_decision(monkeypatch, max_it
     np.testing.assert_array_equal(seen[-1], res.x_master)
 
 
+@pytest.mark.parametrize(
+    "name, lps, pivots",
+    [
+        ("tiny_identity", 3, 9),
+        ("two_pocket", 11, 83),
+        ("two_term_coupled", 3, 26),
+        ("degenerate_delta0", 2, 2),
+        ("two_pocket_truncated", 5, 27),
+    ],
+)
+def test_second_run_replays_the_adversary_start(monkeypatch, name, lps, pivots):
+    # the bundled LPs of a run, master nodes included, and their pivots;
+    # pivot paths use only elementwise tableau arithmetic, so the counts
+    # do not depend on the BLAS.  Every adversary LP shares the block's
+    # rows and bounds, so the second run replays the first run's start.
+    prob, options, _ = config_case(name)
+    counts = []
+    solve = BranchBoundSolver.solve_lp
+
+    def counting(self, lp):
+        out = solve(self, lp)
+        counts.append(out.stats["pivots"])
+        return out
+
+    monkeypatch.setattr(BranchBoundSolver, "solve_lp", counting)
+    sp = prob.adversary.lp.sparse_rows()
+    starts = []
+    for _ in range(2):
+        counts.clear()
+        run(prob, tol=options["tol"], max_iter=options["max_iter"])
+        assert (len(counts), sum(counts)) == (lps, pivots)
+        starts.append(sp.start)
+    assert starts[0] is not None and starts[1] is starts[0]
+
+
 def test_highs_run_never_calls_linprog(monkeypatch):
     # HiGHS solves the adversary LPs through the same scipy entry point
     # as the master MILPs

@@ -129,6 +129,26 @@ class TestSimplexContract:
         out = BranchBoundSolver().solve_milp(mip)
         assert out.status == "iteration-limit"
 
+    def test_pivot_limit_in_a_child_node(self, monkeypatch):
+        # the root relaxation takes 3 pivots and solves within a cap of 3;
+        # the first child, x0 fixed to 0, needs more
+        lp = LinearProgram(
+            np.array([-5.0, -5.0, -2.0, -3.0]),
+            [
+                Row({0: 2, 1: 1, 2: 2, 3: 3}, "<=", 4.0),
+                Row({0: 4, 1: 3, 2: 3, 3: 3}, "<=", 6.0),
+                Row({0: 2, 1: 3, 2: 3, 3: 4}, "<=", 6.0),
+            ],
+            np.zeros(4), np.ones(4),
+        )
+        mip = MixedIntegerProgram(lp, range(4))
+        assert BranchBoundSolver().solve_milp(mip).optimal
+        monkeypatch.setattr(linsolve, "PIVOT_LIMIT", 3)
+        root = BranchBoundSolver().solve_lp(lp)
+        assert root.optimal and root.stats["pivots"] == 3
+        out = BranchBoundSolver().solve_milp(mip)
+        assert (out.status, out.stats) == ("iteration-limit", {"nodes": 2})
+
     @pytest.mark.parametrize("seed", range(25))
     def test_weak_duality_random(self, seed):
         # HiGHS proves its optimum with a dual certificate; matching its
@@ -198,6 +218,74 @@ class TestBoundedRatioTest:
         np.testing.assert_array_equal(out.x, [1.0, 0.0])
         monkeypatch.setattr(linsolve, "PIVOT_LIMIT", 0)
         assert BranchBoundSolver().solve_lp(lp).status == "iteration-limit"
+
+
+def outcome_bits(out):
+    """Status, stats and the exact bits of the objective and of x."""
+    bits = None if out.x is None else (float(out.objective).hex(), out.x.tobytes())
+    return out.status, out.stats, bits
+
+
+def cold(lp):
+    """``lp`` on a fresh rows tuple, so no start of ``lp``'s is read."""
+    return LinearProgram(lp.c, list(lp.rows), lp.lower.copy(), lp.upper.copy(), offset=lp.offset)
+
+
+def phase_one_lp():
+    # the "=" row and the negative rhs each start on an artificial, and
+    # phase 1 pivots both out
+    return LinearProgram(
+        np.array([1.0, 2.0, -1.0]),
+        [Row({0: 1, 1: 1, 2: 1}, "=", 2.0), geq({0: 1, 2: -1}, 0.5), Row({1: 1, 2: 1}, "<=", 1.5)],
+        np.zeros(3), np.full(3, 3.0),
+    )
+
+
+class TestPhaseOneStart:
+    """A program on the rows of an earlier solve, under equal bounds,
+    replays that solve's phase 1 and ends as a cold solve would."""
+
+    def test_other_bounds_on_the_same_rows(self):
+        lp = phase_one_lp()
+        before = BranchBoundSolver().solve_lp(lp)
+        lower = lp.lower.copy()
+        lower[1] = 1.0
+        moved = replace(lp, lower=lower)
+        assert moved.sparse_rows() is lp.sparse_rows()
+        out = BranchBoundSolver().solve_lp(moved)
+        assert outcome_bits(out) == outcome_bits(BranchBoundSolver().solve_lp(cold(moved)))
+        assert out.x[1] == 1.0 != before.x[1]
+
+    def test_bounds_edited_in_place(self):
+        lp = phase_one_lp()
+        before = BranchBoundSolver().solve_lp(lp)
+        lp.lower[1] = 1.0  # the program holds the caller's writable array
+        out = BranchBoundSolver().solve_lp(lp)
+        assert outcome_bits(out) == outcome_bits(BranchBoundSolver().solve_lp(cold(lp)))
+        assert out.x[1] == 1.0 != before.x[1]
+
+    def test_replay_under_every_pivot_cap(self, monkeypatch):
+        lp = phase_one_lp()
+        total = BranchBoundSolver().solve_lp(lp).stats["pivots"]
+        start = lp.sparse.start
+        capped = []
+        for limit in range(total + 1):
+            monkeypatch.setattr(linsolve, "PIVOT_LIMIT", limit)
+            warm = BranchBoundSolver().solve_lp(lp)
+            assert outcome_bits(warm) == outcome_bits(BranchBoundSolver().solve_lp(cold(lp)))
+            capped.append(warm.status)
+        assert lp.sparse.start is start
+        # a cap below the phase-1 pivots ends the replay at once
+        assert capped[0] == "iteration-limit" and capped[-1] == "optimal"
+
+    def test_infeasible_or_capped_phase_one_is_not_kept(self, monkeypatch):
+        infeasible = LinearProgram(np.ones(2), [Row({0: 1, 1: 1}, "=", 5.0)], np.zeros(2), np.ones(2))
+        assert BranchBoundSolver().solve_lp(infeasible).status == "infeasible"
+        assert infeasible.sparse.start is None
+        monkeypatch.setattr(linsolve, "PIVOT_LIMIT", 0)
+        lp = phase_one_lp()
+        assert BranchBoundSolver().solve_lp(lp).status == "iteration-limit"
+        assert lp.sparse.start is None
 
 
 @pytest.mark.parametrize("solver", MILP_SOLVERS, ids=["bnb", "highs"])
@@ -421,6 +509,13 @@ def test_program_validation():
     # a ">=" row is written negated as "<="
     with pytest.raises(ValueError, match="bad row sense '>='"):
         Row({0: 1.0}, ">=", 0.0)
+
+
+@pytest.mark.parametrize("bound", [np.inf, -np.inf])
+def test_bounds_admitting_no_value_are_rejected(bound):
+    # the bundled simplex read a column with no finite bound as free
+    with pytest.raises(ValueError, match="^variable 1: bounds admit no finite value"):
+        LinearProgram(np.ones(2), [], np.array([0.0, bound]), np.array([1.0, bound]))
 
 
 @pytest.mark.parametrize("name", ["c", "lower", "upper", "offset"])

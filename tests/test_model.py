@@ -134,6 +134,22 @@ class TestValidate:
         with pytest.raises(ValueError, match=r"bounds\[u\[2\]\[0\]\]: must not be NaN"):
             prob.master
 
+    @pytest.mark.parametrize(
+        "lower, upper, rows, issue",
+        [
+            (2.0, 1.0, [], "bounds[y]: lower exceeds upper"),
+            (np.inf, np.inf, [], "bounds[y]: lower must be below +inf"),
+            (-np.inf, -np.inf, [], "bounds[y]: upper must be above -inf"),
+            (0.0, 1.0, [Row({0: 1.0, 5: 1.0}, "<=", 1.0)], "rows[0]: references variable 5 >= 2"),
+        ],
+    )
+    def test_bound_and_row_index_issues(self, lower, upper, rows, issue):
+        prob = ObroProblem(
+            np.zeros(2), rows, np.array([0.0, lower]), np.array([1.0, upper]), 0.1,
+            [UncertainTerm("f1", identity_spec(), (0,))], names=["x", "y"],
+        )
+        assert validate(prob) == [issue]
+
     def test_infinite_row_rhs_is_accepted(self):
         rows = [Row({0: 1.0}, "<=", np.inf), Row({0: -1.0}, "<=", np.inf)]
         assert validate(replace(one_term_problem(), rows=rows)) == []
@@ -296,6 +312,13 @@ class TestEvaluateV:
         prob = replace(one_term_problem(), c=np.array([2.0]))
         scen = reference_scenario(prob)
         assert evaluate_v(prob, scen, np.array([0.5])) == pytest.approx(0.5 + 1.0)
+
+
+def test_scenario_issues_counts_the_functions():
+    prob = one_term_problem()
+    ref = prob.terms[0].spec.reference
+    assert scenario_issues(prob, Scenario(())) == ["scenario has 0 functions, need 1"]
+    assert scenario_issues(prob, Scenario((ref, ref))) == ["scenario has 2 functions, need 1"]
 
 
 def test_scenario_issues_integrates_each_deviation_once(monkeypatch):

@@ -508,6 +508,13 @@ class TestEnumerateMaster:
         assert (v_enum, x_enum[0]) == pytest.approx((-0.4, 0.4), abs=1e-12)
         assert (eta, x_m[0]) == pytest.approx((-0.4, 0.4), abs=1e-12)
 
+    def test_every_pattern_infeasible_raises(self):
+        # x <= -1 leaves both segments of [0, 0.5, 1] empty
+        prob = one_term([0.0, 0.5, 1.0], [0.0, 1.0, 2.0], delta=0.5)
+        prob = replace(prob, rows=[Row({0: 1.0}, "<=", -1.0)])
+        with pytest.raises(RuntimeError, match="^every segment pattern infeasible$"):
+            enumerate_master(prob, [reference_scenario(prob)])
+
     def test_pattern_count_does_not_wrap(self, monkeypatch):
         # 64 coordinates of 2 segments: 2**64 patterns, 0 in int64
         part = Partition(np.array([0.0, 0.5, 1.0]))

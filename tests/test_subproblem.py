@@ -247,6 +247,16 @@ def config_problem(name):
     return configio.problem_from_config(cfg)[0]
 
 
+GENERIC_CONFIGS = [
+    "tiny_identity", "two_pocket", "two_term_coupled", "degenerate_delta0", "two_pocket_truncated"
+]
+
+
+def outcome_bits(out):
+    """Status, stats and the exact bits of the objective and of x."""
+    return out.status, out.stats, float(out.objective).hex(), out.x.tobytes()
+
+
 def form_bytes(form):
     a, lower, upper = form
     return (a.shape, a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes(),
@@ -274,6 +284,22 @@ class TestAdversaryBlock:
             # the HiGHS matrices of the shared form and of a new conversion
             rebuilt = SparseRows(list(fresh.rows), fresh.n_vars).highs()
             assert form_bytes(cached.sparse_rows().highs()) == form_bytes(rebuilt)
+
+    @pytest.mark.parametrize("name", GENERIC_CONFIGS)
+    def test_replayed_start_equals_cold_solve(self, name):
+        # every adversary LP of a problem shares the block's rows and
+        # bounds, so each solve after the first replays one phase 1
+        prob = config_problem(name)
+        span = prob.upper - prob.lower
+        inside = np.where(np.isfinite(span), prob.lower + 0.3 * span, 0.0)
+        sp = prob.adversary.lp.sparse_rows()
+        for x in (prob.lower, prob.upper, inside):
+            first = BranchBoundSolver().solve_lp(build_subproblem(prob, x))
+            start = sp.start
+            warm = BranchBoundSolver().solve_lp(build_subproblem(prob, x))
+            assert sp.start is start is not None  # replayed, not refilled
+            cold = BranchBoundSolver().solve_lp(build_subproblem(replace(prob), x))
+            assert outcome_bits(first) == outcome_bits(warm) == outcome_bits(cold)
 
     def test_second_build_constructs_no_row(self, monkeypatch):
         made = []
