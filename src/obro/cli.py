@@ -30,7 +30,7 @@ from obro.oracle import (
     GridBudgetError,
     brute_force_subproblem,
     enumerate_master,
-    grid_radius,
+    grid_gap,
     levels_within_budget,
 )
 
@@ -197,7 +197,7 @@ def cmd_verify(args) -> int:
             max_iter=options["max_iter"],
             solver=default_solver(),
         )
-        report = verify_saddle(prob, result, tol=1e-4)
+        report = verify_saddle(prob, result)
         oracle_value, _ = brute_force_subproblem(prob, result.x, levels=levels)
         enum_value, _ = enumerate_master(prob, result.scenarios)
     except GridBudgetError as exc:
@@ -208,11 +208,6 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    step = max(2 * grid_radius(t.spec) / (levels - 1) for t in prob.terms)
-    lipschitz = sum(
-        len(t.eval_indices) + prob.epsilon * (t.spec.partition.hi - t.spec.partition.lo)
-        for t in prob.terms
-    )
     checks = [
         ("engine converged", result.converged, result.gap),
         *report.rows(),
@@ -223,7 +218,7 @@ def cmd_verify(args) -> int:
         ),
         (
             "adversary within oracle gap",
-            result.ub <= oracle_value + lipschitz * step + 1e-9,
+            result.ub <= oracle_value + grid_gap(prob, levels) + 1e-9,
             result.ub - oracle_value,
         ),
         (

@@ -94,8 +94,8 @@ class SparseRows:
                 raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
             if math.isnan(r.rhs):
                 raise ValueError(f"row {r.name!r}: rhs must not be NaN")
-            if any(map(math.isnan, r.coeffs.values())):
-                raise ValueError(f"row {r.name!r}: coefficient must not be NaN")
+            if not all(map(math.isfinite, r.coeffs.values())):
+                raise ValueError(f"row {r.name!r}: coefficient must not be NaN or infinite")
         self.rows = rows
         self.n_vars = n_vars
         self._form = None
@@ -163,8 +163,8 @@ class LinearProgram:
         n = self.c.size
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bound arrays must match the variable count")
-        if math.isnan(self.c.dot(self.c)):  # a sum of squares is NaN only from a NaN
-            raise ValueError("c must not be NaN")
+        if not np.isfinite(self.c).all():
+            raise ValueError("c must not be NaN or infinite")
         if math.isnan(self.offset):
             raise ValueError("offset must not be NaN")
         ordered = self.lower <= self.upper  # false at a NaN bound too
@@ -199,11 +199,12 @@ class MixedIntegerProgram:
     def __post_init__(self):
         self.binaries = tuple(sorted(set(int(j) for j in self.binaries)))
         n = self.lp.n_vars
+        lower, upper = self.lp.lower.tolist(), self.lp.upper.tolist()
         for j in self.binaries:
             if not 0 <= j < n:
                 raise ValueError(f"binary index {j} out of range")
-            if self.lp.lower[j] < -1e-12 or self.lp.upper[j] > 1 + 1e-12:
-                raise ValueError(f"binary {j} has bounds outside [0, 1]")
+            if lower[j] not in (0.0, 1.0) or upper[j] not in (0.0, 1.0):
+                raise ValueError(f"binary {j} has a bound other than 0 or 1")
 
 
 @dataclass
@@ -269,92 +270,33 @@ class BranchBoundSolver(Solver):
     entering column reaches its own width and flips, which counts as a
     pivot.  Bland's rule (lowest-index entering column, lowest index on
     ratio ties, a complemented column ranked as its bound) makes the
-    pivot sequence cycle-free and fully deterministic.  Branching takes
-    the most-fractional binary (smallest index on ties), fixing it to 0
-    then 1; nodes are explored in best-relaxation-bound order with a
-    monotone counter breaking ties, so runs are repeatable.  Intended
-    for desk-scale programs: the pivot cap on every LP, node LPs
-    included, and the node cap turn numerical trouble and blow-up into
-    an explicit iteration-limit status.  The caps are the module's
-    ``PIVOT_LIMIT``, ``NODE_LIMIT`` and ``WARN_NODES``.
+    pivot sequence cycle-free and fully deterministic.  Intended for
+    desk-scale programs: the pivot cap on every LP, node LPs included,
+    and the node cap turn numerical trouble and blow-up into an explicit
+    iteration-limit status.  The caps are the module's ``PIVOT_LIMIT``,
+    ``NODE_LIMIT`` and ``WARN_NODES``.
 
     Phase 1 reads only the rows and the bounds, so its end state is kept
-    in the rows' `SparseRows.start`, keyed by the bounds' bytes; a program
-    on those rows with equal bounds, such as each adversary LP of one
-    problem, copies it and starts at phase 2, ending bit-identical to a
-    cold solve.  ``stats["pivots"]`` counts the whole path, the replayed
-    phase 1 included, and ``PIVOT_LIMIT`` caps it as in a cold solve.
+    in the rows' `SparseRows.start`, keyed by the bounds' bytes.  A solve
+    whose bounds miss the slot builds the tableau, runs phase 1 and the
+    drive-out of the artificials, and refills it; every solve then copies
+    the slot's state and runs phase 2 from it, so a program on those rows
+    with equal bounds, such as each adversary LP of one problem, skips
+    straight to phase 2 and ends bit-identical to a cold solve.
+    ``stats["pivots"]`` counts the whole path, phase 1 included, and
+    ``PIVOT_LIMIT`` caps it as in a cold solve.
+
+    Branch-and-bound runs every node, the root first, through one loop.
+    A fractional relaxation is queued with its branching binary, the most
+    fractional (smallest index on ties); the best-bound node is expanded
+    next, a monotone counter breaking ties so runs are repeatable, into
+    children fixing that binary to 0 then 1.  ``NODE_LIMIT`` is checked
+    after each expansion, the root's included.
     """
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
         sp = lp.sparse_rows()
         bounds = (lp.lower.tobytes(), lp.upper.tobytes())  # by value: arrays can be edited
-        start = sp.start[1] if sp.start and sp.start[0] == bounds else None
-        if start:
-            # phase 1 reads only the rows and the bounds: replay its end state
-            T, basis, rank, twin, cols, shift, widths, ns, phase1, pivots = start
-            if phase1 > PIVOT_LIMIT:
-                return SolveOutcome("iteration-limit", stats={"pivots": PIVOT_LIMIT + 1})
-            T, basis, rank, twin = T.copy(), list(basis), list(rank), list(twin)
-            nt, width = len(cols), T.shape[1]
-            na = width - 1 - nt - ns
-        else:
-            # x[j] = shift[j] + sum(sign * t[k]) over the (k, sign) in col_of[j];
-            # cols holds each t column's (variable, sign) and widths its width
-            shift = [0.0] * lp.n_vars
-            cols, widths, col_of = [], [], []
-            for j, (lo, up) in enumerate(zip(lp.lower.tolist(), lp.upper.tolist())):
-                k = len(cols)
-                if math.isfinite(lo):
-                    shift[j] = lo
-                    col_of.append(((k, 1.0),))
-                    widths.append(up - lo)
-                elif math.isfinite(up):
-                    shift[j] = up
-                    col_of.append(((k, -1.0),))
-                    widths.append(np.inf)
-                else:
-                    col_of.append(((k, 1.0), (k + 1, -1.0)))
-                    widths += [np.inf, np.inf]
-                cols += [(j, s) for _, s in col_of[j]]
-            nt = len(cols)
-            rows = lp.rows
-            rhs = []  # net of the shift; a loop, as sum() compensates from Python 3.12
-            for r in rows:
-                const = 0.0
-                for j, v in r.coeffs.items():
-                    const += v * shift[j]
-                rhs.append(r.rhs - const)
-            pivots = phase1 = 0
-
-            # tableau: [t vars | "<=" slacks | artificials | rhs], each row
-            # negated when its rhs is negative; "=" rows and negated "<=" rows
-            # start on an artificial
-            ns = sum(r.sense == "<=" for r in rows)
-            na = sum(r.sense == "=" or b < 0 for r, b in zip(rows, rhs))
-            width = nt + ns + na + 1
-            T = np.zeros((len(rows), width))
-            basis = [0] * len(rows)
-            slack, art = nt, nt + ns
-            for i, (r, b) in enumerate(zip(rows, rhs)):
-                sign = -1.0 if b < 0 else 1.0
-                for j, v in r.coeffs.items():
-                    for k, s in col_of[j]:
-                        T[i, k] = sign * (v * s)
-                T[i, -1] = sign * b
-                if r.sense == "<=":
-                    T[i, slack] = sign
-                    basis[i], slack = slack, slack + 1
-                if r.sense == "=" or b < 0:
-                    T[i, art] = 1.0
-                    basis[i], art = art, art + 1
-            # Bland's order: t columns, slacks, complemented t columns, then
-            # artificials; `twin` holds the index a column takes complemented
-            rank = list(range(nt + ns)) + list(range(2 * nt + ns, nt + width - 1))
-            twin = [k + nt + ns for k in range(nt)] + rank[nt:]
-        ub = widths + [np.inf] * (ns + na)
-        # artificials never re-enter, and a width-0 column cannot move
-        movable = [u > 0 for u in ub[: nt + ns]] + [False] * (na + 1)
 
         def price_out(costs):
             z = np.append(costs, 0.0)
@@ -409,35 +351,94 @@ class BranchBoundSolver(Solver):
                 if pivots > PIVOT_LIMIT:
                     return "iteration-limit"
 
-        if na and start is None:
-            costs1 = np.zeros(width - 1)
-            costs1[nt + ns :] = 1.0
-            z1 = price_out(costs1)
-            status = run_phase(z1)
-            phase1 = pivots
-            if status != "optimal":
-                return SolveOutcome("iteration-limit", stats={"pivots": pivots})
-            if sum(T[i, -1] for i, j in enumerate(basis) if j >= nt + ns) > FEAS_TOL:
-                return SolveOutcome("infeasible", stats={"pivots": pivots})
-            # drive leftover artificials out; drop dependent rows
-            drop = set()
-            order = sorted(range(nt + ns), key=rank.__getitem__)
-            for i in range(T.shape[0]):
-                if basis[i] >= nt + ns:
-                    col = next((j for j in order if abs(T[i, j]) > PIVOT_TOL), None)
-                    if col is None:
-                        drop.add(i)
-                    else:
+        if not sp.start or sp.start[0] != bounds:
+            # x[j] = shift[j] + sum(sign * t[k]) over the (k, sign) in col_of[j];
+            # cols holds each t column's (variable, sign) and ub its width
+            shift = [0.0] * lp.n_vars
+            cols, ub, col_of = [], [], []
+            for j, (lo, up) in enumerate(zip(lp.lower.tolist(), lp.upper.tolist())):
+                k = len(cols)
+                if math.isfinite(lo):
+                    shift[j] = lo
+                    col_of.append(((k, 1.0),))
+                    ub.append(up - lo)
+                elif math.isfinite(up):
+                    shift[j] = up
+                    col_of.append(((k, -1.0),))
+                    ub.append(np.inf)
+                else:
+                    col_of.append(((k, 1.0), (k + 1, -1.0)))
+                    ub += [np.inf, np.inf]
+                cols += [(j, s) for _, s in col_of[j]]
+            nt = len(cols)
+            rows = lp.rows
+            rhs = []  # net of the shift; a loop, as sum() compensates from Python 3.12
+            for r in rows:
+                const = 0.0
+                for j, v in r.coeffs.items():
+                    const += v * shift[j]
+                rhs.append(r.rhs - const)
+
+            # tableau: [t vars | "<=" slacks | artificials | rhs], each row
+            # negated when its rhs is negative; "=" rows and negated "<=" rows
+            # start on an artificial
+            ns = sum(r.sense == "<=" for r in rows)
+            na = sum(r.sense == "=" or b < 0 for r, b in zip(rows, rhs))
+            width = nt + ns + na + 1
+            T = np.zeros((len(rows), width))
+            basis = [0] * len(rows)
+            slack, art = nt, nt + ns
+            for i, (r, b) in enumerate(zip(rows, rhs)):
+                sign = -1.0 if b < 0 else 1.0
+                for j, v in r.coeffs.items():
+                    for k, s in col_of[j]:
+                        T[i, k] = sign * (v * s)
+                T[i, -1] = sign * b
+                if r.sense == "<=":
+                    T[i, slack] = sign
+                    basis[i], slack = slack, slack + 1
+                if r.sense == "=" or b < 0:
+                    T[i, art] = 1.0
+                    basis[i], art = art, art + 1
+            # Bland's order: t columns, slacks, complemented t columns, then
+            # artificials; `twin` holds the index a column takes complemented
+            rank = list(range(nt + ns)) + list(range(2 * nt + ns, nt + width - 1))
+            twin = [k + nt + ns for k in range(nt)] + rank[nt:]
+            ub += [np.inf] * (ns + na)
+            # artificials never re-enter, and a width-0 column cannot move
+            movable = [u > 0 for u in ub[: nt + ns]] + [False] * (na + 1)
+            pivots = phase1 = 0
+            if na:
+                costs1 = np.zeros(width - 1)
+                costs1[nt + ns :] = 1.0
+                z1 = price_out(costs1)
+                if run_phase(z1) != "optimal":
+                    return SolveOutcome("iteration-limit", stats={"pivots": pivots})
+                if sum(T[i, -1] for i, j in enumerate(basis) if j >= nt + ns) > FEAS_TOL:
+                    return SolveOutcome("infeasible", stats={"pivots": pivots})
+                phase1 = pivots
+                # drive leftover artificials out; keep the rows that are not
+                # dependent, as a row left with nothing to pivot on is
+                order = sorted(range(nt + ns), key=rank.__getitem__)
+                keep = []
+                for i, j in enumerate(basis):
+                    if j >= nt + ns:
+                        col = next((k for k in order if abs(T[i, k]) > PIVOT_TOL), None)
+                        if col is None:
+                            continue
                         pivot(z1, i, col)
                         pivots += 1
-            if drop:
-                keep = [i for i in range(T.shape[0]) if i not in drop]
-                T = T[keep]
-                basis = [basis[i] for i in keep]
-        if start is None:
-            state = T.copy(), tuple(basis), tuple(rank), tuple(twin), cols, shift, widths
-            sp.start = bounds, (*state, ns, phase1, pivots)
+                    keep.append(i)
+                T, basis = T[keep], [basis[i] for i in keep]
+            state = T, tuple(basis), tuple(rank), tuple(twin), ub, movable, cols, shift
+            sp.start = bounds, (*state, phase1, pivots)
 
+        # phase 1 reads only the rows and the bounds: start from its end state
+        T, basis, rank, twin, ub, movable, cols, shift, phase1, pivots = sp.start[1]
+        if phase1 > PIVOT_LIMIT:
+            return SolveOutcome("iteration-limit", stats={"pivots": PIVOT_LIMIT + 1})
+        T, basis, rank, twin = T.copy(), list(basis), list(rank), list(twin)
+        nt, width = len(cols), T.shape[1]
         c = lp.c.tolist()
         ct = np.array([s * c[j] for j, s in cols])
         costs2 = np.zeros(width - 1)
@@ -448,7 +449,7 @@ class BranchBoundSolver(Solver):
 
         t = np.zeros(width - 1)
         t[basis] = T[:, -1]
-        t = np.where(np.array(rank[:nt]) >= nt, np.array(widths) - t[:nt], t[:nt])
+        t = np.where(np.array(rank[:nt]) >= nt, np.array(ub[:nt]) - t[:nt], t[:nt])
         x = np.array(shift)
         objective = float(ct @ t) + (float(lp.c @ x) + lp.offset)
         for (j, s), tk in zip(cols, t):
@@ -458,75 +459,40 @@ class BranchBoundSolver(Solver):
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
         lp = mip.lp
         nodes = 0
-        warned = False
-        incumbent = None
-        inc_score = np.inf
-        heap = []
-        counter = itertools.count()
-
-        def node_lp(fixings):
-            lo = lp.lower.copy()
-            up = lp.upper.copy()
-            for j, v in fixings.items():
-                lo[j] = up[j] = float(v)
-            return replace(lp, lower=lo, upper=up)
-
-        def consider(fixings):
-            nonlocal nodes, incumbent, inc_score, warned
-            nodes += 1
-            if nodes > WARN_NODES and not warned:
-                warnings.warn(f"branch-and-bound past {WARN_NODES} nodes", stacklevel=3)
-                warned = True
-            out = self.solve_lp(node_lp(fixings))
-            if out.status == "infeasible":
-                return None
-            if out.status != "optimal":
-                return out.status
-            if out.objective >= inc_score - 1e-9:
-                return None
-            frac = [
-                j
-                for j in mip.binaries
-                if min(out.x[j], 1.0 - out.x[j]) > INT_TOL
-            ]
-            if not frac:
-                x = out.x.copy()
-                for j in mip.binaries:
-                    x[j] = round(x[j])
-                incumbent = SolveOutcome(
-                    "optimal", out.objective, x, stats=dict(out.stats)
-                )
-                inc_score = out.objective
-                return None
-            heapq.heappush(heap, (out.objective, next(counter), fixings, out))
-            return None
-
-        bad = consider({})
-        if bad == "unbounded":
-            return SolveOutcome("unbounded", stats={"nodes": nodes})
-        if bad == "iteration-limit":
-            return SolveOutcome("iteration-limit", stats={"nodes": nodes})
-
-        while heap:
-            bound, _, fixings, relax = heapq.heappop(heap)
-            if bound >= inc_score - 1e-9:
-                break
-            # a node is pushed only with a fractional binary, and a fixed
-            # binary's value is its bound, so an unfixed one is found here
-            j_star, best_frac = -1, INT_TOL
-            for j in mip.binaries:
-                if j in fixings:
+        incumbent, inc_score = None, np.inf
+        heap, counter = [], itertools.count()
+        children = [{}]  # the root is the first node solved
+        while children:
+            for fixings in children:
+                nodes += 1
+                if nodes == WARN_NODES + 1:
+                    warnings.warn(f"branch-and-bound past {WARN_NODES} nodes", stacklevel=2)
+                lo, up = lp.lower.copy(), lp.upper.copy()
+                for j, v in fixings.items():
+                    lo[j] = up[j] = v
+                out = self.solve_lp(replace(lp, lower=lo, upper=up))
+                if out.status == "infeasible":
                     continue
-                d = min(relax.x[j], 1.0 - relax.x[j])
-                if d > best_frac:
-                    j_star, best_frac = j, d
-            for v in (0, 1):
-                bad = consider({**fixings, j_star: v})
-                if bad == "iteration-limit":
-                    return SolveOutcome("iteration-limit", stats={"nodes": nodes})
+                if not out.optimal:  # only the root can be unbounded: it holds every child
+                    return SolveOutcome(out.status, stats={"nodes": nodes})
+                if out.objective >= inc_score - 1e-9:
+                    continue
+                x = out.x
+                # branch on the most fractional binary, the first on ties
+                j = max(mip.binaries, key=lambda j: min(x[j], 1.0 - x[j]), default=None)
+                if j is not None and min(x[j], 1.0 - x[j]) > INT_TOL:
+                    heapq.heappush(heap, (out.objective, next(counter), fixings, j))
+                else:
+                    for j in mip.binaries:
+                        x[j] = round(x[j])
+                    incumbent, inc_score = out, out.objective
             if nodes > NODE_LIMIT:
                 out = incumbent or SolveOutcome("iteration-limit")
                 return replace(out, status="iteration-limit", stats={"nodes": nodes})
+            children = []
+            if heap and heap[0][0] < inc_score - 1e-9:
+                _, _, fixings, j = heapq.heappop(heap)
+                children = [{**fixings, j: 0.0}, {**fixings, j: 1.0}]
 
         if incumbent is None:
             return SolveOutcome("infeasible", stats={"nodes": nodes})

@@ -32,6 +32,7 @@ __all__ = [
     "GridBudgetError",
     "brute_force_subproblem",
     "enumerate_master",
+    "grid_gap",
     "grid_radius",
     "grid_work",
     "levels_within_budget",
@@ -58,6 +59,18 @@ def grid_radius(spec) -> float:
     if np.isfinite(spec.delta_max):
         return spec.delta_max
     return spec.dev_max / trapezoid_weights(spec.partition.points).min()
+
+
+def grid_gap(prob: ObroProblem, levels: int) -> float:
+    """How far ``brute_force_subproblem`` at ``levels`` may fall below the
+    adversary LP's value: the widest grid step times the objective's
+    Lipschitz constant in the sample values."""
+    step = max(2 * grid_radius(t.spec) / (levels - 1) for t in prob.terms)
+    lipschitz = sum(
+        len(t.eval_indices) + prob.epsilon * (t.spec.partition.hi - t.spec.partition.lo)
+        for t in prob.terms
+    )
+    return lipschitz * step
 
 
 def grid_work(prob: ObroProblem, levels: int) -> int:

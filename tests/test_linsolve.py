@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import os
@@ -478,8 +479,12 @@ def test_node_warning_threshold(monkeypatch):
         tuple(range(n)),
     )
     monkeypatch.setattr(linsolve, "WARN_NODES", 5)
-    with pytest.warns(UserWarning, match="branch-and-bound past 5 nodes"):
+    with pytest.warns(UserWarning, match="branch-and-bound past 5 nodes") as record:
+        line = inspect.currentframe().f_lineno + 1
         BranchBoundSolver().solve_milp(mip)
+    # once per solve, at the caller's line
+    [warning] = [w for w in record if "branch-and-bound past" in str(w.message)]
+    assert (warning.filename, warning.lineno) == (__file__, line)
 
 
 def test_node_limit_status(monkeypatch):
@@ -493,10 +498,21 @@ def test_node_limit_status(monkeypatch):
         ),
         tuple(range(n)),
     )
+    full = BranchBoundSolver().solve_milp(mip)
+    assert (full.status, full.stats["nodes"]) == ("optimal", 67)
     monkeypatch.setattr(linsolve, "NODE_LIMIT", 3)
     monkeypatch.setattr(linsolve, "WARN_NODES", 10**9)
     out = BranchBoundSolver().solve_milp(mip)
     assert out.status == "iteration-limit"
+    # the cap is checked after each node's two children
+    assert (out.x, out.stats) == (None, {"nodes": 5})
+    # the optimum is found by node 35 but not yet proved: the cap returns
+    # it with the limit status
+    monkeypatch.setattr(linsolve, "NODE_LIMIT", 33)
+    capped = BranchBoundSolver().solve_milp(mip)
+    assert (capped.status, capped.stats) == ("iteration-limit", {"nodes": 35})
+    assert capped.objective == full.objective
+    np.testing.assert_array_equal(capped.x, full.x)
 
 
 def test_program_validation():
@@ -511,6 +527,24 @@ def test_program_validation():
         Row({0: 1.0}, ">=", 0.0)
 
 
+def test_binary_bounds_must_be_zero_or_one():
+    # branch-and-bound fixed a binary to 0 or 1 whatever its bounds: min -x
+    # on [0, 0.5] read -1 at x = 1, where HiGHS read 0 at x = 0
+    def mip(cost, lower, upper):
+        lp = LinearProgram(np.array([cost]), [], np.array([lower]), np.array([upper]))
+        return MixedIntegerProgram(lp, (0,))
+
+    for lower, upper in [(0.0, 0.5), (0.5, 1.0), (0.2, 0.7)]:
+        with pytest.raises(ValueError, match="^binary 0 has a bound other than 0 or 1"):
+            mip(1.0, lower, upper)
+    for lower, upper in [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)]:
+        for cost in (1.0, -1.0):
+            bnb, highs = (s.solve_milp(mip(cost, lower, upper)) for s in MILP_SOLVERS)
+            assert bnb.optimal and highs.optimal
+            assert bnb.objective == highs.objective
+            np.testing.assert_array_equal(bnb.x, highs.x)
+
+
 @pytest.mark.parametrize("bound", [np.inf, -np.inf])
 def test_bounds_admitting_no_value_are_rejected(bound):
     # the bundled simplex read a column with no finite bound as free
@@ -518,14 +552,26 @@ def test_bounds_admitting_no_value_are_rejected(bound):
         LinearProgram(np.ones(2), [], np.array([0.0, bound]), np.array([1.0, bound]))
 
 
-@pytest.mark.parametrize("name", ["c", "lower", "upper", "offset"])
-def test_nan_program_data_is_rejected(name):
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        pytest.param("c", np.nan, id="c"),
+        pytest.param("lower", np.nan, id="lower"),
+        pytest.param("upper", np.nan, id="upper"),
+        pytest.param("offset", np.nan, id="offset"),
+        pytest.param("c", np.inf, id="c-inf"),
+        pytest.param("c", -np.inf, id="c-minus-inf"),
+    ],
+)
+def test_nan_program_data_is_rejected(name, value):
     # a NaN bound read unbounded on the bundled simplex and infeasible on
-    # HiGHS, and a NaN cost optimal with objective NaN against an error
+    # HiGHS, and a NaN cost optimal with objective NaN against an error; an
+    # infinite cost ran into NaN arithmetic on the bundled simplex
     data = {"c": np.ones(2), "lower": np.zeros(2), "upper": np.ones(2), "offset": 0.0}
-    data[name] = np.nan if name == "offset" else np.array([data[name][0], np.nan])
+    data[name] = value if name == "offset" else np.array([data[name][0], value])
     index = "" if name in ("c", "offset") else r"\[1\]"
-    with pytest.raises(ValueError, match=rf"^{name}{index} must not be NaN"):
+    kind = "NaN" if np.isnan(value) else "NaN or infinite"
+    with pytest.raises(ValueError, match=rf"^{name}{index} must not be {kind}"):
         LinearProgram(data["c"], [], data["lower"], data["upper"], offset=data["offset"])
 
 
@@ -534,6 +580,9 @@ def test_nan_program_data_is_rejected(name):
     [
         (Row({0: 1.0}, "<=", np.nan, "r"), "row 'r': rhs must not be NaN"),
         (Row({0: np.nan}, "=", 1.0, "r"), "row 'r': coefficient must not be NaN"),
+        # the bundled simplex read {0: inf, 1: 1} <= 1 as met at x = [1, 1]
+        (Row({0: np.inf}, "<=", 1.0, "r"), "row 'r': coefficient must not be NaN or infinite"),
+        (Row({0: -np.inf}, "=", 1.0, "r"), "row 'r': coefficient must not be NaN or infinite"),
     ],
 )
 def test_nan_row_data_is_rejected(row, message):

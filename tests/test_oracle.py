@@ -27,6 +27,7 @@ from obro.oracle import (
     GridBudgetError,
     brute_force_subproblem,
     enumerate_master,
+    grid_gap,
     levels_within_budget,
     pin_segments,
     refinement_study,
@@ -88,6 +89,13 @@ class TestBruteForceSubproblem:
             lipschitz = 1 + prob.epsilon * (spec.partition.hi - spec.partition.lo)
             assert value <= lp_value + 1e-9
             assert lp_value <= value + lipschitz * step + 1e-9
+
+    def test_gap_of_an_unbounded_sup_radius_is_finite(self):
+        # with no sup radius the grid spans dev_max over the smallest
+        # trapezoid weight: 0.2 / 0.5 either side of the reference
+        prob = one_term([0.0, 1.0], [0.0, 1.0], delta=np.inf, dev=0.2)
+        lipschitz = 1 + prob.epsilon * 1.0
+        assert grid_gap(prob, 11) == pytest.approx(lipschitz * 2 * 0.4 / 10)
 
     def test_levels_refinement_never_hurts(self):
         prob = one_term([0.0, 0.5, 1.0], [0.0, 0.6, 1.1], delta=0.05)
