@@ -496,8 +496,7 @@ class BranchBoundSolver(Solver):
 
         if incumbent is None:
             return SolveOutcome("infeasible", stats={"nodes": nodes})
-        incumbent.stats["nodes"] = nodes
-        return incumbent
+        return replace(incumbent, stats={"nodes": nodes})
 
 
 # the benchmark's tracer patches `SimplexSolver.solve_lp` by this name; the

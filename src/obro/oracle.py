@@ -74,8 +74,10 @@ def grid_gap(prob: ObroProblem, levels: int) -> float:
 
 
 def grid_work(prob: ObroProblem, levels: int) -> int:
-    """Grid points ``brute_force_subproblem`` searches at ``levels``; a
-    term with no sup radius has a single point per sample."""
+    """Grid points of ``brute_force_subproblem``'s search at ``levels``,
+    which its budget counts; a term with no sup radius has a single point
+    per sample.  The count is the grid's size, not the points the sweep
+    evaluates: it stops once no remaining row can win."""
     return sum(
         (levels if t.spec.delta_max > 0 else 1) ** t.spec.partition.n_points
         for t in prob.terms
@@ -106,15 +108,25 @@ def brute_force_subproblem(
 
     Per term, the offsets of samples 1..n-1 (the tail) are enumerated once
     with their deviation and objective share, a tail that breaks a ratio
-    row taking the value -inf.  The offsets of sample 0 are then swept in
-    blocks of about ``_SWEEP_BLOCK`` grid points, each block one 2-D
-    broadcast over the tail, so the full ``levels**n`` grid is never held
-    in memory.  The ratio row between samples 0 and 1 is a table over
-    their offsets, and the deviation budget is tested only when the
-    largest deviation on the grid exceeds it.  The returned function is
-    the grid point with the largest value as computed here, the earliest
-    in lexicographic grid order (sample 0 slowest) among equal values, so
-    repeated calls return bit-identical results.
+    row taking the value -inf.  The offsets of sample 0 (the grid's rows)
+    are then swept in blocks of about ``_SWEEP_BLOCK`` grid points, each
+    block one 2-D broadcast over the tail, so the full ``levels**n`` grid
+    is never held in memory.  The ratio row between samples 0 and 1 is a
+    table over their offsets, and the deviation budget is tested only when
+    the largest deviation on the grid exceeds it.
+
+    The rows are swept best bound first (Land & Doig's pruning step).  A
+    row's bound is sample 0's share less its deviation cost, plus the
+    best such net value of any feasible tail, padded by 1e-9 times the
+    summed magnitudes of those parts.  Rows go in descending padded bound,
+    earlier rows first among equals, and the sweep stops at the first row
+    whose padded bound is below the best value found so far.  The padding
+    exceeds any round-off of the bound and of a point's value, so no
+    skipped row holds a point that could win or tie, and every point
+    evaluated keeps the arithmetic of a full sweep.  The returned function
+    is the grid point with the largest value as computed here, the
+    earliest in lexicographic grid order (sample 0 slowest) among equal
+    values, so repeated calls return bit-identical results.
     """
     issues = validate(prob)
     if issues:
@@ -128,6 +140,7 @@ def brute_force_subproblem(
         raise GridBudgetError(f"grid budget exceeded: {work:.3g} > {GRID_BUDGET:.0e}")
 
     total = float(prob.c @ x)
+    eps = prob.epsilon
     best_functions = []
     for term in prob.terms:
         spec = term.spec
@@ -171,26 +184,72 @@ def brute_force_subproblem(
             # the budget when the largest deviation fits it.
             dev_binds = head_dev.max() + tail_dev.max() > budget
 
-        best_val, best_f = -np.inf, None
-        for lo in range(0, len(offsets), rows):
-            hi = min(lo + rows, len(offsets))
-            dev = head_dev[lo:hi, None] + tail_dev
-            vals = head_val[lo:hi, None] + tail_val
+        def block(idx):
+            """Rows ``idx`` of the term's grid (sample-0 offsets) as one 2-D
+            broadcast over the tail."""
+            dev = head_dev[idx, None] + tail_dev
+            vals = head_val[idx, None] + tail_val
             if dev_binds:
                 vals[dev > budget] = -np.inf
-            dev *= prob.epsilon
+            dev *= eps
             vals -= dev
-            if pair_bad is not None and pair_bad[lo:hi].any():
-                vals.reshape(hi - lo, len(offsets), inner)[pair_bad[lo:hi]] = -np.inf
-            i, j = divmod(int(np.argmax(vals)), len(f_tail))
-            if vals[i, j] > best_val:  # strict: earliest grid index wins ties
-                best_val = float(vals[i, j])
-                best_f = np.concatenate([[f0[lo + i]], f_tail[j]])
-        if best_f is None:
+            if pair_bad is not None:
+                bad = pair_bad[idx]
+                if bad.any():
+                    vals.reshape(len(idx), len(offsets), inner)[bad] = -np.inf
+            return vals
+
+        # Row i's values are at most its head's net value plus the best
+        # net tail value.  The padding scales with the summed magnitudes,
+        # not with the bound, so round-off never lifts a computed value
+        # to it even when large terms cancel.
+        tail_scale = np.abs(tail_val[np.isfinite(tail_val)]).max(initial=0.0)
+        bound = (head_val - eps * head_dev) + (tail_val - eps * tail_dev).max()
+        bound += 1e-9 * (1 + np.abs(head_val) + eps * head_dev + tail_scale + eps * tail_dev.max())
+        best_val, best_key = _best_first(bound, rows, block)
+        if best_key is None:
             raise GridBudgetError(f"no feasible grid point at {levels} levels")
+        i, j = divmod(best_key, len(f_tail))
+        best_f = np.concatenate([[f0[i]], f_tail[j]])
         total += best_val
         best_functions.append(SampledFunction(part, best_f))
     return total, best_functions
+
+
+def _best_first(bound: np.ndarray, rows: int, block) -> tuple[float, int | None]:
+    """The largest value of a grid, swept ``rows`` rows per ``block(idx)``
+    call, and the earliest flat grid index holding it; (-inf, None) when
+    every value is -inf.
+
+    ``bound[i]`` must be at least every value of row ``i``.  Rows go in
+    descending bound order, earlier rows first among equal bounds, and the
+    sweep stops at the first row whose bound is below the best value so
+    far: no row from there on can win or tie.  A block's value replaces
+    the best one when it is larger, or equal at an earlier grid index, so
+    the result is the one a sweep of the whole grid in index order gives.
+    """
+    order = np.argsort(-bound, kind="stable")
+    bound = bound[order]
+    best_val, best_key = -np.inf, None
+    lo = 0
+    while lo < len(order):
+        hi = lo + int(np.count_nonzero(bound[lo : lo + rows] >= best_val))
+        if hi == lo:
+            break
+        idx = order[lo:hi]
+        lo = hi
+        vals = block(idx)
+        top = vals.max()
+        if top == -np.inf or top < best_val:
+            continue
+        width = vals.shape[1]
+        hits = np.flatnonzero(vals == top)
+        keys = idx[hits // width] * width + hits % width
+        first = int(np.argmin(keys))
+        if top > best_val or keys[first] < best_key:
+            # the point's own value: max may return 0.0 for a -0.0 there
+            best_val, best_key = float(vals.flat[hits[first]]), int(keys[first])
+    return best_val, best_key
 
 
 def _grid(axes) -> np.ndarray:

@@ -381,6 +381,20 @@ def test_highs_stat_keys():
     assert set(HighsSolver().solve_milp(mip).stats) == {"message", "nodes"}
 
 
+def test_bundled_milp_stats_are_the_node_count(monkeypatch):
+    # pivots are an LP stat: a MILP reports its nodes only, whichever
+    # way it ends
+    lp = LinearProgram(-np.ones(2), [Row({0: 1.0, 1: 1.0}, "<=", 1.5)], np.zeros(2), np.ones(2))
+    optimal = BranchBoundSolver().solve_milp(MixedIntegerProgram(lp, (0, 1)))
+    assert (optimal.status, optimal.stats) == ("optimal", {"nodes": 5})
+    bad = replace(lp, rows=[Row({0: 1.0, 1: 1.0}, "<=", -1.0)])
+    infeasible = BranchBoundSolver().solve_milp(MixedIntegerProgram(bad, (0, 1)))
+    assert (infeasible.status, infeasible.stats) == ("infeasible", {"nodes": 1})
+    monkeypatch.setattr(linsolve, "NODE_LIMIT", 1)
+    capped = BranchBoundSolver().solve_milp(MixedIntegerProgram(lp, (0, 1)))
+    assert (capped.status, capped.stats) == ("iteration-limit", {"nodes": 3})
+
+
 def enumerate_reference(mip):
     """Ground truth by trying every binary assignment."""
     lp = mip.lp

@@ -344,9 +344,27 @@ def mixed_delta0():
     )
 
 
+def swept_rows(monkeypatch):
+    """The grid rows of each block the sweep evaluates, in sweep order,
+    one list per block, collected over every later oracle call."""
+    blocks = []
+    sweep = oracle._best_first
+
+    def spy(bound, rows, block):
+        def recorded(idx):
+            blocks.append(idx.tolist())
+            return block(idx)
+
+        return sweep(bound, rows, recorded)
+
+    monkeypatch.setattr(oracle, "_best_first", spy)
+    return blocks
+
+
 class TestGridSweepBitIdentity:
-    """The blocked sweep returns what one pass per sample-0 offset
-    returns, bit for bit, at every level count."""
+    """The blocked sweep, best bound first and stopped once no row can
+    win, returns what one pass per sample-0 offset returns, bit for bit,
+    at every level count."""
 
     @pytest.mark.parametrize("name", GENERIC_CONFIGS)
     def test_generic_configs(self, name):
@@ -386,13 +404,60 @@ class TestGridSweepBitIdentity:
             assert_same_as_per_offset(prob, rng.uniform(prob.lower, prob.upper), levels)
 
     def test_ties_split_across_blocks(self, monkeypatch):
-        # one row per block, so the strict comparison across blocks,
-        # not the argmax inside one, keeps the earliest tie
+        # one row per block, so the comparison across blocks, not the
+        # argmax inside one, keeps the earliest tie: (0.5, 0.25) in row 4
+        # has the higher bound and is swept first, (0.25, 0.5) in row 3
+        # then ties it at an earlier grid index
         monkeypatch.setattr("obro.oracle._SWEEP_BLOCK", 1)
+        blocks = swept_rows(monkeypatch)
         prob = one_term([0.0, 1.0], [0.0, 1.0], delta=0.5, dev=0.375, eps=0.125)
         assert_same_as_per_offset(prob, [0.5], 5)
+        assert blocks == [[4], [3]]
         _, funcs = brute_force_subproblem(prob, np.array([0.5]), 5)
         np.testing.assert_array_equal(funcs[0].values, [0.25, 1.5])
+
+    @pytest.mark.parametrize("delta,levels", [
+        (0.01, 5), (0.01, 7), (0.01, 9), (0.1, 5), (0.1, 7),
+    ])
+    def test_cancelling_reference(self, monkeypatch, delta, levels):
+        # The shares of +-1e6 cancel at x = 0.5, so values near 0 carry the
+        # round-off of 1e6, which a slack relative to the bound itself
+        # (about 1e-11) would not cover.  The budget lets one sample take
+        # the top offset and the other the next one down, so the best value
+        # ties across two rows in exact arithmetic.
+        monkeypatch.setattr("obro.oracle._SWEEP_BLOCK", 1)
+        offsets = np.linspace(-delta, delta, levels)
+        dev = float(0.5 * (offsets[-1] + offsets[-2]))
+        prob = one_term([0.0, 1.0], [1e6, -1e6], delta=delta, dev=dev)
+        assert_same_as_per_offset(prob, [0.5], levels)
+
+    def test_all_rows_but_the_best_pruned(self, monkeypatch):
+        # row 4 holds the best point, at its bound; every other row's
+        # bound lies below it
+        monkeypatch.setattr("obro.oracle._SWEEP_BLOCK", 1)
+        blocks = swept_rows(monkeypatch)
+        prob = one_term([0.0, 1.0], [0.0, 1.0], delta=0.5, eps=0.125)
+        assert_same_as_per_offset(prob, [0.5], 5)
+        assert blocks == [[4]]
+
+    def test_rows_swept_by_padded_bound(self, monkeypatch):
+        # at x = 0.75 sample 0's share 0.25 equals its deviation cost, so
+        # rows 2-4 (offsets 0, 0.25, 0.5) tie exactly on the unpadded
+        # bound; the padding grows with the offset and puts row 4 first
+        monkeypatch.setattr("obro.oracle._SWEEP_BLOCK", 1)
+        blocks = swept_rows(monkeypatch)
+        prob = one_term([0.0, 1.0], [1.0, 1.0], delta=0.5, eps=0.5)
+        assert_same_as_per_offset(prob, [0.75], 5)
+        assert blocks[0] == [4]
+
+    @pytest.mark.parametrize("block", [1, oracle._SWEEP_BLOCK])
+    def test_no_feasible_tail(self, monkeypatch, block):
+        # a zero budget on an even grid, which misses offset 0: every tail
+        # row breaks the budget, so no row is ever pruned and none wins
+        monkeypatch.setattr("obro.oracle._SWEEP_BLOCK", block)
+        prob = one_term([0.0, 0.5, 1.0], [0.0, 0.6, 1.1], delta=0.1, dev=0.0)
+        with pytest.raises(GridBudgetError, match="^no feasible grid point at 4 levels$"):
+            brute_force_subproblem(prob, np.array([0.3]), 4)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -404,9 +469,10 @@ class TestGridSweepBitIdentity:
         floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
         gaps = data.draw(st.lists(floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
         points = np.concatenate([[0.0], np.cumsum(gaps)])
+        scale = data.draw(st.sampled_from([1.0, 1e3, 1e6]))
         values = data.draw(st.lists(floats(-1.0, 1.0), min_size=n, max_size=n))
         prob = one_term(
-            points, values,
+            points, scale * np.array(values),
             delta=data.draw(st.sampled_from([0.0, 0.01, 0.1]) | floats(0.0, 0.5)),
             lip=data.draw(floats(1.01, 4.0)),
             dev=data.draw(floats(0.0, 1.0)),
