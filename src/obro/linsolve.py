@@ -79,49 +79,50 @@ class Row:
             raise ValueError(f"row {self.name!r} references variable {min(self.coeffs)}")
 
 
-class SparseRows:
-    """The rows over ``n_vars`` columns in the form HiGHS takes.
+class SparseRows(tuple):
+    """A rows list, checked once, with what every program on it shares.
 
-    Creating one checks the rows' column indices; the form is built on
-    first use and kept.  Linear programs that hold the same rows tuple
-    share one instance (``LinearProgram.sparse``).  ``start`` holds the
-    bundled simplex's phase-1 end state under one set of bounds, or None.
+    ``width`` is one past the largest column a row references.  The HiGHS
+    form, ``highs(n_vars)``, is built on first use for that column count
+    and kept; ``start`` holds the bundled simplex's phase-1 end state
+    under one set of bounds, or None.  A program built from another's
+    ``rows`` shares both.
     """
 
-    def __init__(self, rows, n_vars: int):
-        for r in rows:
-            if r.coeffs and max(r.coeffs) >= n_vars:
-                raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
+    def __init__(self, rows):
+        width = 0
+        for r in self:  # tuple.__new__ has stored ``rows``
             if math.isnan(r.rhs):
                 raise ValueError(f"row {r.name!r}: rhs must not be NaN")
             if not all(map(math.isfinite, r.coeffs.values())):
                 raise ValueError(f"row {r.name!r}: coefficient must not be NaN or infinite")
-        self.rows = rows
-        self.n_vars = n_vars
+            if r.coeffs:
+                width = max(width, max(r.coeffs) + 1)
+        self.width = width
         self._form = None
         self.start = None
 
-    def highs(self):
+    def highs(self, n_vars: int):
         """``(A, lower, upper)`` with ``lower <= A @ x <= upper`` for the
-        rows: ``A`` is one CSC matrix, ``<=`` rows first, in list order
-        and with lower bound ``-inf``, then ``=`` rows with equal bounds."""
-        if self._form is None:
-            self._form = self._convert()
-        return self._form
+        rows over ``n_vars`` columns: ``A`` is one CSC matrix, ``<=`` rows
+        first, in list order and with lower bound ``-inf``, then ``=`` rows
+        with equal bounds."""
+        if self._form is None or self._form[0] != n_vars:
+            self._form = n_vars, self._convert(n_vars)
+        return self._form[1]
 
-    def _convert(self):
-        from scipy.sparse import csr_matrix
+    def _convert(self, n_vars):
+        from scipy import sparse
 
-        rows = self.rows
-        m = len(rows)
-        counts = np.fromiter((len(r.coeffs) for r in rows), np.intp, m)
+        m = len(self)
+        counts = np.fromiter((len(r.coeffs) for r in self), np.intp, m)
         nnz = int(counts.sum())
-        cols = np.fromiter(itertools.chain.from_iterable(r.coeffs for r in rows), np.intp, nnz)
+        cols = np.fromiter(itertools.chain.from_iterable(r.coeffs for r in self), np.intp, nnz)
         vals = np.fromiter(
-            itertools.chain.from_iterable(r.coeffs.values() for r in rows), float, nnz
+            itertools.chain.from_iterable(r.coeffs.values() for r in self), float, nnz
         )
-        upper = np.fromiter((r.rhs for r in rows), float, m)
-        is_eq = np.fromiter((r.sense == "=" for r in rows), bool, m)
+        upper = np.fromiter((r.rhs for r in self), float, m)
+        is_eq = np.fromiter((r.sense == "=" for r in self), bool, m)
         lower = np.where(is_eq, upper, -np.inf)
         order = np.concatenate([np.flatnonzero(~is_eq), np.flatnonzero(is_eq)])
         # gather each row's entries in the new row order
@@ -129,7 +130,7 @@ class SparseRows:
         counts = counts[order]
         indptr = np.concatenate(([0], np.cumsum(counts)))
         take = np.repeat(starts[order] - indptr[:-1], counts) + np.arange(indptr[-1])
-        a = csr_matrix((vals[take], cols[take], indptr), shape=(m, self.n_vars))
+        a = sparse.csr_matrix((vals[take], cols[take], indptr), shape=(m, n_vars))
         return a.tocsc(), lower[order], upper[order]
 
 
@@ -138,25 +139,20 @@ class LinearProgram:
     """Minimize c.x + ``offset`` subject to ``rows`` and the bounds.
 
     ``offset`` is a constant that every backend adds to the reported
-    objective; it moves no solution.  ``rows`` is kept as a tuple, so it
-    cannot grow or shrink under a cached form; changed rows come from
-    ``dataclasses.replace``.  ``sparse`` carries the HiGHS form of
-    ``rows``, created with the program; a program built from another's
-    ``rows`` and ``sparse`` shares its conversion.  It is used only while
-    its rows are this program's ``rows`` by identity and its column count
-    matches, and replaced otherwise.
+    objective; it moves no solution.  ``rows`` is kept as a `SparseRows`,
+    so it cannot grow or shrink under its cached form and start; a
+    program built from another's ``rows`` shares them, and changed rows
+    come from ``dataclasses.replace``.
     """
 
     c: np.ndarray
-    rows: tuple
+    rows: SparseRows
     lower: np.ndarray
     upper: np.ndarray
-    sparse: SparseRows | None = field(default=None, repr=False, compare=False)
     offset: float = 0.0
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        self.rows = tuple(self.rows)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
         self.offset = float(self.offset)
@@ -177,18 +173,15 @@ class LinearProgram:
         closed = (self.lower < np.inf) & (self.upper > -np.inf)  # some value is admitted
         if not closed.all():
             raise ValueError(f"variable {int(np.argmin(closed))}: bounds admit no finite value")
-        self.sparse_rows()  # checks the row indices once per rows list
+        if not isinstance(self.rows, SparseRows):
+            self.rows = SparseRows(self.rows)
+        if self.rows.width > n:
+            r = next(r for r in self.rows if r.coeffs and max(r.coeffs) >= n)
+            raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
 
     @property
     def n_vars(self) -> int:
         return self.c.size
-
-    def sparse_rows(self) -> SparseRows:
-        """The sparse form of ``rows``, created on first use for these rows."""
-        sp = self.sparse
-        if sp is None or sp.rows is not self.rows or sp.n_vars != self.n_vars:
-            sp = self.sparse = SparseRows(self.rows, self.n_vars)
-        return sp
 
 
 @dataclass
@@ -277,7 +270,7 @@ class BranchBoundSolver(Solver):
     ``NODE_LIMIT`` and ``WARN_NODES``.
 
     Phase 1 reads only the rows and the bounds, so its end state is kept
-    in the rows' `SparseRows.start`, keyed by the bounds' bytes.  A solve
+    in ``lp.rows.start`` (`SparseRows`), keyed by the bounds' bytes.  A solve
     whose bounds miss the slot builds the tableau, runs phase 1 and the
     drive-out of the artificials, and refills it; every solve then copies
     the slot's state and runs phase 2 from it, so a program on those rows
@@ -295,7 +288,7 @@ class BranchBoundSolver(Solver):
     """
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
-        sp = lp.sparse_rows()
+        rows = lp.rows
         bounds = (lp.lower.tobytes(), lp.upper.tobytes())  # by value: arrays can be edited
 
         def price_out(costs):
@@ -351,7 +344,7 @@ class BranchBoundSolver(Solver):
                 if pivots > PIVOT_LIMIT:
                     return "iteration-limit"
 
-        if not sp.start or sp.start[0] != bounds:
+        if not rows.start or rows.start[0] != bounds:
             # x[j] = shift[j] + sum(sign * t[k]) over the (k, sign) in col_of[j];
             # cols holds each t column's (variable, sign) and ub its width
             shift = [0.0] * lp.n_vars
@@ -371,7 +364,6 @@ class BranchBoundSolver(Solver):
                     ub += [np.inf, np.inf]
                 cols += [(j, s) for _, s in col_of[j]]
             nt = len(cols)
-            rows = lp.rows
             rhs = []  # net of the shift; a loop, as sum() compensates from Python 3.12
             for r in rows:
                 const = 0.0
@@ -431,10 +423,10 @@ class BranchBoundSolver(Solver):
                     keep.append(i)
                 T, basis = T[keep], [basis[i] for i in keep]
             state = T, tuple(basis), tuple(rank), tuple(twin), ub, movable, cols, shift
-            sp.start = bounds, (*state, phase1, pivots)
+            rows.start = bounds, (*state, phase1, pivots)
 
         # phase 1 reads only the rows and the bounds: start from its end state
-        T, basis, rank, twin, ub, movable, cols, shift, phase1, pivots = sp.start[1]
+        T, basis, rank, twin, ub, movable, cols, shift, phase1, pivots = rows.start[1]
         if phase1 > PIVOT_LIMIT:
             return SolveOutcome("iteration-limit", stats={"pivots": PIVOT_LIMIT + 1})
         T, basis, rank, twin = T.copy(), list(basis), list(rank), list(twin)
@@ -576,7 +568,7 @@ class HighsSolver(Solver):
             lp.c,
             integrality=integrality,
             bounds=Bounds(lp.lower, lp.upper),
-            constraints=LinearConstraint(*lp.sparse_rows().highs()),
+            constraints=LinearConstraint(*lp.rows.highs(lp.n_vars)),
             options=options,
         )
         status = _HIGHS_STATUS.get(res.status, "inconclusive")

@@ -104,10 +104,10 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
     """Assemble the adversary LP at decision ``x_k``; it minimizes the
     negated adversary value.
 
-    Only the cost depends on ``x_k``: the rows, bounds and their sparse
-    form are the block's program's, built once.  The certain cost
-    c.x_k is a constant and stays out of the LP; callers re-add it when
-    reporting values.
+    Only the cost depends on ``x_k``: the rows, which carry their HiGHS
+    form and phase-1 start, and the bounds are the block's program's,
+    built once.  The certain cost c.x_k is a constant and stays out of
+    the LP; callers re-add it when reporting values.
     """
     block = prob.adversary
     lp = block.lp
@@ -118,7 +118,7 @@ def build_subproblem(prob: ObroProblem, x_k: np.ndarray) -> LinearProgram:
         c[f0 : f0 + part.n_points] = -sample_coefficients(
             part, x_k[list(term.eval_indices)]
         )
-    return LinearProgram(c, lp.rows, lp.lower, lp.upper, lp.sparse)
+    return LinearProgram(c, lp.rows, lp.lower, lp.upper)
 
 
 def solve_subproblem(

@@ -417,7 +417,7 @@ def test_second_run_replays_the_adversary_start(monkeypatch, name, lps, pivots):
         return out
 
     monkeypatch.setattr(BranchBoundSolver, "solve_lp", counting)
-    sp = prob.adversary.lp.sparse_rows()
+    sp = prob.adversary.lp.rows
     starts = []
     for _ in range(2):
         counts.clear()

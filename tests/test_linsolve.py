@@ -252,7 +252,7 @@ class TestPhaseOneStart:
         lower = lp.lower.copy()
         lower[1] = 1.0
         moved = replace(lp, lower=lower)
-        assert moved.sparse_rows() is lp.sparse_rows()
+        assert moved.rows is lp.rows
         out = BranchBoundSolver().solve_lp(moved)
         assert outcome_bits(out) == outcome_bits(BranchBoundSolver().solve_lp(cold(moved)))
         assert out.x[1] == 1.0 != before.x[1]
@@ -268,25 +268,38 @@ class TestPhaseOneStart:
     def test_replay_under_every_pivot_cap(self, monkeypatch):
         lp = phase_one_lp()
         total = BranchBoundSolver().solve_lp(lp).stats["pivots"]
-        start = lp.sparse.start
+        start = lp.rows.start
         capped = []
         for limit in range(total + 1):
             monkeypatch.setattr(linsolve, "PIVOT_LIMIT", limit)
             warm = BranchBoundSolver().solve_lp(lp)
             assert outcome_bits(warm) == outcome_bits(BranchBoundSolver().solve_lp(cold(lp)))
             capped.append(warm.status)
-        assert lp.sparse.start is start
+        assert lp.rows.start is start
         # a cap below the phase-1 pivots ends the replay at once
         assert capped[0] == "iteration-limit" and capped[-1] == "optimal"
+
+    def test_program_on_the_rows_of_another_shares_its_form_and_start(self):
+        # what each adversary LP of a problem relies on: given only the
+        # other's rows, a program converts and runs phase 1 no second time
+        lp = phase_one_lp()
+        BranchBoundSolver().solve_lp(lp)
+        form, start = lp.rows.highs(lp.n_vars), lp.rows.start
+        other = LinearProgram(np.array([-1.0, 1.0, 2.0]), lp.rows, lp.lower, lp.upper)
+        assert other.rows.highs(other.n_vars) is form
+        out = BranchBoundSolver().solve_lp(other)
+        assert other.rows.start is start is not None  # replayed, not refilled
+        assert outcome_bits(out) == outcome_bits(BranchBoundSolver().solve_lp(cold(other)))
+        assert out.objective != BranchBoundSolver().solve_lp(lp).objective
 
     def test_infeasible_or_capped_phase_one_is_not_kept(self, monkeypatch):
         infeasible = LinearProgram(np.ones(2), [Row({0: 1, 1: 1}, "=", 5.0)], np.zeros(2), np.ones(2))
         assert BranchBoundSolver().solve_lp(infeasible).status == "infeasible"
-        assert infeasible.sparse.start is None
+        assert infeasible.rows.start is None
         monkeypatch.setattr(linsolve, "PIVOT_LIMIT", 0)
         lp = phase_one_lp()
         assert BranchBoundSolver().solve_lp(lp).status == "iteration-limit"
-        assert lp.sparse.start is None
+        assert lp.rows.start is None
 
 
 @pytest.mark.parametrize("solver", MILP_SOLVERS, ids=["bnb", "highs"])
@@ -667,14 +680,14 @@ class TestSparseRows:
     def test_matches_per_row_construction(self, rows):
         # column 4 appears in no row
         lp = LinearProgram(np.ones(5), rows, np.zeros(5), np.full(5, 10.0))
-        sp = SparseRows(rows, 5)
-        assert_same_form(sp.highs(), per_row_form(lp))
-        assert sp.highs() is sp.highs()  # built once
-        assert_same_form(lp.sparse_rows().highs(), per_row_form(lp))
+        sp = SparseRows(rows)
+        assert_same_form(sp.highs(5), per_row_form(lp))
+        assert sp.highs(5) is sp.highs(5)  # built once
+        assert_same_form(lp.rows.highs(5), per_row_form(lp))
 
     def test_row_order_and_bounds(self):
         # inequality rows in list order, then "=" rows
-        a, lower, upper = SparseRows(MIXED_ROWS, 5).highs()
+        a, lower, upper = SparseRows(MIXED_ROWS).highs(5)
         np.testing.assert_array_equal(
             a.toarray(),
             [
@@ -690,15 +703,19 @@ class TestSparseRows:
         np.testing.assert_array_equal(upper, [3.0, 1.0, 0.0, 4.0, 2.0, 1.0])
 
     def test_column_past_the_last_is_rejected(self):
+        assert SparseRows(MIXED_ROWS).width == 4
+        rows = [*MIXED_ROWS, Row({5: 1.0}, "<=", 0.0, "wide"), Row({7: 1.0}, "<=", 0.0, "wider")]
+        assert SparseRows(rows).width == 8
+        # the first offending row in list order is named
         with pytest.raises(ValueError, match="row 'wide' references variable 5"):
-            SparseRows([*MIXED_ROWS, Row({5: 1.0}, "<=", 0.0, "wide")], 5)
+            LinearProgram(np.ones(5), rows, np.zeros(5), np.ones(5))
         with pytest.raises(ValueError, match="references variable 5"):
             LinearProgram(np.ones(5), [Row({5: 1.0}, "<=", 0.0)], np.zeros(5), np.ones(5))
 
     def test_shared_by_programs_on_one_rows_list(self):
         lp = LinearProgram(np.ones(5), MIXED_ROWS, np.zeros(5), np.ones(5))
         other = replace(lp, c=np.arange(5.0))
-        assert other.sparse_rows() is lp.sparse_rows()
+        assert other.rows is lp.rows
 
     def test_replaced_rows_never_reuse_the_old_form(self):
         lp = LinearProgram(
@@ -706,13 +723,12 @@ class TestSparseRows:
             np.zeros(2), np.full(2, 5.0),
         )
         assert HighsSolver().solve_lp(lp).objective == pytest.approx(-1.0)
-        old = lp.sparse_rows()
         # same row count and shape, different coefficients and bound
         moved = replace(lp, rows=[Row({0: 1.0, 1: 2.0}, "<=", 4.0)])
-        assert moved.sparse is not old and moved.sparse.rows is moved.rows
+        assert moved.rows is not lp.rows and isinstance(moved.rows, SparseRows)
         out = HighsSolver().solve_lp(moved)
         assert out.objective == pytest.approx(-4.0)
-        assert_same_form(moved.sparse_rows().highs(), per_row_form(moved))
+        assert_same_form(moved.rows.highs(2), per_row_form(moved))
 
     def test_rows_cannot_grow_under_the_cached_form(self):
         # appending to a rows list kept HiGHS on the form of the old rows
@@ -725,14 +741,17 @@ class TestSparseRows:
             assert solver.solve_lp(tighter).objective == pytest.approx(-2.0)
 
     def test_form_of_other_rows_or_columns_is_replaced(self):
-        rows = [Row({0: 1.0}, "<=", 1.0)]
-        sp = SparseRows(rows, 1)
-        equal_rows = LinearProgram(
-            np.ones(1), [Row({0: 1.0}, "<=", 1.0)], np.zeros(1), np.ones(1), sp
-        )
-        assert equal_rows.sparse is not sp and equal_rows.sparse.rows is equal_rows.rows
-        wider = LinearProgram(np.ones(3), rows, np.zeros(3), np.ones(3), sp)
-        assert wider.sparse is not sp and wider.sparse_rows().highs()[0].shape == (1, 3)
+        rows = SparseRows([Row({0: 1.0}, "<=", 1.0)])
+        narrow = LinearProgram(-np.ones(1), rows, np.zeros(1), np.full(1, 2.0))
+        equal_rows = replace(narrow, rows=[Row({0: 1.0}, "<=", 1.0)])
+        assert equal_rows.rows is not rows and equal_rows.rows == rows
+        # a wider program on the shared rows converts at its own width, and
+        # a narrower one after it does not reuse the wider form
+        wider = LinearProgram(-np.ones(3), rows, np.zeros(3), np.full(3, 2.0))
+        assert wider.rows is narrow.rows is rows
+        for lp, objective in ((wider, -5.0), (narrow, -1.0), (wider, -5.0)):
+            assert HighsSolver().solve_lp(lp).objective == pytest.approx(objective)
+            assert_same_form(rows.highs(lp.n_vars), per_row_form(lp))
 
 
 def test_highs_writes_nothing_to_fd1(capfd):

@@ -313,7 +313,7 @@ class TestMasterBlock:
         prob, scens = self.pool()
         lp = build_master(prob, scens[:k]).lp
         assert len(lp.rows) - len(prob.master.mip.lp.rows) == 2 * (k - 1)
-        assert_same_form(lp.sparse_rows().highs(), per_row_form(lp))
+        assert_same_form(lp.rows.highs(lp.n_vars), per_row_form(lp))
 
     def test_programs_cannot_change_the_block(self):
         prob, scens = self.pool()

@@ -282,8 +282,8 @@ class TestAdversaryBlock:
             assert cached.upper.tobytes() == fresh.upper.tobytes()
             assert list(cached.rows) == list(fresh.rows)
             # the HiGHS matrices of the shared form and of a new conversion
-            rebuilt = SparseRows(list(fresh.rows), fresh.n_vars).highs()
-            assert form_bytes(cached.sparse_rows().highs()) == form_bytes(rebuilt)
+            rebuilt = SparseRows(list(fresh.rows)).highs(fresh.n_vars)
+            assert form_bytes(cached.rows.highs(cached.n_vars)) == form_bytes(rebuilt)
 
     @pytest.mark.parametrize("name", GENERIC_CONFIGS)
     def test_replayed_start_equals_cold_solve(self, name):
@@ -292,7 +292,7 @@ class TestAdversaryBlock:
         prob = config_problem(name)
         span = prob.upper - prob.lower
         inside = np.where(np.isfinite(span), prob.lower + 0.3 * span, 0.0)
-        sp = prob.adversary.lp.sparse_rows()
+        sp = prob.adversary.lp.rows
         for x in (prob.lower, prob.upper, inside):
             first = BranchBoundSolver().solve_lp(build_subproblem(prob, x))
             start = sp.start
@@ -315,7 +315,7 @@ class TestAdversaryBlock:
         assert len(made) == len(first.rows) > 0
         second = build_subproblem(prob, np.array([0.9]))
         assert len(made) == len(first.rows)
-        assert second.rows is first.rows and second.sparse is first.sparse
+        assert second.rows is first.rows
 
     def test_reassigned_terms_build_a_validated_block(self, monkeypatch):
         calls = []
