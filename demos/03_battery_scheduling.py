@@ -21,12 +21,10 @@ from obro.bess import (
 )
 from obro.configio import bess_case_from_config, load_config
 from obro.engine import run
-from obro.linsolve import HighsSolver
 
 config = Path(__file__).resolve().parent.parent / "configs" / "bess_8node.json"
 feeder, inputs, schemes, _ = bess_case_from_config(load_config(config))
 inputs = replace(inputs, scheme=schemes["benchmark"])
-solver = HighsSolver()  # 960 binaries per master: use the HiGHS backend
 
 idle_v = voltages_for_schedule(feeder, inputs, np.zeros((2, inputs.n_slots)))
 print(f"without batteries the feeder peaks at {idle_v.max():.4f} p.u. "
@@ -35,7 +33,7 @@ print(f"without batteries the feeder peaks at {idle_v.max():.4f} p.u. "
 print()
 
 prob = assemble_bess_problem(feeder, inputs)
-result = run(prob, tol=1e-2, max_iter=200, solver=solver)
+result = run(prob, tol=1e-2, max_iter=200)
 print(f"function generation: {result.status} after {len(result.history)} iteration(s), "
       f"gap {result.gap:.2e}, worst-case cost {result.ub:.4f}")
 
@@ -52,9 +50,7 @@ for t in range(inputs.n_slots):
 print(f"(idle hours omitted; all voltages now within [{inputs.v_min}, {inputs.v_max}])")
 
 print()
-corner, base_schedule, base_value = parametric_baseline(
-    feeder, inputs, (9.0, 10.0), (4.0, 5.0), solver
-)
+corner, base_schedule, base_value = parametric_baseline(feeder, inputs, (9.0, 10.0), (4.0, 5.0))
 print("parametric baseline (only the two curve coefficients uncertain):")
 print(f"  worst corner (a, b) = {corner}, cost {base_value:.4f}")
 print(f"  functional-uncertainty worst-case cost: {result.ub:.4f}")

@@ -14,10 +14,8 @@ from pathlib import Path
 from obro.bess import assemble_bess_problem
 from obro.configio import bess_case_from_config, load_config
 from obro.engine import run
-from obro.linsolve import HighsSolver
 from obro.oracle import refinement_study
 
-solver = HighsSolver()
 config = Path(__file__).resolve().parent.parent / "configs" / "bess_reduction.json"
 feeder, inputs, schemes, _ = bess_case_from_config(load_config(config))
 
@@ -26,9 +24,7 @@ def builder(step):
     return assemble_bess_problem(feeder, replace(inputs, scheme=step))
 
 
-table = refinement_study(
-    builder, [0.004, 0.002, 0.001], tol=1e-2, max_iter=100, solver=solver
-)
+table = refinement_study(builder, [0.004, 0.002, 0.001], tol=1e-2, max_iter=100)
 print("refinement study (drift relative to the previous, coarser step):")
 print(table.to_csv())
 print(f"monotone trend: {'yes' if table.trend_ok else 'no'}")
@@ -37,8 +33,8 @@ print()
 # dense everywhere vs dense only on the lower half of the power range
 dense_prob = builder(schemes["dense"])
 hetero_prob = builder(schemes["hetero"])
-res_dense = run(dense_prob, tol=1e-2, max_iter=100, solver=solver)
-res_hetero = run(hetero_prob, tol=1e-2, max_iter=100, solver=solver)
+res_dense = run(dense_prob, tol=1e-2, max_iter=100)
+res_hetero = run(hetero_prob, tol=1e-2, max_iter=100)
 rel = abs(res_dense.ub - res_hetero.ub) / abs(res_dense.ub)
 n_dense = dense_prob.terms[0].spec.partition.n_points
 n_hetero = hetero_prob.terms[0].spec.partition.n_points

@@ -24,7 +24,6 @@ from obro.configio import (
     write_csv,
 )
 from obro.engine import run, verify_saddle
-from obro.linsolve import HighsSolver, default_solver
 from obro.model import validate
 from obro.oracle import (
     GridBudgetError,
@@ -64,7 +63,7 @@ def _load_problem(path):
     return None if issues else (prob, options)
 
 
-def _run_and_write(args, prob, options, solver, write_decision) -> int:
+def _run_and_write(args, prob, options, write_decision) -> int:
     """The tail of `solve` and `bess`: run the loop with ``--tol`` and
     ``--max-iter`` over the config's options, write the decision through
     ``write_decision(out_dir, x)`` plus iterations.csv and
@@ -74,7 +73,7 @@ def _run_and_write(args, prob, options, solver, write_decision) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        result = run(prob, tol=tol, max_iter=max_iter, solver=solver)
+        result = run(prob, tol=tol, max_iter=max_iter)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -109,7 +108,7 @@ def cmd_solve(args) -> int:
             [(prob.var_name(j), float(x[j])) for j in range(prob.n_vars)],
         )
 
-    return _run_and_write(args, prob, options, default_solver(), write_solution)
+    return _run_and_write(args, prob, options, write_solution)
 
 
 def cmd_bess(args) -> int:
@@ -126,12 +125,10 @@ def cmd_bess(args) -> int:
         )
         return EXIT_ERROR
     scheme = schemes[args.scheme]
-    solver = HighsSolver()
-
     try:
         if isinstance(scheme, dict):  # parametric uncertainty baseline
             corner, schedule, value = bess.parametric_baseline(
-                feeder, inputs, scheme["a"], scheme["b"], solver
+                feeder, inputs, scheme["a"], scheme["b"]
             )
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -155,7 +152,7 @@ def cmd_bess(args) -> int:
         schedule = bess.schedule_from_solution(inputs, x)
         _write_schedule(out_dir / "schedule.csv", feeder, inputs, schedule)
 
-    return _run_and_write(args, prob, options, solver, write_schedule)
+    return _run_and_write(args, prob, options, write_schedule)
 
 
 def _write_schedule(path, feeder, inputs, schedule):
@@ -191,12 +188,7 @@ def cmd_verify(args) -> int:
     levels = args.levels if args.levels is not None else levels_within_budget(prob)
 
     try:
-        result = run(
-            prob,
-            tol=options["tol"],
-            max_iter=options["max_iter"],
-            solver=default_solver(),
-        )
+        result = run(prob, tol=options["tol"], max_iter=options["max_iter"])
         report = verify_saddle(prob, result)
         oracle_value, _ = brute_force_subproblem(prob, result.x, levels=levels)
         enum_value, _ = enumerate_master(prob, result.scenarios)

@@ -5,7 +5,8 @@ bounded-variable simplex with Bland's anti-cycling rule for LPs, one
 tableau row per program row, and best-bound branch-and-bound on binary
 variables for MILPs.  It is deterministic: identical inputs produce
 identical primal vectors.  A HiGHS-backed adapter (via scipy.optimize)
-exposes the same interface for instances too large for the bundled code.
+exposes the same interface.  `default_solver` is the one rule between
+them: HiGHS for a master block of more than ``HIGHS_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ INT_TOL = 1e-6
 PIVOT_LIMIT = 10**6
 NODE_LIMIT = 10**6
 WARN_NODES = 10**4
+# master block rows above which HiGHS is the default: on whole runs the
+# bundled solver leads up to 34 rows and HiGHS from 45 (README "Solvers")
+HIGHS_ROWS = 40
 
 log = logging.getLogger("obro.linsolve")
 
@@ -77,6 +81,9 @@ class Row:
         object.__setattr__(self, "rhs", float(self.rhs))
         if self.coeffs and min(self.coeffs) < 0:
             raise ValueError(f"row {self.name!r} references variable {min(self.coeffs)}")
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return Row, (dict(self.coeffs), self.sense, self.rhs, self.name)
 
 
 class SparseRows(tuple):
@@ -531,9 +538,9 @@ class HighsSolver(Solver):
     """scipy/HiGHS backend for instances beyond the bundled code.  LPs and
     MILPs alike go to `scipy.optimize.milp`; an LP has no integrality.
     scipy passes `milp`'s ``disp`` option, off by default and never set
-    here, to HiGHS as ``log_to_console``, so LP solves print nothing.  The
-    MIP solver has prints that option does not govern, so MILP solves run
-    with fd 1 captured into the DEBUG log."""
+    here, to HiGHS as ``log_to_console``, so LP solves print nothing.  An
+    older MIP solver printed past that option, so MILP solves run with
+    fd 1 captured into the DEBUG log."""
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
         out = self._milp(lp)[1]
@@ -578,7 +585,11 @@ class HighsSolver(Solver):
         return res, SolveOutcome("optimal", float(res.fun + lp.offset), res.x, stats)
 
 
-def default_solver() -> Solver:
+def default_solver(mip: MixedIntegerProgram | None = None) -> Solver:
+    """HiGHS when ``mip``, a problem's master block, has more than
+    ``HIGHS_ROWS`` rows; else, and with no program, the bundled solver."""
+    if mip is not None and len(mip.lp.rows) > HIGHS_ROWS:
+        return HighsSolver()
     return BranchBoundSolver()
 
 

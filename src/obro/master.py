@@ -30,11 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from obro.linsolve import (
-    LinearProgram,
-    MixedIntegerProgram,
-    Row,
-    Solver,
-    solve_milp,
+    LinearProgram, MixedIntegerProgram, Row, Solver, default_solver, solve_milp
 )
 from obro.model import ObroProblem, scenario_issues, validate
 from obro.pwl import trapezoid_deviation
@@ -208,8 +204,9 @@ def solve_master(
     the sum over terms of the worst stored cut at the optimum (the
     objective, anchor included).  A pool that extends or repeats the
     last one built for ``prob`` costs only its new cut rows and the
-    solve (see `build_master`)."""
-    out = solve_milp(build_master(prob, scenarios), solver)
+    solve (see `build_master`).  With no ``solver``, `default_solver`
+    picks one from the block, so a problem keeps one backend per run."""
+    out = solve_milp(build_master(prob, scenarios), solver or default_solver(prob.master.mip))
     if out.status == "infeasible":
         raise MasterError("decision polyhedron is empty")
     if out.status != "optimal":

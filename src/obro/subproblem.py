@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from obro.linsolve import LinearProgram, Row, Solver, solve_lp
+from obro.linsolve import LinearProgram, Row, Solver, default_solver, solve_lp
 from obro.model import ObroProblem, Scenario, scenario_issues, validate
 from obro.pwl import (
     SampledFunction,
@@ -127,11 +127,11 @@ def solve_subproblem(
     """Generate the worst-case scenario at ``x_k`` and its objective value.
 
     The returned value includes the certain cost, so it equals the value
-    functional at the generated scenario.
+    functional at the generated scenario.  ``solver`` defaults to the master's.
     """
     x_k = np.asarray(x_k, dtype=float)
     lp = build_subproblem(prob, x_k)
-    out = solve_lp(lp, solver)
+    out = solve_lp(lp, solver or default_solver(prob.master.mip))
     if out.status != "optimal":
         raise SubproblemError(f"adversary LP ended {out.status}")
 

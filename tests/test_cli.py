@@ -14,6 +14,7 @@ from obro.configio import (
     load_config,
     problem_from_config,
 )
+from obro.linsolve import HighsSolver
 from obro.model import validate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -371,6 +372,31 @@ class TestCmdBess:
             )
         for name in ("schedule.csv", "iterations.csv", "worst_functions.csv"):
             assert read(out1 / name) == read(out2 / name), name
+
+
+GENERIC = ["degenerate_delta0", "tiny_identity", "two_pocket", "two_pocket_truncated",
+           "two_term_coupled"]
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_generic_config_commands_stay_off_highs(tmp_path, capsys, monkeypatch, name):
+    # the backend rule keeps these small master blocks on the bundled
+    # solver: with HiGHS refusing, solve and verify print, write and exit
+    # as before
+    def run_both(out_dir):
+        seen = []
+        for argv in (["solve", str(CONFIGS / f"{name}.json"), "--out", str(out_dir)],
+                     ["verify", str(CONFIGS / f"{name}.json")]):
+            seen.append((main(argv), capsys.readouterr()))
+        return seen, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    before = run_both(tmp_path / "before")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("HiGHS reached")
+
+    monkeypatch.setattr(HighsSolver, "_milp", staticmethod(refuse))
+    assert run_both(tmp_path / "after") == before
 
 
 class TestCmdVerify:

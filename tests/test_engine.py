@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from obro import bess, configio, engine
+from obro import bess, configio, engine, linsolve, master
 from obro.engine import run, verify_saddle
 from obro.linsolve import BranchBoundSolver, HighsSolver
 from obro.master import solve_master
@@ -437,3 +437,48 @@ def test_highs_run_never_calls_linprog(monkeypatch):
     prob = bess.assemble_bess_problem(*feeder_case("bess_reduction", "sparse"))
     res = run(prob, tol=1e-2, max_iter=20, solver=HighsSolver())
     assert res.converged
+
+
+def test_feeder_paths_without_a_solver_stay_off_the_bundled_solver(monkeypatch):
+    # the backend rule sends this 302-row master block to HiGHS; the
+    # bundled branch-and-bound would take seconds on it
+    def refuse(self, prog):
+        raise AssertionError("bundled solver reached")
+
+    monkeypatch.setattr(BranchBoundSolver, "solve_lp", refuse)
+    monkeypatch.setattr(BranchBoundSolver, "solve_milp", refuse)
+    feeder, inputs = feeder_case("bess_reduction", "sparse")
+    prob = bess.assemble_bess_problem(feeder, inputs)
+    res = run(prob)
+    assert res.converged
+    report = verify_saddle(prob, res)
+    assert report.inner_ok and report.outer_ok
+    corner, _, _ = bess.parametric_baseline(feeder, inputs, (9.0, 10.0), (4.0, 5.0))
+    assert corner == (10.0, 4.0)
+
+
+def test_backend_is_chosen_from_the_block_not_the_cut_master(monkeypatch):
+    # a block of at most HIGHS_ROWS rows keeps the bundled solver for the
+    # whole run, also once cut rows take the master past the threshold
+    n_seg = (linsolve.HIGHS_ROWS + 1) // 2  # 2 n_seg - 1 block rows
+    points = np.linspace(0.0, 0.04, n_seg + 1)
+    prob = one_term(points, 9.62 * (points / 0.2) - 4.7 * (points / 0.2) ** 2, 0.05,
+                    lip=1.5, dev=1e-3)
+    prob = replace(prob, c=np.array([-30.0]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("HiGHS reached")
+
+    monkeypatch.setattr(HighsSolver, "_milp", staticmethod(refuse))
+    rows = []
+    solve_milp = master.solve_milp
+
+    def spy(mip, solver):
+        rows.append(len(mip.lp.rows))
+        assert type(solver) is BranchBoundSolver
+        return solve_milp(mip, solver)
+
+    monkeypatch.setattr(master, "solve_milp", spy)
+    assert len(prob.master.mip.lp.rows) <= linsolve.HIGHS_ROWS
+    assert run(prob, tol=1e-6, max_iter=50).converged
+    assert max(rows) > linsolve.HIGHS_ROWS

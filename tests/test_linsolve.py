@@ -1,7 +1,9 @@
+import copy
 import inspect
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -15,6 +17,8 @@ from scipy.optimize import OptimizeResult
 
 from obro import linsolve
 from obro.bess import assemble_bess_problem
+from obro.configio import bess_case_from_config, load_config, problem_from_config
+from obro.engine import run
 from obro.linsolve import (
     BranchBoundSolver,
     HighsSolver,
@@ -24,11 +28,11 @@ from obro.linsolve import (
     SparseRows,
     primal_violation,
 )
-from obro.master import solve_master
+from obro.master import build_master, solve_master
 from obro.model import Scenario, reference_scenario
 from obro.pwl import SampledFunction
 
-from feeders import feeder_case
+from feeders import CONFIGS, feeder_case
 
 SOLVERS = [BranchBoundSolver(), HighsSolver()]
 MILP_SOLVERS = [BranchBoundSolver(), HighsSolver()]
@@ -627,6 +631,61 @@ def test_negative_column_index_is_rejected(solver):
         )
 
 
+def test_row_survives_a_pickle_round_trip():
+    row = Row({3: 2.0, 0: -1.5, 1: 0.0}, "=", 4.0, "link")
+    back = pickle.loads(pickle.dumps(row))
+    assert back == row and back is not row
+    with pytest.raises(TypeError):
+        back.coeffs[3] = 1.0
+
+
+@pytest.mark.parametrize("solver", MILP_SOLVERS, ids=["bundled", "highs"])
+def test_deep_copy_of_a_master_solves_bit_identically(solver):
+    prob, options = problem_from_config(load_config(CONFIGS / "two_term_coupled.json"))
+    res = run(prob, tol=options["tol"], max_iter=options["max_iter"])
+    mip = build_master(prob, res.scenarios)
+    lp = copy.deepcopy(mip.lp)
+    assert lp.rows == mip.lp.rows and lp.rows is not mip.lp.rows
+    assert ".cut[" in lp.rows[-1].name  # a master with cuts
+    copied = MixedIntegerProgram(lp, mip.binaries)
+    for solve, prog, twin in ((solver.solve_lp, mip.lp, lp), (solver.solve_milp, mip, copied)):
+        want, got = solve(prog), solve(twin)
+        assert got.optimal and got.x.tobytes() == want.x.tobytes()
+
+
+class TestDefaultSolver:
+    def test_with_no_program_it_is_the_bundled_solver(self):
+        # perfbench's generic workloads call it so
+        assert type(linsolve.default_solver()) is BranchBoundSolver
+
+    @pytest.mark.parametrize("extra, backend", [(0, BranchBoundSolver), (1, HighsSolver)])
+    def test_rows_past_the_threshold_go_to_highs(self, extra, backend):
+        n = linsolve.HIGHS_ROWS + extra
+        rows = [Row({0: 1.0}, "<=", 1.0)] * n
+        mip = MixedIntegerProgram(LinearProgram(np.zeros(1), rows, [0.0], [1.0]), (0,))
+        assert type(linsolve.default_solver(mip)) is backend
+
+    @pytest.mark.parametrize("config, scheme, backend", [
+        *((name, None, BranchBoundSolver) for name in (
+            "degenerate_delta0", "tiny_identity", "two_pocket", "two_pocket_truncated",
+            "two_term_coupled")),
+        *((feeder, scheme, HighsSolver) for feeder in ("bess_8node", "bess_reduction")
+          for scheme in ("sparse", "benchmark", "dense", "hetero", "parametric")),
+    ])
+    def test_every_shipped_instance_keeps_its_backend(self, config, scheme, backend):
+        # assembly only; the parametric baseline's master block has the
+        # partition of the config's own scheme
+        cfg = load_config(CONFIGS / f"{config}.json")
+        if scheme is None:
+            prob, _ = problem_from_config(cfg)
+        else:
+            feeder, inputs, schemes, _ = bess_case_from_config(cfg)
+            if scheme != "parametric":
+                inputs = replace(inputs, scheme=schemes[scheme])
+            prob = assemble_bess_problem(feeder, inputs)
+        assert type(linsolve.default_solver(prob.master.mip)) is backend
+
+
 def per_row_form(lp):
     """Reference HiGHS form, one coefficient at a time through COO:
     ``(A, lower, upper)`` with ``<=`` rows first, then ``=`` rows."""
@@ -774,12 +833,13 @@ def test_highs_writes_nothing_to_fd1(capfd):
 
 
 def test_highs_mip_print_stays_off_fd1(capfd):
-    # HiGHS's MIP solver prints "HighsMipSolverData::
+    # An older HiGHS's MIP solver printed "HighsMipSolverData::
     # transformNewIntegerFeasibleSolution tmpSolver.run();" whatever scipy's
-    # ``disp`` says, on the master over this pool: the reduction feeder at
+    # ``disp`` said, on the master over this pool: the reduction feeder at
     # step 0.0008 with the 4 worst cases an in-out loop stores in its first
     # 4 iterations (x_s = x_best + 0.5 (x - x_best), x_s's worst case kept,
-    # no cut at the master iterate x)
+    # no cut at the master iterate x).  HiGHS 1.12.0 (scipy 1.17.1) prints
+    # nothing here even without the guard.
     prob = assemble_bess_problem(*feeder_case("bess_reduction", 0.0008))
     stored = json.loads((Path(__file__).parent / "data" / "highs_print_pool.json").read_text())
     pool = [reference_scenario(prob)] + [
