@@ -147,9 +147,8 @@ class LinearProgram:
 
     ``offset`` is a constant that every backend adds to the reported
     objective; it moves no solution.  ``rows`` is kept as a `SparseRows`,
-    so it cannot grow or shrink under its cached form and start; a
-    program built from another's ``rows`` shares them, and changed rows
-    come from ``dataclasses.replace``.
+    also when reassigned, so it cannot grow or shrink under its cached
+    form and start; a program built from another's ``rows`` shares them.
     """
 
     c: np.ndarray
@@ -180,15 +179,26 @@ class LinearProgram:
         closed = (self.lower < np.inf) & (self.upper > -np.inf)  # some value is admitted
         if not closed.all():
             raise ValueError(f"variable {int(np.argmin(closed))}: bounds admit no finite value")
-        if not isinstance(self.rows, SparseRows):
-            self.rows = SparseRows(self.rows)
-        if self.rows.width > n:
-            r = next(r for r in self.rows if r.coeffs and max(r.coeffs) >= n)
-            raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
 
     @property
     def n_vars(self) -> int:
         return self.c.size
+
+
+class _RowsField:
+    """``LinearProgram.rows``: assigned rows become a `SparseRows` checked
+    against ``c``.  No ``__get__``, so a read is a plain instance-dict read."""
+
+    def __set__(self, lp, rows):
+        rows = rows if isinstance(rows, SparseRows) else SparseRows(rows)
+        n = np.size(lp.c)  # in __init__, ``c`` is not an array yet
+        if rows.width > n:
+            r = next(r for r in rows if r.coeffs and max(r.coeffs) >= n)
+            raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
+        lp.__dict__["rows"] = rows
+
+
+LinearProgram.rows = _RowsField()  # after @dataclass, which would read it as a default
 
 
 @dataclass
@@ -538,9 +548,10 @@ class HighsSolver(Solver):
     """scipy/HiGHS backend for instances beyond the bundled code.  LPs and
     MILPs alike go to `scipy.optimize.milp`; an LP has no integrality.
     scipy passes `milp`'s ``disp`` option, off by default and never set
-    here, to HiGHS as ``log_to_console``, so LP solves print nothing.  An
-    older MIP solver printed past that option, so MILP solves run with
-    fd 1 captured into the DEBUG log."""
+    here, to HiGHS as ``log_to_console``, so LP solves print nothing.  The
+    MIP solver prints past that option on some MILPs (1.12.0 does on one
+    binary fixed at 1), so MILP solves run with fd 1 captured into the
+    DEBUG log."""
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
         out = self._milp(lp)[1]
