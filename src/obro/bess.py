@@ -28,6 +28,7 @@ __all__ = [
     "InputsError",
     "assemble_bess_problem",
     "voltages_for_schedule",
+    "state_of_charge",
     "schedule_from_solution",
     "parametric_baseline",
 ]

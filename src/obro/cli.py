@@ -71,26 +71,32 @@ def _run_and_write(args, prob, options, write_decision) -> int:
     tol = args.tol if args.tol is not None else options["tol"]
     max_iter = args.max_iter if args.max_iter is not None else options["max_iter"]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         result = run(prob, tol=tol, max_iter=max_iter)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    write_decision(out_dir, result.x)
-    # wall time stays out of the CSV so reruns are byte-identical
-    write_csv(
-        out_dir / "iterations.csv",
-        ["k", "UB", "LB", "gap"],
-        [(r.k, float(r.ub), float(r.lb), float(r.gap)) for r in result.history],
-    )
-    worst = [
-        (li, term.name, float(xv), float(fv))
-        for li, scen in enumerate(result.scenarios)
-        for term, f in zip(prob.terms, scen.functions)
-        for xv, fv in zip(f.partition.points, f.values)
-    ]
-    write_csv(out_dir / "worst_functions.csv", ["scenario", "term", "sample_x", "sample_f"], worst)
+    try:
+        write_decision(out_dir, result.x)
+        # wall time stays out of the CSV so reruns are byte-identical
+        write_csv(
+            out_dir / "iterations.csv",
+            ["k", "UB", "LB", "gap"],
+            [(r.k, float(r.ub), float(r.lb), float(r.gap)) for r in result.history],
+        )
+        worst = [
+            (li, term.name, float(xv), float(fv))
+            for li, scen in enumerate(result.scenarios)
+            for term, f in zip(prob.terms, scen.functions)
+            for xv, fv in zip(f.partition.points, f.values)
+        ]
+        write_csv(
+            out_dir / "worst_functions.csv", ["scenario", "term", "sample_x", "sample_f"], worst
+        )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     print(f"{result.status}: {len(result.history)} iterations, gap {format_float(result.gap)}")
     return EXIT_OK if result.converged else EXIT_MAX_ITER
 

@@ -50,6 +50,10 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}")
 
 
 def _object(value, path: str) -> dict:

@@ -67,7 +67,7 @@ class IterationRecord:
         return self.ub - self.lb
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineResult:
     """``x`` is the certified incumbent: the evaluated decision whose
     adversary value is ``ub``.  ``x_master`` is the last master iterate,

@@ -89,11 +89,12 @@ class Row:
 class SparseRows(tuple):
     """A rows list, checked once, with what every program on it shares.
 
-    ``width`` is one past the largest column a row references.  The HiGHS
-    form, ``highs(n_vars)``, is built on first use for that column count
-    and kept; ``start`` holds the bundled simplex's phase-1 end state
-    under one set of bounds, or None.  A program built from another's
-    ``rows`` shares both.
+    Every `LinearProgram` keeps its rows as one.  It is a tuple, so no row
+    is added or dropped under the cache.  ``width`` is one past the largest
+    column a row references.  The HiGHS form, ``highs(n_vars)``, is built
+    on first use for that column count and kept; ``start`` holds the
+    bundled simplex's phase-1 end state under one set of bounds, or None.
+    A program built from another's ``rows`` shares both.
     """
 
     def __init__(self, rows):
@@ -141,14 +142,16 @@ class SparseRows(tuple):
         return a.tocsc(), lower[order], upper[order]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearProgram:
     """Minimize c.x + ``offset`` subject to ``rows`` and the bounds.
 
     ``offset`` is a constant that every backend adds to the reported
-    objective; it moves no solution.  ``rows`` is kept as a `SparseRows`,
-    also when reassigned, so it cannot grow or shrink under its cached
-    form and start; a program built from another's ``rows`` shares them.
+    objective; it moves no solution.  Frozen, like the problem: a changed
+    program comes from ``dataclasses.replace``, so ``rows`` is always a
+    `SparseRows` checked against ``c``, and a program built from another's
+    ``rows`` shares their cached form and start.  The arrays are the
+    caller's and can be edited in place; the start is keyed by value.
     """
 
     c: np.ndarray
@@ -158,11 +161,15 @@ class LinearProgram:
     offset: float = 0.0
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        self.offset = float(self.offset)
-        n = self.c.size
+        rows = self.rows if isinstance(self.rows, SparseRows) else SparseRows(self.rows)
+        n = np.size(self.c)
+        if rows.width > n:
+            r = next(r for r in rows if r.coeffs and max(r.coeffs) >= n)
+            raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
+        object.__setattr__(self, "rows", rows)
+        for name in ("c", "lower", "upper"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "offset", float(self.offset))
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bound arrays must match the variable count")
         if not np.isfinite(self.c).all():
@@ -185,29 +192,13 @@ class LinearProgram:
         return self.c.size
 
 
-class _RowsField:
-    """``LinearProgram.rows``: assigned rows become a `SparseRows` checked
-    against ``c``.  No ``__get__``, so a read is a plain instance-dict read."""
-
-    def __set__(self, lp, rows):
-        rows = rows if isinstance(rows, SparseRows) else SparseRows(rows)
-        n = np.size(lp.c)  # in __init__, ``c`` is not an array yet
-        if rows.width > n:
-            r = next(r for r in rows if r.coeffs and max(r.coeffs) >= n)
-            raise ValueError(f"row {r.name!r} references variable {max(r.coeffs)}")
-        lp.__dict__["rows"] = rows
-
-
-LinearProgram.rows = _RowsField()  # after @dataclass, which would read it as a default
-
-
-@dataclass
+@dataclass(frozen=True)
 class MixedIntegerProgram:
     lp: LinearProgram
     binaries: tuple
 
     def __post_init__(self):
-        self.binaries = tuple(sorted(set(int(j) for j in self.binaries)))
+        object.__setattr__(self, "binaries", tuple(sorted(set(int(j) for j in self.binaries))))
         n = self.lp.n_vars
         lower, upper = self.lp.lower.tolist(), self.lp.upper.tolist()
         for j in self.binaries:
@@ -217,7 +208,7 @@ class MixedIntegerProgram:
                 raise ValueError(f"binary {j} has a bound other than 0 or 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOutcome:
     """Result of one LP or MILP solve."""
 

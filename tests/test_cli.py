@@ -230,6 +230,44 @@ def test_short_profile_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: /profiles/load_p/2: need {slots} values\n"
 
 
+def _undecodable(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    return str(path)
+
+
+def _out_is_a_file(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    return str(path)
+
+
+def _iterations_csv_is_a_directory(tmp_path):
+    (tmp_path / "out" / "iterations.csv").mkdir(parents=True)
+    return str(tmp_path / "out")
+
+
+TWO_POCKET = str(CONFIGS / "two_pocket.json")
+FILE_ERRORS = {
+    "solve-directory": lambda tmp: ["solve", str(tmp), "--out", str(tmp / "out")],
+    "bess-directory": lambda tmp: ["bess", str(tmp), "--scheme", "x", "--out", str(tmp / "out")],
+    "solve-undecodable": lambda tmp: ["solve", _undecodable(tmp), "--out", str(tmp / "out")],
+    "verify-undecodable": lambda tmp: ["verify", _undecodable(tmp)],
+    "out-is-a-file": lambda tmp: ["solve", TWO_POCKET, "--out", _out_is_a_file(tmp)],
+    "iterations-csv-is-a-directory": lambda tmp: [
+        "solve", TWO_POCKET, "--out", _iterations_csv_is_a_directory(tmp)
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", FILE_ERRORS.values(), ids=FILE_ERRORS)
+def test_file_error_is_one_error_line(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
 class TestCmdSolve:
     def test_converged_outputs(self, tmp_path):
         code = main(["solve", str(CONFIGS / "tiny_identity.json"), "--out", str(tmp_path)])

@@ -8,7 +8,7 @@ import pickle
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from scipy.optimize import OptimizeResult
 from obro import linsolve
 from obro.bess import assemble_bess_problem
 from obro.configio import bess_case_from_config, load_config, problem_from_config
-from obro.engine import run
+from obro.engine import EngineResult, run
 from obro.linsolve import (
     BranchBoundSolver,
     HighsSolver,
@@ -806,11 +806,13 @@ class TestSparseRows:
             -np.ones(2), [Row({0: 1.0, 1: 1.0}, "<=", 1.0)], np.zeros(2), np.full(2, 5.0)
         )
         assert solver.solve_lp(lp).objective == pytest.approx(-1.0)
-        lp.rows = [Row({0: 1.0, 1: 1.0}, "<=", 3.0)]
-        assert solver.solve_lp(lp).objective == pytest.approx(-3.0)
-        assert isinstance(lp.rows, SparseRows)
+        with pytest.raises(FrozenInstanceError):
+            lp.rows = [Row({0: 1.0, 1: 1.0}, "<=", 3.0)]
+        looser = replace(lp, rows=[Row({0: 1.0, 1: 1.0}, "<=", 3.0)])
+        assert solver.solve_lp(looser).objective == pytest.approx(-3.0)
+        assert isinstance(looser.rows, SparseRows)
         with pytest.raises(ValueError, match="row 'wide' references variable 2"):
-            lp.rows = [Row({2: 1.0}, "<=", 0.0, "wide")]
+            replace(lp, rows=[Row({2: 1.0}, "<=", 0.0, "wide")])
 
     def test_form_of_other_rows_or_columns_is_replaced(self):
         rows = SparseRows([Row({0: 1.0}, "<=", 1.0)])
@@ -824,6 +826,35 @@ class TestSparseRows:
         for lp, objective in ((wider, -5.0), (narrow, -1.0), (wider, -5.0)):
             assert HighsSolver().solve_lp(lp).objective == pytest.approx(objective)
             assert_same_form(rows.highs(lp.n_vars), per_row_form(lp))
+
+
+class TestFrozenPrograms:
+    """Programs, outcomes and results are frozen like the problem; a
+    changed program comes from ``dataclasses.replace``, which checks it."""
+
+    def test_no_field_can_be_reassigned(self):
+        lp = LinearProgram(
+            -np.ones(2), [Row({0: 1.0, 1: 1.0}, "<=", 1.0)], np.zeros(2), np.ones(2)
+        )
+        mip = MixedIntegerProgram(lp, (0,))
+        out = BranchBoundSolver().solve_lp(lp)
+        result = EngineResult("converged", np.zeros(2), np.zeros(2), [])
+        for obj, names in (
+            (lp, ["c", "rows", "lower", "upper", "offset"]),
+            (mip, ["lp", "binaries"]),
+            (out, ["status", "objective", "x", "stats"]),
+            (result, ["status", "x", "x_master", "scenarios", "history", "message"]),
+        ):
+            assert [f.name for f in fields(obj)] == names
+            for name in names:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(obj, name, getattr(obj, name))
+        # a mutable program let these reach the solvers unchecked
+        for name, value in (("upper", [5.0, 5.0]), ("c", np.array([-1.0]))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(lp, name, value)
+        for solver in SOLVERS:
+            assert solver.solve_lp(lp).objective == pytest.approx(-1.0)
 
 
 def fd1_text(capfd):

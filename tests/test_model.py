@@ -1,10 +1,15 @@
-from dataclasses import FrozenInstanceError, fields, replace
+import importlib
+import inspect
+import pkgutil
+import sys
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obro
 from obro import master, model, pwl, subproblem
 from obro.bess import assemble_bess_problem
 from obro.configio import load_config, problem_from_config
@@ -246,6 +251,28 @@ class TestFrozenProblem:
         result = run(tight, **options)
         assert result.converged and result.x[0] == pytest.approx(0.2)
         assert result.ub == pytest.approx(0.35, abs=1e-9) and first.ub < 0.35
+
+
+def test_every_dataclass_but_the_schedule_inputs_is_frozen():
+    # the CLI and the benchmark set ``ScheduleInputs.scheme`` on loaded inputs
+    mutable = []
+    for info in pkgutil.iter_modules(obro.__path__):
+        module = importlib.import_module(f"obro.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and is_dataclass(obj) and obj.__module__ == module.__name__
+                    and not obj.__dataclass_params__.frozen):
+                mutable.append(f"{info.name}.{name}")
+    assert mutable == ["bess.ScheduleInputs"]
+
+
+def test_package_names_are_in_their_modules_all():
+    missing = [
+        f"{obj.__module__}.{name}"
+        for name, obj in vars(obro).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+        and name not in sys.modules[obj.__module__].__all__
+    ]
+    assert missing == []
 
 
 class TestEvaluateV:
