@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from obro.linsolve import Row, Solver
+from obro.linsolve import Row
 from obro.master import solve_master
 from obro.model import ObroProblem, UncertainTerm, reference_scenario
 from obro.pwl import NeighborhoodSpec, make_partition, sample_reference
@@ -312,7 +312,6 @@ def parametric_baseline(
     inputs: ScheduleInputs,
     a_range,
     b_range,
-    solver: Solver | None = None,
 ):
     """Scheduling under parametric (not functional) curve uncertainty.
 
@@ -342,7 +341,7 @@ def parametric_baseline(
         terms.append(UncertainTerm(term.name, spec, term.eval_indices))
     prob = replace(prob, terms=terms)
 
-    x, value = solve_master(prob, [reference_scenario(prob)], solver)
+    x, value = solve_master(prob, [reference_scenario(prob)])
     schedule = schedule_from_solution(inputs, x)
     return (a_hi, b_lo), schedule, float(value)
 

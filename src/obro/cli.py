@@ -1,9 +1,11 @@
 """Command-line front end: solve configs, run the feeder case, verify.
 
-Commands write plot-ready CSVs and use exit codes to report outcomes:
-0 converged / all checks pass, 1 config or runtime error, 2 iteration cap
-hit, 3 oracle budget exceeded.  ``OBRO_LOG`` in {quiet, info, trace}
-controls verbosity.
+Commands write plot-ready CSVs; a run's ``tol`` and ``max_iter`` come
+from its config alone.  Exit codes report outcomes: 0 converged / all
+checks pass, 1 config or runtime error, 2 iteration cap hit, 3 oracle
+budget exceeded.  Commands raise on an error, and ``main``, the CLI's
+one error boundary, reports it as one ``error:`` line on stderr.
+``OBRO_LOG`` in {quiet, info, trace} controls verbosity.
 """
 
 from __future__ import annotations
@@ -51,12 +53,8 @@ def _setup_logging():
 
 def _load_problem(path):
     """The generic config at ``path`` as (problem, options), or None after
-    printing its config error or every validation issue."""
-    try:
-        prob, options = problem_from_config(load_config(path))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    printing every validation issue."""
+    prob, options = problem_from_config(load_config(path))
     issues = validate(prob)
     for issue in issues:
         print(f"error: {issue}", file=sys.stderr)
@@ -64,39 +62,29 @@ def _load_problem(path):
 
 
 def _run_and_write(args, prob, options, write_decision) -> int:
-    """The tail of `solve` and `bess`: run the loop with ``--tol`` and
-    ``--max-iter`` over the config's options, write the decision through
-    ``write_decision(out_dir, x)`` plus iterations.csv and
-    worst_functions.csv, print the status line and return its exit code."""
-    tol = args.tol if args.tol is not None else options["tol"]
-    max_iter = args.max_iter if args.max_iter is not None else options["max_iter"]
+    """The tail of `solve` and `bess`: run the loop with the config's
+    options, write the decision through ``write_decision(out_dir, x)`` plus
+    iterations.csv and worst_functions.csv, print the status line and
+    return its exit code."""
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        result = run(prob, tol=tol, max_iter=max_iter)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        write_decision(out_dir, result.x)
-        # wall time stays out of the CSV so reruns are byte-identical
-        write_csv(
-            out_dir / "iterations.csv",
-            ["k", "UB", "LB", "gap"],
-            [(r.k, float(r.ub), float(r.lb), float(r.gap)) for r in result.history],
-        )
-        worst = [
-            (li, term.name, float(xv), float(fv))
-            for li, scen in enumerate(result.scenarios)
-            for term, f in zip(prob.terms, scen.functions)
-            for xv, fv in zip(f.partition.points, f.values)
-        ]
-        write_csv(
-            out_dir / "worst_functions.csv", ["scenario", "term", "sample_x", "sample_f"], worst
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result = run(prob, **options)
+    write_decision(out_dir, result.x)
+    # wall time stays out of the CSV so reruns are byte-identical
+    write_csv(
+        out_dir / "iterations.csv",
+        ["k", "UB", "LB", "gap"],
+        [(r.k, float(r.ub), float(r.lb), float(r.gap)) for r in result.history],
+    )
+    worst = [
+        (li, term.name, float(xv), float(fv))
+        for li, scen in enumerate(result.scenarios)
+        for term, f in zip(prob.terms, scen.functions)
+        for xv, fv in zip(f.partition.points, f.values)
+    ]
+    write_csv(
+        out_dir / "worst_functions.csv", ["scenario", "term", "sample_x", "sample_f"], worst
+    )
     print(f"{result.status}: {len(result.history)} iterations, gap {format_float(result.gap)}")
     return EXIT_OK if result.converged else EXIT_MAX_ITER
 
@@ -118,41 +106,31 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bess(args) -> int:
-    try:
-        feeder, inputs, schemes, options = bess_case_from_config(load_config(args.config))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    feeder, inputs, schemes, options = bess_case_from_config(load_config(args.config))
     if args.scheme not in schemes:
-        print(
-            f"error: scheme {args.scheme!r} not in config "
-            f"(available: {', '.join(sorted(schemes))})",
-            file=sys.stderr,
+        raise ConfigError(
+            f"scheme {args.scheme!r} not in config "
+            f"(available: {', '.join(sorted(schemes))})"
         )
-        return EXIT_ERROR
     scheme = schemes[args.scheme]
-    try:
-        if isinstance(scheme, dict):  # parametric uncertainty baseline
-            corner, schedule, value = bess.parametric_baseline(
-                feeder, inputs, scheme["a"], scheme["b"]
-            )
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            _write_schedule(out_dir / "schedule.csv", feeder, inputs, schedule)
-            write_csv(
-                out_dir / "parametric.csv",
-                ["worst_a", "worst_b", "value"],
-                [(corner[0], corner[1], value)],
-            )
-            print(f"worst (a, b) = ({format_float(corner[0])}, {format_float(corner[1])}), "
-                  f"value {format_float(value)}")
-            return EXIT_OK
+    if isinstance(scheme, dict):  # parametric uncertainty baseline
+        corner, schedule, value = bess.parametric_baseline(
+            feeder, inputs, scheme["a"], scheme["b"]
+        )
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_schedule(out_dir / "schedule.csv", feeder, inputs, schedule)
+        write_csv(
+            out_dir / "parametric.csv",
+            ["worst_a", "worst_b", "value"],
+            [(corner[0], corner[1], value)],
+        )
+        print(f"worst (a, b) = ({format_float(corner[0])}, {format_float(corner[1])}), "
+              f"value {format_float(value)}")
+        return EXIT_OK
 
-        inputs.scheme = scheme
-        prob = bess.assemble_bess_problem(feeder, inputs)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    inputs.scheme = scheme
+    prob = bess.assemble_bess_problem(feeder, inputs)
 
     def write_schedule(out_dir, x):
         schedule = bess.schedule_from_solution(inputs, x)
@@ -182,29 +160,15 @@ def _write_schedule(path, feeder, inputs, schedule):
 
 
 def cmd_verify(args) -> int:
-    if args.levels is not None and (args.levels < 3 or args.levels % 2 == 0):
-        # an odd count keeps the reference, which passes every test, on the grid
-        print(f"error: --levels must be an odd count of at least 3, not {args.levels}",
-              file=sys.stderr)
-        return EXIT_ERROR
     loaded = _load_problem(args.config)
     if loaded is None:
         return EXIT_ERROR
     prob, options = loaded
-    levels = args.levels if args.levels is not None else levels_within_budget(prob)
-
-    try:
-        result = run(prob, tol=options["tol"], max_iter=options["max_iter"])
-        report = verify_saddle(prob, result)
-        oracle_value, _ = brute_force_subproblem(prob, result.x, levels=levels)
-        enum_value, _ = enumerate_master(prob, result.scenarios)
-    except GridBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: shrink the instance (fewer samples or terms) to verify", file=sys.stderr)
-        return EXIT_BUDGET
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    levels = levels_within_budget(prob)
+    result = run(prob, **options)
+    report = verify_saddle(prob, result)
+    oracle_value, _ = brute_force_subproblem(prob, result.x, levels=levels)
+    enum_value, _ = enumerate_master(prob, result.scenarios)
 
     checks = [
         ("engine converged", result.converged, result.gap),
@@ -243,30 +207,29 @@ def main(argv=None) -> int:
 
     p_solve = sub.add_parser("solve", help="run the function-generation loop on a config")
     p_solve.add_argument("config")
-    p_solve.add_argument("--tol", type=float, default=None)
-    p_solve.add_argument("--max-iter", type=int, default=None)
     p_solve.add_argument("--out", default=".")
     p_solve.set_defaults(func=cmd_solve)
 
     p_bess = sub.add_parser("bess", help="battery scheduling case")
     p_bess.add_argument("config")
     p_bess.add_argument("--scheme", required=True)
-    p_bess.add_argument("--tol", type=float, default=None)
-    p_bess.add_argument("--max-iter", type=int, default=None)
     p_bess.add_argument("--out", default=".")
     p_bess.set_defaults(func=cmd_bess)
 
     p_verify = sub.add_parser("verify", help="solve then cross-check against the oracles")
     p_verify.add_argument("config")
-    p_verify.add_argument(
-        "--levels", type=int, default=None,
-        help="grid oracle levels per sample (default: the most, up to 101, "
-        "that fit the grid budget)",
-    )
     p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GridBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print("hint: shrink the instance (fewer samples or terms) to verify", file=sys.stderr)
+        return EXIT_BUDGET
+    except Exception as exc:  # noqa: BLE001 - the CLI's one error boundary
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

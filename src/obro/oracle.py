@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from obro.engine import in_phase, run
-from obro.linsolve import BranchBoundSolver, LinearProgram, Solver
+from obro.linsolve import BranchBoundSolver, LinearProgram
 from obro.master import MasterBlock, build_master
 from obro.model import ObroProblem, validate
 from obro.pwl import SampledFunction, sample_coefficients, trapezoid_weights
@@ -341,7 +341,6 @@ def refinement_study(
     steps,
     tol: float = 1e-2,
     max_iter: int = 200,
-    solver: Solver | None = None,
 ) -> RefinementTable:
     """Run the full loop per partition step and tabulate solution drift.
 
@@ -360,7 +359,7 @@ def refinement_study(
     values, xs = [], []
     for step in steps:
         prob = prob_builder(step)
-        result = in_phase(f"step {step}", run, prob, tol, max_iter, solver)
+        result = in_phase(f"step {step}", run, prob, tol, max_iter)
         if not result.converged:
             raise RuntimeError(f"step {step}: engine ended {result.status}")
         values.append(result.ub)

@@ -220,18 +220,13 @@ def test_criterion_07_bess_convergence(bess_run):
 
 def test_criterion_08_parametric_corner():
     feeder, inputs = feeder_case("bess_8node")
-    corner, _, value = parametric_baseline(
-        feeder, inputs, (9.0, 10.0), (4.0, 5.0), HighsSolver()
-    )
+    corner, _, value = parametric_baseline(feeder, inputs, (9.0, 10.0), (4.0, 5.0))
     assert corner == (10.0, 4.0)
     report(8, f"worst (a, b) = {corner}, value {value:.4f}")
 
 
 def test_criterion_09_refinement_consistency():
-    table = refinement_study(
-        reduction_problem, [0.004, 0.002, 0.001],
-        tol=1e-2, max_iter=100, solver=HighsSolver(),
-    )
+    table = refinement_study(reduction_problem, [0.004, 0.002, 0.001], tol=1e-2, max_iter=100)
     assert table.value_distances[2] <= table.value_distances[1] + 1e-12
     assert table.x_distances[2] <= table.x_distances[1] + 1e-12
 

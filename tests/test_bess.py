@@ -186,18 +186,14 @@ class TestSyntheticCase:
 class TestParametricBaseline:
     def test_corner_selection(self):
         feeder, inputs = feeder_case("bess_reduction", "sparse")
-        corner, schedule, value = parametric_baseline(
-            feeder, inputs, (9.0, 10.0), (4.0, 5.0), HighsSolver()
-        )
+        corner, schedule, value = parametric_baseline(feeder, inputs, (9.0, 10.0), (4.0, 5.0))
         assert corner == (10.0, 4.0)
         assert schedule.shape == (2, 6)
         assert value > 0
 
     def test_four_corner_cross_check(self):
         feeder, inputs = feeder_case("bess_reduction", "sparse")
-        corner, schedule, _ = parametric_baseline(
-            feeder, inputs, (9.0, 10.0), (4.0, 5.0), HighsSolver()
-        )
+        corner, schedule, _ = parametric_baseline(feeder, inputs, (9.0, 10.0), (4.0, 5.0))
         assert schedule.max() > 0  # nontrivial schedule, corners differ
 
         def curve_total(a, b):
@@ -213,9 +209,7 @@ class TestParametricBaseline:
 
     def test_degenerate_ranges(self):
         feeder, inputs = feeder_case("bess_reduction", "sparse")
-        corner, _, value = parametric_baseline(
-            feeder, inputs, (9.62, 9.62), (4.7, 4.7), HighsSolver()
-        )
+        corner, _, value = parametric_baseline(feeder, inputs, (9.62, 9.62), (4.7, 4.7))
         assert corner == (9.62, 4.7)
         # nominal curve: same as the reference-scenario master
         prob = assemble_bess_problem(feeder, inputs)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from obro import cli
 from obro.bess import assemble_bess_problem
 from obro.cli import main
 from obro.configio import (
@@ -268,6 +269,18 @@ def test_file_error_is_one_error_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_csv_write_failure_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # any exception, not only an OSError, ends at main's one error boundary
+    def fail(*args, **kwargs):
+        raise ValueError("cannot write")
+
+    monkeypatch.setattr(cli, "write_csv", fail)
+    assert main(["solve", TWO_POCKET, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write\n"
+    assert captured.out == ""
+
+
 class TestCmdSolve:
     def test_converged_outputs(self, tmp_path):
         code = main(["solve", str(CONFIGS / "tiny_identity.json"), "--out", str(tmp_path)])
@@ -312,9 +325,8 @@ class TestCmdSolve:
         assert not (tmp_path / "solution.csv").exists()
 
     def test_max_iterations_exit_code(self, tmp_path):
-        code = main(
-            ["solve", str(CONFIGS / "two_pocket.json"), "--max-iter", "1", "--out", str(tmp_path)]
-        )
+        # the config's max_iter is 1
+        code = main(["solve", str(CONFIGS / "two_pocket_truncated.json"), "--out", str(tmp_path)])
         assert code == 2
 
     def test_missing_config(self, tmp_path, capsys):
@@ -446,7 +458,7 @@ class TestCmdVerify:
         assert "FAIL" not in out
 
     def test_identity_config_all_pass(self, capsys):
-        code = main(["verify", str(CONFIGS / "tiny_identity.json"), "--levels", "101"])
+        code = main(["verify", str(CONFIGS / "tiny_identity.json")])
         out = capsys.readouterr().out
         assert code == 0
         assert "FAIL" not in out
@@ -477,20 +489,31 @@ class TestCmdVerify:
         assert code != 0
         assert any("fixed point" in line and "FAIL" in line for line in out.splitlines())
 
-    @pytest.mark.parametrize("levels", ["4", "1"])
-    def test_levels_must_be_odd_and_at_least_3(self, capsys, levels):
-        # an even count leaves the reference off the grid, where dev_max 0
-        # used to end as a budget overrun (exit 3)
-        cfg = str(CONFIGS / "tiny_identity.json")
-        assert main(["verify", cfg, "--levels", levels]) == 1
-        assert capsys.readouterr().err.startswith("error: --levels must be an odd count")
-
     def test_budget_exceeded_exit_code(self, tmp_path, capsys):
+        # 15 samples need 3**15 points even at the fewest levels, over the
+        # grid budget
         cfg = json.loads((CONFIGS / "tiny_identity.json").read_text())
-        cfg["terms"][0]["partition"] = list(np.linspace(0, 1, 12))
-        cfg["terms"][0]["reference_values"] = list(np.linspace(0, 1, 12))
+        cfg["terms"][0]["partition"] = list(np.linspace(0, 1, 15))
+        cfg["terms"][0]["reference_values"] = list(np.linspace(0, 1, 15))
         path = tmp_path / "big.json"
         path.write_text(json.dumps(cfg))
-        code = main(["verify", str(path), "--levels", "101"])
+        code = main(["verify", str(path)])
         assert code == 3
         assert "shrink the instance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", str(CONFIGS / "tiny_identity.json"), "--tol", "0.1"],
+        ["bess", str(CONFIGS / "bess_reduction.json"), "--scheme", "sparse", "--max-iter", "1"],
+        ["verify", str(CONFIGS / "tiny_identity.json"), "--levels", "101"],
+    ],
+    ids=["solve-tol", "bess-max-iter", "verify-levels"],
+)
+def test_config_alone_sets_run_options(capsys, argv):
+    # tol and max_iter come from the config, the grid levels from its budget
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
