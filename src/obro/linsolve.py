@@ -538,28 +538,23 @@ _fflush.argtypes, _fflush.restype = [ctypes.c_void_p], ctypes.c_int
 class HighsSolver(Solver):
     """scipy/HiGHS backend for instances beyond the bundled code.  LPs and
     MILPs alike go to `scipy.optimize.milp`; an LP has no integrality.
-    scipy passes `milp`'s ``disp`` option, off by default and never set
-    here, to HiGHS as ``log_to_console``, so LP solves print nothing.  The
-    MIP solver prints past that option on some MILPs (1.12.0 does on one
-    binary fixed at 1), so MILP solves run with fd 1 captured into the
-    DEBUG log."""
+    Presolve is off for every solve (README "Solvers"): it restarts the
+    masters' root search, costs the small LPs more than it saves, and
+    can call an unbounded LP infeasible.  scipy passes `milp`'s ``disp``
+    option, off by default and never set here, to HiGHS as
+    ``log_to_console``, so LP solves print nothing.  The MIP solver
+    prints past that option on some MILPs (1.12.0 does on one binary
+    fixed at 1), so MILP solves run with fd 1 captured into the DEBUG
+    log."""
 
     def solve_lp(self, lp: LinearProgram) -> SolveOutcome:
-        out = self._milp(lp)[1]
-        if out.status == "infeasible":
-            # presolve can call an unbounded LP infeasible; without it HiGHS
-            # tells the two apart
-            out = self._milp(lp, options={"presolve": False})[1]
-        return out
+        return self._milp(lp)[1]
 
     def solve_milp(self, mip: MixedIntegerProgram) -> SolveOutcome:
         integrality = np.zeros(mip.lp.n_vars)
         integrality[list(mip.binaries)] = 1
-        # presolve's reduced-cost fixing restarts the root search many
-        # times on the scenario-cut masters (see README); with it off, the
-        # master block leaves out the rows the column bounds imply
         with _stdout_to_debug_log():
-            res, out = self._milp(mip.lp, integrality, {"mip_rel_gap": 0.0, "presolve": False})
+            res, out = self._milp(mip.lp, integrality)
         if out.optimal:
             for j in mip.binaries:
                 if min(out.x[j], 1.0 - out.x[j]) <= INT_TOL:
@@ -568,11 +563,14 @@ class HighsSolver(Solver):
         return out
 
     @staticmethod
-    def _milp(lp: LinearProgram, integrality=None, options=None):
-        """Solve ``lp``; returns scipy's result and the outcome, whose
-        stats carry scipy's ``message``."""
+    def _milp(lp: LinearProgram, integrality=None):
+        """Solve ``lp`` without presolve, a MILP to a zero gap; returns
+        scipy's result and the outcome, whose stats carry scipy's ``message``."""
         from scipy.optimize import Bounds, LinearConstraint, milp
 
+        options = {"presolve": False}
+        if integrality is not None:
+            options["mip_rel_gap"] = 0.0
         res = milp(
             lp.c,
             integrality=integrality,

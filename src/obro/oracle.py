@@ -117,16 +117,18 @@ def brute_force_subproblem(
 
     The rows are swept best bound first (Land & Doig's pruning step).  A
     row's bound is sample 0's share less its deviation cost, plus the
-    best such net value of any feasible tail, padded by 1e-9 times the
-    summed magnitudes of those parts.  Rows go in descending padded bound,
-    earlier rows first among equals, and the sweep stops at the first row
-    whose padded bound is below the best value found so far.  The padding
-    exceeds any round-off of the bound and of a point's value, so no
-    skipped row holds a point that could win or tie, and every point
-    evaluated keeps the arithmetic of a full sweep.  The returned function
-    is the grid point with the largest value as computed here, the
-    earliest in lexicographic grid order (sample 0 slowest) among equal
-    values, so repeated calls return bit-identical results.
+    best such net value of any tail that passes its ratio rows and, when
+    the budget binds, fits the budget left by sample 0's deviation,
+    padded by 1e-9 times the summed magnitudes of those parts.  Rows go
+    in descending padded bound, earlier rows first among equals, and the
+    sweep stops at the first row whose padded bound is below the best
+    value found so far.  The padding exceeds any round-off of the bound
+    and of a point's value, so no skipped row holds a point that could
+    win or tie, and every point evaluated keeps the arithmetic of a full
+    sweep.  The returned function is the grid point with the largest
+    value as computed here, the earliest in lexicographic grid order
+    (sample 0 slowest) among equal values, so repeated calls return
+    bit-identical results.
     """
     issues = validate(prob)
     if issues:
@@ -200,11 +202,23 @@ def brute_force_subproblem(
             return vals
 
         # Row i's values are at most its head's net value plus the best
-        # net tail value.  The padding scales with the summed magnitudes,
-        # not with the bound, so round-off never lifts a computed value
-        # to it even when large terms cancel.
+        # net tail value, among the tails within the budget left by its
+        # head when the budget binds.  The padding scales with the summed
+        # magnitudes, not with the bound, so round-off never lifts a
+        # computed value to it even when large terms cancel.
         tail_scale = np.abs(tail_val[np.isfinite(tail_val)]).max(initial=0.0)
-        bound = (head_val - eps * head_dev) + (tail_val - eps * tail_dev).max()
+        if dev_binds:
+            # the best net value among the tails sorted by deviation, up
+            # to each row's room; the room's padding keeps every tail the
+            # block keeps, whose rounded deviation sum is within budget
+            by_dev = np.argsort(tail_dev, kind="stable")
+            tail_net = (tail_val - eps * tail_dev)[by_dev]
+            best_tail = np.append(-np.inf, np.maximum.accumulate(tail_net))
+            room = (budget - head_dev) + 1e-9 * (1 + budget)
+            best_tail = best_tail[np.searchsorted(tail_dev[by_dev], room, side="right")]
+        else:
+            best_tail = (tail_val - eps * tail_dev).max()
+        bound = (head_val - eps * head_dev) + best_tail
         bound += 1e-9 * (1 + np.abs(head_val) + eps * head_dev + tail_scale + eps * tail_dev.max())
         best_val, best_key = _best_first(bound, rows, block)
         if best_key is None:

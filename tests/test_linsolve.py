@@ -51,6 +51,27 @@ def lp_max_x():
     )
 
 
+def infeasible_lp():
+    return LinearProgram(
+        np.array([1.0]), [geq({0: 1.0}, 2.0)], np.array([-np.inf]), np.array([1.0])
+    )
+
+
+def unbounded_with_rows():
+    # feasible at (0, 0, -2, 3, 1) and unbounded along (0, -0.5, 0, 0, -1);
+    # HiGHS's presolve calls it infeasible, one reason HiGHS runs without it
+    return LinearProgram(
+        np.array([3.0, 2.0, -3.0, -1.0, 1.0]),
+        [
+            Row({0: -3, 1: 3, 2: 1, 3: -3, 4: 3}, "<=", 4.0),
+            Row({0: -2, 1: -3, 2: 2, 3: -1, 4: 2}, "<=", -2.0),
+            Row({0: 1, 1: 2, 2: -1, 3: -2, 4: -1}, "<=", -4.0),
+        ],
+        np.array([-np.inf, -np.inf, -2.0, 0.0, -np.inf]),
+        np.array([np.inf, np.inf, -2.0, 3.0, 1.0]),
+    )
+
+
 @pytest.mark.parametrize("solver", SOLVERS, ids=["simplex", "highs"])
 class TestSolveLp:
     def test_bounded_maximum(self, solver):
@@ -60,29 +81,14 @@ class TestSolveLp:
         assert out.x[0] == pytest.approx(1.0)
 
     def test_infeasible(self, solver):
-        lp = LinearProgram(
-            np.array([1.0]), [geq({0: 1.0}, 2.0)], np.array([-np.inf]), np.array([1.0])
-        )
-        assert solver.solve_lp(lp).status == "infeasible"
+        assert solver.solve_lp(infeasible_lp()).status == "infeasible"
 
     def test_unbounded(self, solver):
         lp = LinearProgram(np.array([-1.0]), [], np.array([0.0]), np.array([np.inf]))
         assert solver.solve_lp(lp).status == "unbounded"
 
     def test_unbounded_with_rows(self, solver):
-        # feasible at (0, 0, -2, 3, 1) and unbounded along (0, -0.5, 0, 0, -1);
-        # HiGHS's presolve calls it infeasible
-        lp = LinearProgram(
-            np.array([3.0, 2.0, -3.0, -1.0, 1.0]),
-            [
-                Row({0: -3, 1: 3, 2: 1, 3: -3, 4: 3}, "<=", 4.0),
-                Row({0: -2, 1: -3, 2: 2, 3: -1, 4: 2}, "<=", -2.0),
-                Row({0: 1, 1: 2, 2: -1, 3: -2, 4: -1}, "<=", -4.0),
-            ],
-            np.array([-np.inf, -np.inf, -2.0, 0.0, -np.inf]),
-            np.array([np.inf, np.inf, -2.0, 3.0, 1.0]),
-        )
-        assert solver.solve_lp(lp).status == "unbounded"
+        assert solver.solve_lp(unbounded_with_rows()).status == "unbounded"
 
     def test_equality_and_inequality_mix(self, solver):
         lp = LinearProgram(
@@ -389,6 +395,29 @@ def test_highs_other_status_is_not_a_limit(monkeypatch):
     out = HighsSolver().solve_milp(MixedIntegerProgram(lp, (0,)))
     assert out.status == "inconclusive"
     assert out.stats["message"] == msg
+
+
+def test_highs_solves_each_lp_once_without_presolve(monkeypatch):
+    calls = []
+    milp = scipy.optimize.milp
+
+    def recording_milp(*args, options=None, **kwargs):
+        calls.append(options)
+        return milp(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", recording_milp)
+    cases = [
+        (lp_max_x(), "optimal"), (infeasible_lp(), "infeasible"),
+        (unbounded_with_rows(), "unbounded"),
+    ]
+    for lp, status in cases:
+        calls.clear()
+        assert HighsSolver().solve_lp(lp).status == status
+        assert calls == [{"presolve": False}]
+    calls.clear()
+    box = LinearProgram(np.array([-1.0]), [], np.zeros(1), np.ones(1))
+    assert HighsSolver().solve_milp(MixedIntegerProgram(box, (0,))).optimal
+    assert calls == [{"presolve": False, "mip_rel_gap": 0.0}]
 
 
 def test_highs_stat_keys():

@@ -459,6 +459,27 @@ class TestGridSweepBitIdentity:
         with pytest.raises(GridBudgetError, match="^no feasible grid point at 4 levels$"):
             brute_force_subproblem(prob, np.array([0.3]), 4)
 
+    @pytest.mark.parametrize("n,levels,x", [(3, 101, 0.5), (3, 101, 0.8), (5, 25, 0.8)])
+    def test_binding_budget_prunes_rows(self, monkeypatch, n, levels, x):
+        # the budget 0.03 keeps sample 0 within 0.12 of its reference, so
+        # each row's bound counts only the tails that fit the budget left
+        # by its head; a bound over every tail would sweep all rows
+        points = np.linspace(0.0, 1.0, n)
+        prob = one_term(points, points, delta=0.1, lip=3.0, dev=0.03)
+        blocks = swept_rows(monkeypatch)
+        total, funcs = brute_force_subproblem(prob, np.array([x]), levels)
+        assert sum(map(len, blocks)) < levels
+        sweep = oracle._best_first  # the spy: full sweeps are recorded too
+        monkeypatch.setattr(
+            oracle, "_best_first",
+            lambda bound, rows, block: sweep(np.full_like(bound, np.inf), rows, block),
+        )
+        blocks.clear()
+        full_total, full_funcs = brute_force_subproblem(prob, np.array([x]), levels)
+        assert sum(map(len, blocks)) == levels
+        assert total == full_total
+        np.testing.assert_array_equal(funcs[0].values, full_funcs[0].values)
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(2, 4),

@@ -4,9 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obro import bess, configio, subproblem
+from obro import bess, configio, engine, subproblem
 from obro.linsolve import BranchBoundSolver, HighsSolver, SparseRows
-from obro.model import ObroProblem, UncertainTerm, evaluate_v, reference_scenario
+from obro.model import (
+    ObroProblem,
+    UncertainTerm,
+    evaluate_v,
+    reference_scenario,
+    scenario_issues,
+)
 from obro.pwl import (
     NeighborhoodSpec,
     Partition,
@@ -15,6 +21,8 @@ from obro.pwl import (
     trapezoid_deviation,
 )
 from obro.subproblem import build_subproblem, solve_subproblem
+
+from feeders import feeder_case
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -261,6 +269,27 @@ def form_bytes(form):
     a, lower, upper = form
     return (a.shape, a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes(),
             lower.tobytes(), upper.tobytes())
+
+
+@pytest.mark.parametrize("scheme", ["sparse", "benchmark"])
+def test_backends_agree_on_the_feeder_adversary(monkeypatch, scheme):
+    # the paper's adversary LP at every point a whole loop solves it at,
+    # the returned decision and the last master iterate included
+    prob = bess.assemble_bess_problem(*feeder_case("bess_reduction", scheme))
+    points = []
+
+    def recording(prob, x, solver=None):
+        points.append(np.array(x, dtype=float))
+        return solve_subproblem(prob, x, solver)
+
+    monkeypatch.setattr(engine, "solve_subproblem", recording)
+    res = engine.run(prob)
+    assert res.converged and points
+    for x in points + [res.x, res.x_master]:
+        s1, v1 = solve_subproblem(prob, x, HighsSolver())
+        s2, v2 = solve_subproblem(prob, x, BranchBoundSolver())
+        assert v1 == pytest.approx(v2, abs=1e-9)
+        assert scenario_issues(prob, s1) == scenario_issues(prob, s2) == []
 
 
 class TestAdversaryBlock:
