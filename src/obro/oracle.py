@@ -279,7 +279,7 @@ def _grid(axes) -> np.ndarray:
 def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndarray]:
     """Solve the master exactly by trying every segment activation pattern.
 
-    For each assignment of one segment per evaluation coordinate the
+    For each assignment of one live segment per evaluation coordinate the
     coordinates are pinned (``pin_segments``) and the remaining LP solved
     by the bundled simplex; the best pattern wins (first one on ties, in
     lexicographic pattern order).  Pattern objectives carry the master's
@@ -313,9 +313,9 @@ def enumerate_master(prob: ObroProblem, scenarios: list) -> tuple[float, np.ndar
 
 
 def pin_segments(lp: LinearProgram, block: MasterBlock, pattern) -> LinearProgram:
-    """The master LP with evaluation coordinate ``i`` pinned to segment
-    ``pattern[i]``: earlier fractions full, later ones empty, binaries to
-    match, and only the segment's own fraction free."""
+    """The master LP with coordinate ``i`` pinned to its live segment
+    ``pattern[i]`` (of ``block.segments[i]``): earlier fractions full, later
+    ones empty, binaries to match, and only that segment's fraction free."""
     lo = lp.lower.copy()
     up = lp.upper.copy()
     for z, y, s in zip(block.z_slices, block.y_slices, pattern):

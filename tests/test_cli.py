@@ -221,6 +221,14 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, command, keys, valu
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+def test_unknown_log_level_warns_and_stays_quiet(monkeypatch, caplog):
+    monkeypatch.setenv("OBRO_LOG", "loud")
+    cli._setup_logging()
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("obro.cli", "WARNING", "OBRO_LOG=loud not recognized; using quiet")
+    ]
+
+
 def test_short_profile_is_a_config_error(tmp_path, capsys):
     cfg = json.loads((CONFIGS / "bess_reduction.json").read_text())
     cfg["profiles"]["load_p"]["2"].pop()

@@ -195,6 +195,14 @@ class TestVerifySaddle:
         assert not report.fixed_point_ok
         assert report.fixed_point_distance > 1e-2
 
+    def test_report_string_marks_the_failing_check(self):
+        report = engine.SaddleReport(True, 1e-9, False, 0.25, True, 0.0)
+        assert not report.passed
+        assert str(report) == (
+            "inner global optimality: pass (1.000e-09); "
+            "outer value stability: FAIL (2.500e-01); fixed point: pass (0.000e+00)"
+        )
+
     def test_zero_delta_trivially_passes(self):
         prob = one_term([0.0, 1.0], [0.0, 1.0], delta=0.0)
         res = run(prob, tol=1e-2, max_iter=5)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import replace
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obro import configio, master
+from obro import configio, engine, master
 from obro.bess import assemble_bess_problem
 from obro.engine import run, verify_saddle
 from obro.linsolve import (
@@ -28,7 +29,7 @@ from obro.oracle import enumerate_master
 from obro.pwl import NeighborhoodSpec, Partition, SampledFunction, trapezoid_deviation
 from obro.subproblem import solve_subproblem
 
-from feeders import feeder_case
+from feeders import CONFIGS, feeder_case
 
 
 def make_problem(points, ref_values, delta=1.0, dev=10.0, lip=3.0, epsilon=0.1, c=None):
@@ -399,6 +400,111 @@ class TestImpliedRows:
         assert prob.rows is rows
 
 
+FEEDERS = {"reduction@0.001": ("bess_reduction", 0.001), "bess-day": ("bess_8node", "benchmark")}
+
+
+@functools.lru_cache(maxsize=None)
+def feeder_problem(key):
+    return assemble_bess_problem(*feeder_case(*FEEDERS[key]))
+
+
+class TestLiveSegments:
+    """Each evaluation coordinate's block spans only the segments a
+    feasible decision can reach; the masters keep their optima."""
+
+    # (live, all) segments, and the master optima of one run as the block
+    # over the whole partition gave them
+    LIVE = {"reduction@0.001": (308, 456), "bess-day": (895, 960)}
+    OPTIMA = {
+        "reduction@0.001": [
+            27.454299647916557, 27.92807974499996, 28.03131315773983, 28.04914728471874
+        ],
+        "bess-day": [42.4952847399999, 44.8951729049999],
+    }
+    GENERIC = {  # master columns, rows and enumerated value over one run's pool
+        "tiny_identity": (3, 1, 0.095),
+        "two_pocket": (7, 5, 0.18833333333333338),
+        "two_term_coupled": (10, 7, 0.08749999999999991),
+        "degenerate_delta0": (5, 3, 0.0),
+        "two_pocket_truncated": (5, 3, 0.05),
+    }
+
+    @pytest.mark.parametrize(
+        "rows, live, bound",
+        [
+            ([Row({0: 1.0}, "<=", 0.25)], slice(0, 1), 0.6),
+            ([Row({0: -1.0}, "<=", -0.6)], slice(1, 2), 0.34),
+            # a range ending on the breakpoint keeps the segment beyond it
+            ([Row({0: 1.0}, "<=", 0.5)], slice(0, 2), 0.2),
+            ([Row({0: -1.0}, "<=", -0.5)], slice(0, 2), 0.2),
+            # through an auxiliary and an = row
+            ([Row({0: 1.0, 1: -1.0}, "=", 0.0), Row({1: 1.0}, "<=", 0.25)], slice(0, 1), 0.6),
+        ],
+        ids=["below", "above", "up-to-breakpoint", "from-breakpoint", "equality"],
+    )
+    def test_block_spans_the_segments_the_rows_leave(self, rows, live, bound):
+        # the reference falls from 1.0 to 0.2 at x0 = 0.5, then rises to 0.9
+        base = make_problem([0.0, 0.5, 1.0], [1.0, 0.2, 0.9], c=[0.0, 0.0])
+        prob = replace(base, rows=rows, lower=np.zeros(2), upper=np.ones(2), names=None)
+        assert prob.master.segments == (live,)
+        for solver in (BranchBoundSolver(), HighsSolver()):
+            assert solve_master(prob, [reference_scenario(prob)], solver)[1] == pytest.approx(
+                bound, abs=1e-9
+            )
+
+    @pytest.mark.parametrize("key", FEEDERS)
+    def test_fbbt_range_contains_obbt_range(self, key):
+        # OBBT: the least and greatest x_e over the polyhedron, one LP each
+        prob = feeder_problem(key)
+        lo, up = master.tightened_box(prob)
+        block = prob.master
+        for (ti, e), seg in zip(block.eval_keys, block.segments):
+            extremes = []
+            for sign in (1.0, -1.0):
+                c = np.zeros(prob.n_vars)
+                c[e] = sign
+                out = HighsSolver().solve_lp(LinearProgram(c, prob.rows, prob.lower, prob.upper))
+                assert out.optimal
+                extremes.append(out.x[e])
+            least, most = extremes
+            assert lo[e] <= least + 1e-9 and most - 1e-9 <= up[e]
+            points = prob.terms[ti].spec.partition.points
+            assert all(points[k + 1] < least for k in range(seg.start))
+            assert all(points[k] > most for k in range(seg.stop, points.size - 1))
+
+    @pytest.mark.parametrize("key", FEEDERS)
+    def test_live_counts_and_master_optima(self, key, monkeypatch):
+        prob = feeder_problem(key)
+        block = prob.master
+        live = sum(seg.stop - seg.start for seg in block.segments)
+        every = sum(prob.terms[ti].spec.partition.n_segments for ti, _ in block.eval_keys)
+        assert (live, every) == self.LIVE[key]
+        assert len(block.mip.binaries) == live - len(block.segments)
+        bounds = []
+
+        def spy(*args):
+            x, bound = solve_master(*args)
+            bounds.append(bound)
+            return x, bound
+
+        monkeypatch.setattr(engine, "solve_master", spy)
+        result = run(prob, tol=1e-2, max_iter=100)
+        assert result.converged
+        np.testing.assert_allclose(bounds, self.OPTIMA[key], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("name", GENERIC)
+    def test_generic_configs_keep_the_whole_partition(self, name):
+        config = configio.load_config(CONFIGS / f"{name}.json")
+        prob, options = configio.problem_from_config(config)
+        block = prob.master
+        terms = [prob.terms[ti] for ti, _ in block.eval_keys]
+        assert block.segments == tuple(slice(0, t.spec.partition.n_segments) for t in terms)
+        cols, rows, value = self.GENERIC[name]
+        assert (block.mip.lp.n_vars, len(block.mip.lp.rows)) == (cols, rows)
+        result = run(prob, tol=options["tol"], max_iter=options["max_iter"])
+        assert enumerate_master(prob, result.scenarios)[0] == value
+
+
 class TestErrors:
     def test_empty_scenarios(self):
         prob = make_problem([0.0, 1.0], [0.0, 1.0])
@@ -418,6 +524,25 @@ class TestErrors:
         prob = replace(make_problem([0.0, 1.0], [0.0, 1.0]), rows=[Row({0: 1.0}, "<=", -0.5)])
         with pytest.raises(MasterError, match="empty"):
             solve_master(prob, [reference_scenario(prob)])
+
+    @pytest.mark.parametrize("solver", [BranchBoundSolver(), HighsSolver()], ids=["bnb", "highs"])
+    def test_empty_tightened_range_keeps_one_segment(self, solver):
+        # FBBT pushes x0's range to [0, -0.5]: the block keeps one segment
+        # and the solve, not the build, finds the polyhedron empty
+        base = make_problem([0.0, 0.25, 0.5, 1.0], [0.0, 0.2, 0.6, 1.0], c=[0.0, 0.0])
+        prob = replace(
+            base, lower=np.zeros(2), upper=np.ones(2), names=None,
+            rows=[Row({0: 1.0, 1: 1.0}, "<=", -0.5, "empty")],
+        )
+        lo, up = master.tightened_box(prob)
+        assert lo[0] > up[0]
+        block = prob.master
+        assert block.segments == (slice(0, 1),)
+        assert block.z_slices[0].stop - block.z_slices[0].start == 1
+        with pytest.raises(master.MasterError, match="decision polyhedron is empty"):
+            solve_master(prob, [reference_scenario(prob)], solver)
+        with pytest.raises(master.MasterError, match="initial master solve: .*empty"):
+            run(prob, solver=solver)
 
 
 def epigraph_master(prob, scenarios):
@@ -439,10 +564,10 @@ def epigraph_master(prob, scenarios):
         rhs = prob.epsilon * sum(
             trapezoid_deviation(f, t.spec.reference) for t, f in zip(prob.terms, scen.functions)
         )
-        for (ti, _), z in zip(block.eval_keys, block.z_slices):
+        for (ti, _), seg, z in zip(block.eval_keys, block.segments, block.z_slices):
             values = scen.functions[ti].values
-            rhs -= float(values[0])
-            for k, d in enumerate(np.diff(values)):
+            rhs -= float(values[seg.start])
+            for k, d in enumerate(np.diff(values)[seg]):
                 coeffs[z.start + k] = coeffs.get(z.start + k, 0.0) + float(d)
         rows.append(Row(coeffs, "<=", rhs, f"cut[{li}]"))
     lp = LinearProgram(c, rows, lower, static.lp.upper.copy())

@@ -155,6 +155,12 @@ class TestValidate:
         )
         assert validate(prob) == [issue]
 
+    def test_bounds_of_another_length(self):
+        prob = replace(one_term_problem(), c=np.zeros(2), names=None)
+        assert validate(prob) == ["bounds: arrays must match the variable count"]
+        with pytest.raises(ValueError, match="bounds: arrays must match the variable count"):
+            prob.master
+
     def test_infinite_row_rhs_is_accepted(self):
         rows = [Row({0: 1.0}, "<=", np.inf), Row({0: -1.0}, "<=", np.inf)]
         assert validate(replace(one_term_problem(), rows=rows)) == []
